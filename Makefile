@@ -30,23 +30,17 @@ bench:
 servesmoke:
 	$(GO) run ./scripts/servesmoke
 
-# BENCH_explain.json records explanations/sec and cache hit rate so
-# future PRs can track the perf trajectory of the explanation pipeline.
-BENCH_explain.json: FORCE
-	$(GO) run ./cmd/certa-bench -benchjson $@ -parallelism 4
-
-# profile captures a CPU profile of the blocked-cluster perf workload
-# (certa.pprof; inspect with `go tool pprof certa.pprof`). The run also
-# serves live pprof endpoints on an ephemeral port for ad-hoc grabs.
+# profile captures a CPU profile of untraced explanations over the AB
+# blocked-cluster fixture (certa.pprof, plus the certa.test binary it
+# symbolizes against; inspect with `go tool pprof certa.pprof`).
 profile:
-	$(GO) run ./cmd/certa-bench -benchjson /dev/null -parallelism 4 \
-		-cpuprofile certa.pprof -pprof-addr 127.0.0.1:0
+	$(GO) test -run '^$$' -bench BenchmarkExplainPlain -benchtime 32x -cpuprofile certa.pprof .
 	@echo "CPU profile written to certa.pprof"
 
-ci: vet lint build test bench servesmoke BENCH_explain.json
+# ci runs the full gate: every stage of scripts/ci.sh, races and smokes included.
+ci:
+	sh scripts/ci.sh
 
 clean:
-	rm -f BENCH_explain.json certa.pprof
+	rm -f certa.pprof certa.test
 	rm -rf bin
-
-FORCE:

@@ -329,6 +329,42 @@ func TestSharedScorerCrossExplanationReduction(t *testing.T) {
 	}
 }
 
+// TestPrunedModeKeepsTopAttribution is pruned mode's quality gate: on
+// the AB blocked-cluster fixture, explanations under Threshold 0.25 must
+// keep the exact run's top-2 saliency attributes on at least 90% of the
+// pairs. MinLevels 1 lets the cut fire at all: AB's 3-attribute lattices
+// explore only levels 1..2, so the default MinLevels 2 never cuts.
+// Pruned results are byte-identical at any Parallelism, so the agreement
+// is a fixed property of the fixture, not a sample.
+func TestPrunedModeKeepsTopAttribution(t *testing.T) {
+	f := loadTraceBenchFixture(t)
+	explain := func(prune certa.PrunePolicy) []*certa.Result {
+		t.Helper()
+		results, err := certa.ExplainBatch(f.model, f.bench.Left, f.bench.Right, f.pairs, certa.Options{
+			Triangles: 100, Seed: 7, Parallelism: 4, Retrieval: f.idx, LatticePrune: prune,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	exact := explain(certa.PrunePolicy{})
+	pruned := explain(certa.PrunePolicy{Threshold: 0.25, MinLevels: 1})
+	skipped := 0
+	for _, res := range pruned {
+		skipped += res.Diag.PrunedQueries
+	}
+	if skipped == 0 {
+		t.Fatal("pruning skipped no lattice questions; the agreement check is vacuous")
+	}
+	s := eval.SummarizeAnytime(pruned, exact)
+	t.Logf("AB cluster: %d pruned questions skipped over %d explanations, top-2 agreement %.4f, CF validity %.4f",
+		skipped, len(pruned), s.Top2Agreement, s.CFValidity)
+	if s.Top2Agreement < 0.9 {
+		t.Errorf("pruned top-2 saliency agreement %.4f with the exact run, want >= 0.9", s.Top2Agreement)
+	}
+}
+
 // BenchmarkExplainModelCalls reports the per-explanation model-call
 // economics of the batched pipeline as benchmark metrics.
 func BenchmarkExplainModelCalls(b *testing.B) {

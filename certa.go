@@ -77,9 +77,9 @@
 //
 // The serving subsystem builds one index per backend at startup and the
 // token blocker consumes the same index, so tokenization exists exactly
-// once in the system. Options.DisableIndex restores the unindexed scan
-// (per-explanation tokenization + full sort) as an ablation; results
-// are byte-identical either way.
+// once in the system. The historical unindexed scan (per-explanation
+// tokenization + full sort) survives only as the equivalence tests'
+// reference; results are byte-identical either way.
 //
 // # Serving semantics: deadlines, budgets, cancellation
 //

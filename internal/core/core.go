@@ -91,16 +91,8 @@ type Options struct {
 	// an eval-harness run, or a server backend's lifetime — instead of
 	// letting every New rebuild it. The injected sources must have been
 	// built over the same left/right tables the explainer is given.
-	// When nil, New builds per-Explainer indexes (or scan sources under
-	// DisableIndex).
+	// When nil, New builds per-Explainer indexes.
 	Retrieval *neighborhood.Sources
-	// DisableIndex falls back to the unindexed candidate scan: the
-	// support search re-tokenizes and fully sorts the source table per
-	// explanation, as it did before the retrieval layer. Results are
-	// byte-identical either way (the equivalence test gates this); the
-	// ablation exists to measure what the index saves. Ignored when
-	// Retrieval is injected.
-	DisableIndex bool
 	// Seed drives candidate shuffling; explanations are deterministic
 	// given (Options, model, pair).
 	Seed int64
@@ -151,7 +143,8 @@ type Options struct {
 	// the levels actually explored, and Diagnostics grow
 	// PrunedQueries/PruneLevels recording what the cut skipped. Quality
 	// is gated by measured saliency agreement against the exact run (see
-	// certa-bench's "pruning" section), not assumed.
+	// TestPrunedModeKeepsTopAttribution in the certa package), not
+	// assumed.
 	LatticePrune lattice.PrunePolicy
 	// Shared injects a shared scoring service (scorecache.NewService)
 	// reused across explanations: every distinct pair content is scored
@@ -201,12 +194,8 @@ type Explainer struct {
 // should build the index once (neighborhood.NewSources) and inject it.
 func New(left, right *record.Table, opts Options) *Explainer {
 	e := &Explainer{left: left, right: right, opts: opts.withDefaults()}
-	switch {
-	case e.opts.Retrieval != nil:
-		e.sources = e.opts.Retrieval
-	case e.opts.DisableIndex:
-		e.sources = neighborhood.NewScanSources(left, right)
-	default:
+	e.sources = e.opts.Retrieval
+	if e.sources == nil {
 		e.sources = neighborhood.NewSources(left, right)
 	}
 	return e

@@ -43,7 +43,7 @@ func TestIndexedScanEquivalence(t *testing.T) {
 				indexed.Retrieval = shared
 			}
 			scan := opts
-			scan.DisableIndex = true
+			scan.Retrieval = neighborhood.NewScanSources(b.Left, b.Right)
 
 			got, err := New(b.Left, b.Right, indexed).ExplainBatch(textModel{}, pairs)
 			if err != nil {
@@ -94,7 +94,7 @@ func TestIndexedScanEquivalenceDeepEqual(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scan, err := New(b.Left, b.Right, Options{Triangles: 8, Seed: 3, DisableIndex: true}).Explain(textModel{}, p)
+		scan, err := New(b.Left, b.Right, Options{Triangles: 8, Seed: 3, Retrieval: neighborhood.NewScanSources(b.Left, b.Right)}).Explain(textModel{}, p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -56,12 +56,12 @@ func TestLatticePruneDeterministic(t *testing.T) {
 	}
 }
 
-// TestLatticePruneSavesQueriesKeepsTopAttribution checks the estimator
-// contract: a pruned run must ask strictly fewer lattice questions than
-// the exact run on a workload where pruning fires, and the saved work
-// must be visible in the diagnostics ledger (Performed + Pruned never
-// exceeds the exhaustive count).
-func TestLatticePruneSavesQueriesKeepsTopAttribution(t *testing.T) {
+// TestLatticePruneSavesQueries checks the estimator contract: a pruned
+// run must ask strictly fewer lattice questions than the exact run on a
+// workload where pruning fires, and the saved work must be visible in
+// the diagnostics ledger (Performed + Pruned never exceeds the
+// exhaustive count).
+func TestLatticePruneSavesQueries(t *testing.T) {
 	b, pairs := benchPairs(t, "AB", 4)
 	exact := New(b.Left, b.Right, Options{Triangles: 10, Seed: 5})
 	pruned := New(b.Left, b.Right, Options{Triangles: 10, Seed: 5,

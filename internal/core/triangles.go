@@ -89,8 +89,9 @@ const augmentPatience = 20
 // scarce. Cutting it to 6 is the LEMON-style budget cut of the pruned
 // mode: selection stays a pure function of (pair, sources, Seed) — so
 // results remain byte-identical at any Parallelism — and the saliency
-// cost of the shorter tail is gated by certa-bench's measured top-2
-// agreement against the exact run, not assumed.
+// cost of the shorter tail is gated by the measured top-2 agreement
+// against the exact run (TestPrunedModeKeepsTopAttribution in the certa
+// package), not assumed.
 const prunePatience = 6
 
 // supportScan selects the first `want` eligible candidates of a

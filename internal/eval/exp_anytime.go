@@ -111,8 +111,9 @@ func anytime(h *Harness) ([]*Table, error) {
 }
 
 // AnytimeSummary aggregates one budget run of the anytime experiments —
-// shared by the eval table above and certa-bench's anytime curve so the
-// two outputs measure exactly the same quantities.
+// shared by the eval table above and the pruned-mode quality gate
+// (TestPrunedModeKeepsTopAttribution in the certa package), so both
+// measure exactly the same quantities.
 type AnytimeSummary struct {
 	// TruncatedFraction is the share of explanations the budget cut.
 	TruncatedFraction float64

@@ -232,41 +232,6 @@ func appendAttrBlock(dst []float64, text textFunc, lv, rv string) []float64 {
 	return dst
 }
 
-// appendAttrBlockRef is the pre-optimization reference: each similarity
-// re-tokenizes its inputs independently. Kept as the bit-identity oracle
-// for the tokenize-once path and as the "before" side of the
-// featurization benchmark.
-func appendAttrBlockRef(dst []float64, text textFunc, lv, rv string) []float64 {
-	lm, rm := strutil.IsMissing(lv), strutil.IsMissing(rv)
-	if lm || rm {
-		bothMissing, oneMissing := 0.0, 1.0
-		if lm && rm {
-			bothMissing, oneMissing = 1.0, 0.0
-		}
-		return append(dst, 0, 0, 0, 0, 0, bothMissing, oneMissing)
-	}
-	return append(dst,
-		embedding.Cosine(text(lv), text(rv)),
-		strutil.Jaccard(lv, rv),
-		strutil.LevenshteinSimilarity(truncateForLev(lv), truncateForLev(rv)),
-		strutil.ContainmentSimilarity(lv, rv),
-		strutil.NumberOverlap(lv, rv),
-		0,
-		0,
-	)
-}
-
-// AttrBlock and AttrBlockRef expose the two attribute-block paths for
-// the featurization benchmark (cmd/certa-bench reports ns/op for both).
-func AttrBlock(dst []float64, text func(string) []float64, lv, rv string) []float64 {
-	return appendAttrBlock(dst, text, lv, rv)
-}
-
-// AttrBlockRef is the pre-optimization baseline counterpart of AttrBlock.
-func AttrBlockRef(dst []float64, text func(string) []float64, lv, rv string) []float64 {
-	return appendAttrBlockRef(dst, text, lv, rv)
-}
-
 // tokScratch pools the per-call token slices of appendAttrBlock.
 type tokScratch struct{ a, b []string }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"certa/internal/embedding"
+	"certa/internal/strutil"
 )
 
 // blockTestText is a deterministic stand-in embedder for the block
@@ -26,6 +27,29 @@ func blockTestText() textFunc {
 		memo[s] = v
 		return v
 	}
+}
+
+// appendAttrBlockRef is the pre-optimization reference: each similarity
+// re-tokenizes its inputs independently. It is the bit-identity oracle
+// for the tokenize-once path and the "before" side of BenchmarkAttrBlock.
+func appendAttrBlockRef(dst []float64, text textFunc, lv, rv string) []float64 {
+	lm, rm := strutil.IsMissing(lv), strutil.IsMissing(rv)
+	if lm || rm {
+		bothMissing, oneMissing := 0.0, 1.0
+		if lm && rm {
+			bothMissing, oneMissing = 1.0, 0.0
+		}
+		return append(dst, 0, 0, 0, 0, 0, bothMissing, oneMissing)
+	}
+	return append(dst,
+		embedding.Cosine(text(lv), text(rv)),
+		strutil.Jaccard(lv, rv),
+		strutil.LevenshteinSimilarity(truncateForLev(lv), truncateForLev(rv)),
+		strutil.ContainmentSimilarity(lv, rv),
+		strutil.NumberOverlap(lv, rv),
+		0,
+		0,
+	)
 }
 
 // TestAttrBlockMatchesReference gates the tokenize-once rewrite: for
@@ -65,8 +89,7 @@ func TestAttrBlockMatchesReference(t *testing.T) {
 }
 
 // BenchmarkAttrBlock reports the before/after cost of one attribute
-// block on a representative product-title pair; certa-bench reruns the
-// same comparison for the BENCH_explain.json "pruning" section.
+// block on a representative product-title pair.
 func BenchmarkAttrBlock(b *testing.B) {
 	text := blockTestText()
 	lv := "Sony DCR-TRV27 MiniDV Handycam Camcorder w/ 2.5\" LCD"

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"time"
 
 	"certa/internal/dataset"
 	"certa/internal/embedding"
@@ -97,38 +96,6 @@ func (m *Model) EmbeddingStats() embedding.StoreStats {
 		return embedding.StoreStats{}
 	}
 	return m.store.Stats()
-}
-
-// ForwardBench times this model's trained network on synthetic feature
-// rows: the pre-batching per-row path (one layer-output allocation chain
-// per row) against the batched arena kernel, returning nanoseconds per
-// row for each. The rows have the model's real feature dimension, so
-// the probe exercises exactly the architecture the workload scores; the
-// values are deterministic, so repeated probes are comparable.
-func (m *Model) ForwardBench(rows, iters int) (baselineNS, batchNS float64) {
-	dim := m.feat.dim()
-	flat := make([]float64, rows*dim)
-	rng := rand.New(rand.NewSource(1))
-	for i := range flat {
-		flat[i] = rng.Float64()
-	}
-	//lint:allow nodrift ForwardBench measures kernel wall time for certa-bench telemetry; no Result depends on it
-	start := time.Now()
-	for it := 0; it < iters; it++ {
-		for r := 0; r < rows; r++ {
-			m.net.PredictBaseline(flat[r*dim:][:dim])
-		}
-	}
-	//lint:allow nodrift benchmark timing readout, telemetry only
-	baselineNS = float64(time.Since(start).Nanoseconds()) / float64(rows*iters)
-	//lint:allow nodrift benchmark timing restart, telemetry only
-	start = time.Now()
-	for it := 0; it < iters; it++ {
-		m.net.PredictBatchFlat(flat, rows)
-	}
-	//lint:allow nodrift benchmark timing readout, telemetry only
-	batchNS = float64(time.Since(start).Nanoseconds()) / float64(rows*iters)
-	return baselineNS, batchNS
 }
 
 // featBufPool recycles the flat featurization planes of Score and

@@ -24,8 +24,8 @@
 //     O(log |table|) per candidate actually consumed — instead of a
 //     full sort the scan may abandon after a handful of pops.
 //   - Scan recomputes everything per call: the historical path, kept as
-//     the equivalence baseline and the core.Options.DisableIndex
-//     ablation.
+//     the equivalence tests' baseline (injected through
+//     core.Options.Retrieval).
 //
 // Both implementations produce byte-identical candidate streams (the
 // heap's comparator is exactly the stable sort's total order, and the
@@ -113,7 +113,7 @@ type Index struct {
 
 // NewIndex builds the index over a table.
 func NewIndex(t *record.Table) *Index {
-	//lint:allow nodrift index build time feeds the BuildMS stat (/v1/stats, BENCH_explain.json); retrieval results never depend on it
+	//lint:allow nodrift index build time feeds the BuildMS stat (/v1/stats, certa_index_build_seconds); retrieval results never depend on it
 	start := time.Now()
 	n := t.Len()
 	ix := &Index{
@@ -238,8 +238,8 @@ func jaccardFromCounts(inter, a, b int32) float64 {
 
 // Scan is the unindexed CandidateSource: it re-tokenizes and fully
 // sorts the table per Ranked call. It is the historical behaviour of
-// the triangle search, kept as the byte-identity baseline for the index
-// and as the core.Options.DisableIndex ablation.
+// the triangle search, kept as the byte-identity baseline the index is
+// tested against.
 type Scan struct {
 	table *record.Table
 }

@@ -42,6 +42,14 @@ func randomRows(rng *rand.Rand, rows, width int) [][]float64 {
 	return out
 }
 
+// PredictBaseline is the historical row-at-a-time forward pass: the
+// allocating Apply chain the batched engine replaced. It is the
+// bit-for-bit reference the batch kernels are property-tested against
+// and the "before" side of BenchmarkPredictBatch.
+func (n *Network) PredictBaseline(x []float64) float64 {
+	return sigmoid(n.Logit(x))
+}
+
 // TestPredictBatchBitIdentical is the forward-pass equivalence property
 // test: over random network shapes and inputs, the blocked batch kernel
 // (reused arena, register blocking) must agree bit-for-bit — not within

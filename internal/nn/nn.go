@@ -29,10 +29,9 @@
 // pair and add the weighted inputs in exactly Apply's left-to-right
 // order — the vector kernel uses separate VMULPD/VADDPD (never FMA),
 // which round identically to scalar multiply and add — so PredictBatch,
-// PredictBatchFlat, Predict and PredictBaseline agree to the last bit
-// on every row (the property test in batch_test.go gates this).
-// PredictBaseline retains the historical allocating row-at-a-time path
-// as the reference implementation.
+// PredictBatchFlat and Predict agree to the last bit on every row with
+// the historical allocating row-at-a-time Logit chain, which the
+// property test in batch_test.go keeps as its reference.
 package nn
 
 import (
@@ -513,7 +512,7 @@ func (n *Network) forwardFrom(ar *arena, x []float64, rows int) []float64 {
 // Predict returns the matching probability sigmoid(logit) in [0,1]. It
 // routes through the pooled batch engine with a single row, so the
 // scalar path shares the allocation-free kernels (and agrees with the
-// historical PredictBaseline bit-for-bit).
+// historical sigmoid(Logit(x)) path bit-for-bit).
 func (n *Network) Predict(x []float64) float64 {
 	ar := arenaPool.Get().(*arena)
 	z := n.forwardFrom(ar, x, 1)
@@ -523,15 +522,6 @@ func (n *Network) Predict(x []float64) float64 {
 	p := sigmoid(z[0])
 	arenaPool.Put(ar)
 	return p
-}
-
-// PredictBaseline is the historical row-at-a-time forward pass: the
-// allocating Apply chain the batched engine replaced. It is retained as
-// the bit-for-bit reference implementation the batch path is
-// property-tested against, and as the baseline certa-bench measures
-// forward_pass_speedup from.
-func (n *Network) PredictBaseline(x []float64) float64 {
-	return sigmoid(n.Logit(x))
 }
 
 // PredictBatch runs pure inference over many inputs and returns one

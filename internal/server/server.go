@@ -252,16 +252,10 @@ func New(backends []Backend, opts Options) (*Server, error) {
 		// The candidate retrieval index is part of backend startup: built
 		// here once (unless the caller injected a shared one) so request
 		// handling streams candidates from prebuilt postings instead of
-		// re-tokenizing the sources per explanation. A backend configured
-		// with the DisableIndex ablation gets scan sources, which also
-		// keeps the index section out of its /v1/stats.
+		// re-tokenizing the sources per explanation.
 		bopts := b.Options
 		if bopts.Retrieval == nil {
-			if bopts.DisableIndex {
-				bopts.Retrieval = neighborhood.NewScanSources(b.Left, b.Right)
-			} else {
-				bopts.Retrieval = neighborhood.NewSources(b.Left, b.Right)
-			}
+			bopts.Retrieval = neighborhood.NewSources(b.Left, b.Right)
 		}
 		var memo *resultMemo
 		if opts.ResultMemo > 0 {

@@ -644,31 +644,6 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
-// TestDisableIndexBackendUsesScanSources pins the ablation wiring: a
-// backend configured with DisableIndex must serve through scan sources
-// — and therefore report no index section in its stats.
-func TestDisableIndexBackendUsesScanSources(t *testing.T) {
-	left, right := testSources(8)
-	s, err := New([]Backend{{
-		Name: "toy", Left: left, Right: right, Model: overlapModel{},
-		Options: core.Options{Triangles: 4, Seed: 3, DisableIndex: true},
-	}}, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(s.Close)
-	ts := httptest.NewServer(s)
-	defer ts.Close()
-
-	resp, body := postJSON(t, ts.URL+"/v1/explain", ExplainRequest{LeftID: "l0", RightID: "r0"})
-	if resp.StatusCode != 200 {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if b := s.Stats().Backends["toy"]; b.Index != nil {
-		t.Fatalf("DisableIndex backend reports index stats %+v", *b.Index)
-	}
-}
-
 // TestAugmentBudgetKnob checks the per-request augment_budget override
 // reaches the engine: on a forced-augmentation SeedSearch backend (the
 // blind shuffle needs many attempts, so the attempt budget genuinely

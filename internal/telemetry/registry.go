@@ -25,9 +25,8 @@ type Registry struct {
 }
 
 // Default is the process-wide registry: the daemons mount it on their
-// debug mux so ad-hoc instrumentation (certa-bench's client-side
-// latency histogram, for one) is scrapeable without plumbing. Library
-// code should take an explicit *Registry instead.
+// debug mux so ad-hoc instrumentation is scrapeable without plumbing.
+// Library code should take an explicit *Registry instead.
 var Default = NewRegistry()
 
 // NewRegistry returns an empty registry.
@@ -224,18 +223,6 @@ func (r *Registry) Histogram(name, help string, labels Labels, buckets []float64
 		}
 	}
 	return r.register(name, help, kindHistogram, labels, nil, buckets).hist
-}
-
-// SeriesCount returns the number of registered series (histograms
-// count as one series each).
-func (r *Registry) SeriesCount() int {
-	n := 0
-	for _, f := range r.snapshotFamilies() {
-		f.mu.Lock()
-		n += len(f.series)
-		f.mu.Unlock()
-	}
-	return n
 }
 
 // snapshotFamilies returns the families sorted by name — the only way

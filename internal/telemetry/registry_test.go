@@ -268,7 +268,4 @@ func TestSeriesIdentity(t *testing.T) {
 	if !strings.Contains(buf.String(), "certa_fn_gauge 2\n") {
 		t.Fatalf("func re-registration did not replace callback:\n%s", buf.String())
 	}
-	if got := r.SeriesCount(); got != 2 {
-		t.Fatalf("SeriesCount = %d, want 2", got)
-	}
 }
