@@ -339,8 +339,6 @@ type (
 	// ServerBackend configures one served (sources, model) pair with its
 	// long-lived shared scoring service.
 	ServerBackend = server.Backend
-	// ServerStats is the GET /v1/stats document.
-	ServerStats = server.StatsResponse
 
 	// ExplainRequest is the POST /v1/explain wire request; certa-explain
 	// -json emits the matching ExplainResponse so CLI and server share

@@ -18,9 +18,10 @@
 // The router rebuilds the benchmark tables itself (same -dataset,
 // -records, -matches, -seed as the workers — generation is
 // deterministic) because placement needs the pair content, not just
-// the request bytes. GET /v1/stats aggregates every worker's stats
-// document into a ring view; GET /v1/metrics serves the router's own
-// series (workers keep theirs).
+// the request bytes. GET /v1/metrics federates the ring: the router's
+// own series plus every reachable worker's /v1/metrics, each worker
+// sample labeled worker="<name>", so scrape the router or the workers,
+// not both. -pprof-addr serves only the router process's own series.
 package main
 
 import (

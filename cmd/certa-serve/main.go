@@ -19,11 +19,11 @@
 // cold — it never panics and never loads half a snapshot.
 //
 // As a ring member behind certa-router (see internal/cluster), -name
-// sets the worker identity reported in /v1/stats, and -warm-from pulls
-// a running donor's GET /v1/snapshot at startup — optionally filtered
-// by -warm-ring/-warm-vnodes so a joining worker installs exactly the
-// shard the ring assigns it. Warm-join failures of any kind degrade to
-// a cold start.
+// sets the worker identity logged on every request line, and
+// -warm-from pulls a running donor's GET /v1/snapshot at startup —
+// optionally filtered by -warm-ring/-warm-vnodes so a joining worker
+// installs exactly the shard the ring assigns it. Warm-join failures of
+// any kind degrade to a cold start.
 package main
 
 import (
@@ -62,7 +62,7 @@ func main() {
 		cacheFile   = flag.String("cache-file", "", "restore the score cache from this snapshot at startup and write it back on graceful shutdown")
 		cacheCap    = flag.Int("cache-capacity", 0, "bound on cached scores (0 = unbounded; sharded LRU past it)")
 		resultMemo  = flag.Int("result-memo", 0, "bound on memoized response bodies per backend (0 = disabled); repeats of deterministic requests replay their exact bytes without recomputing")
-		name        = flag.String("name", "", "worker name reported in /v1/stats (ring members: must match the router's -workers entry)")
+		name        = flag.String("name", "", "worker name logged as worker=<name> on every request log line (ring members: must match the router's -workers entry)")
 		warmFrom    = flag.String("warm-from", "", "pull a running worker's /v1/snapshot from this base URL at startup (warm join; any failure just means a cold start)")
 		warmRing    = flag.String("warm-ring", "", "ring membership (router -workers syntax) to filter the warm join by: only keys the ring assigns to -name are installed")
 		warmVnodes  = flag.Int("warm-vnodes", 0, "virtual nodes per member for -warm-ring placement (0 = default; must match the router's -vnodes)")

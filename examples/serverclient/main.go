@@ -1,6 +1,6 @@
 // Serverclient: stand the explanation-serving subsystem up in-process,
 // then act as its HTTP client — a batch of explanations with a
-// per-request deadline, the stats endpoint, and a snapshot/restore
+// per-request deadline, a /v1/metrics scrape, and a snapshot/restore
 // round trip. The same server runs standalone as cmd/certa-serve.
 //
 //	go run ./examples/serverclient
@@ -8,6 +8,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -15,6 +16,7 @@ import (
 	"net/http"
 
 	"certa"
+	"certa/internal/telemetry"
 )
 
 func main() {
@@ -91,21 +93,18 @@ func main() {
 			i, r.PairKey, r.Result.Saliency.Prediction, top[0], d.ModelCalls, status)
 	}
 
-	// 4. Server-side telemetry: the duplicate batch item shared one
-	//    computation, and the shared cache deduplicated scoring across
-	//    the whole batch.
-	var stats certa.ServerStats
-	sresp, err := http.Get(base + "/v1/stats")
+	// 4. Server-side telemetry, scraped from GET /v1/metrics: the
+	//    duplicate batch item shared one computation, and the shared
+	//    cache deduplicated scoring across the whole batch.
+	m, err := telemetry.Scrape(context.Background(), http.DefaultClient, base+"/v1/metrics")
 	if err != nil {
 		log.Fatal(err)
 	}
-	if err := json.NewDecoder(sresp.Body).Decode(&stats); err != nil {
-		log.Fatal(err)
-	}
-	sresp.Body.Close()
-	ab := stats.Backends["AB"]
-	fmt.Printf("\nserver stats: %d computed, %d coalesced; cache: %d unique model calls, hit rate %.1f%%\n",
-		stats.Served, stats.Coalesced, ab.Misses, 100*ab.HitRate)
+	ab := telemetry.Labels{"backend": "AB"}
+	fmt.Printf("\nserver metrics: %.0f computed, %.0f coalesced; cache: %.0f unique model calls, hit rate %.1f%%\n",
+		m.Sum("certa_explanations_served_total", nil), m.Sum("certa_requests_coalesced_total", nil),
+		m.Sum("certa_score_cache_misses_total", ab),
+		100*m.Sum("certa_score_cache_hits_total", ab)/m.Sum("certa_score_cache_lookups_total", ab))
 
 	// 5. Persistence: snapshot the warm cache; a restarted server would
 	//    Restore it and answer the same requests without model calls

@@ -20,10 +20,10 @@
 //     key's owner (retrying the next replica when a worker is
 //     unreachable), partitions POST /v1/explain/batch by shard and
 //     fans out concurrently, merges index-aligned results, and
-//     aggregates GET /v1/stats across the ring. Workers answer with
-//     the bytes they computed; the router passes them through
-//     verbatim, so routed responses are byte-identical to a direct
-//     certa-serve response for the same request.
+//     federates the workers' GET /v1/metrics, labeled worker="<name>".
+//     Workers answer with the bytes they computed; the router passes
+//     them through verbatim, so routed responses are byte-identical to
+//     a direct certa-serve response for the same request.
 //   - Snapshot shipping: a joining worker warms up before taking
 //     traffic by pulling a donor's GET /v1/snapshot stream
 //     (FetchSnapshot) and installing only the keys the ring assigns

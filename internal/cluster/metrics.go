@@ -1,17 +1,19 @@
 package cluster
 
 import (
+	"time"
+
 	"certa/internal/telemetry"
 )
 
 // The router's metric catalog: every counter the routing layer keeps,
-// published as named series in Options.Metrics and scraped at the
-// router's GET /v1/metrics. Worker-side engine series (cache rates,
-// stage latencies, admission occupancy) stay on the workers' own
-// /v1/metrics surfaces — a scraper walks the ring members for those,
-// and the router's /v1/stats aggregate is the JSON rollup. Series
-// names carry the certa_router_ prefix so a scrape of router + workers
-// into one TSDB never collides.
+// registered in Options.Metrics (Counter handles for the counters it
+// owns, callbacks for health read off the worker states). The router's
+// GET /v1/metrics serves these series plus every worker's own,
+// federated under a worker="<name>" label, so one scrape of the router
+// covers the ring; scrape the router or the workers, not both. Series
+// names carry the certa_router_ prefix so router and worker families
+// never collide.
 const (
 	metricRouterUptime        = "certa_router_uptime_seconds"
 	metricRouterWorkers       = "certa_router_workers"
@@ -29,19 +31,16 @@ const (
 // from NewRouter, after the worker list is resolved.
 func (rt *Router) registerMetrics() {
 	m := rt.metrics
-	m.GaugeFunc(metricRouterUptime, "Seconds since router construction.", nil, rt.uptimeSeconds)
+	m.GaugeFunc(metricRouterUptime, "Seconds since router construction.", nil,
+		func() float64 { return time.Since(rt.start).Seconds() })
 	m.GaugeFunc(metricRouterWorkers, "Ring members configured.", nil,
 		func() float64 { return float64(len(rt.workers)) })
 	m.GaugeFunc(metricRouterHealthy, "Ring members currently considered healthy.", nil,
 		func() float64 { return float64(rt.healthyWorkers()) })
-	m.CounterFunc(metricRouterForwarded, "Explain requests forwarded to workers (failover retries included).", nil,
-		func() float64 { return float64(rt.forwarded.Load()) })
-	m.CounterFunc(metricRouterBatchItems, "Batch items fanned out across the ring.", nil,
-		func() float64 { return float64(rt.batchItems.Load()) })
-	m.CounterFunc(metricRouterFailovers, "Forwards that failed a worker and fell through to a later replica.", nil,
-		func() float64 { return float64(rt.failovers.Load()) })
-	m.CounterFunc(metricRouterUnroutable, "Requests and batch items no reachable worker could serve.", nil,
-		func() float64 { return float64(rt.unroutable.Load()) })
+	rt.forwarded = m.Counter(metricRouterForwarded, "Explain requests forwarded to workers (failover retries included).", nil)
+	rt.batchItems = m.Counter(metricRouterBatchItems, "Batch items fanned out across the ring.", nil)
+	rt.failovers = m.Counter(metricRouterFailovers, "Forwards that failed a worker and fell through to a later replica.", nil)
+	rt.unroutable = m.Counter(metricRouterUnroutable, "Requests and batch items no reachable worker could serve.", nil)
 
 	for _, ws := range rt.workers {
 		ws := ws
@@ -53,8 +52,7 @@ func (rt *Router) registerMetrics() {
 				}
 				return 1
 			})
-		m.CounterFunc(metricRouterWorkerErrors, "Transport and probe failures against this worker.", lbl,
-			func() float64 { return float64(ws.errors.Load()) })
+		ws.errors = m.Counter(metricRouterWorkerErrors, "Transport, probe and scrape failures against this worker.", lbl)
 	}
 
 	rt.httpExplain = m.Histogram(metricRouterHTTPDuration,

@@ -10,6 +10,7 @@ import (
 	"log/slog"
 	"net/http"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,8 +51,8 @@ type Options struct {
 	// this interval (0 = passive only: forwards mark workers down/up).
 	HealthEvery time.Duration
 	// ProbeTimeout bounds one active health probe (default 1s);
-	// StatsTimeout bounds one worker's /v1/stats fetch during ring
-	// stats aggregation (default 2s).
+	// StatsTimeout bounds one worker's /v1/metrics fetch when the
+	// router's GET /v1/metrics federates the ring (default 2s).
 	ProbeTimeout time.Duration
 	StatsTimeout time.Duration
 	// Logger receives worker up/down transitions and forward failures.
@@ -95,7 +96,7 @@ type workerState struct {
 	// resort, so a stale flag degrades to extra latency, never to a
 	// bricked ring.
 	down   atomic.Bool
-	errors atomic.Int64
+	errors *telemetry.Counter
 }
 
 // Router consistent-hash-routes explanation traffic across the ring.
@@ -104,8 +105,7 @@ type workerState struct {
 //	POST /v1/explain        forwarded to the pair's shard owner (failover: next replica)
 //	POST /v1/explain/batch  partitioned by shard, fanned out, merged index-aligned
 //	GET  /v1/healthz        ring occupancy (RingHealthResponse)
-//	GET  /v1/stats          per-worker + aggregated ring stats (RingStatsResponse)
-//	GET  /v1/metrics        the router's own series (workers keep their own /v1/metrics)
+//	GET  /v1/metrics        the router's own series plus every worker's, labeled worker="<name>"
 type Router struct {
 	ring      *Ring
 	opts      Options
@@ -117,10 +117,10 @@ type Router struct {
 	metrics   *telemetry.Registry
 	start     time.Time
 
-	forwarded  atomic.Int64
-	batchItems atomic.Int64
-	failovers  atomic.Int64
-	unroutable atomic.Int64
+	forwarded  *telemetry.Counter
+	batchItems *telemetry.Counter
+	failovers  *telemetry.Counter
+	unroutable *telemetry.Counter
 
 	httpExplain *telemetry.Histogram
 	httpBatch   *telemetry.Histogram
@@ -169,8 +169,7 @@ func NewRouter(members []Member, opts Options) (*Router, error) {
 	rt.mux.HandleFunc("POST /v1/explain", rt.handleExplain)
 	rt.mux.HandleFunc("POST /v1/explain/batch", rt.handleBatch)
 	rt.mux.HandleFunc("GET /v1/healthz", rt.handleHealthz)
-	rt.mux.HandleFunc("GET /v1/stats", rt.handleStats)
-	rt.mux.Handle("GET /v1/metrics", rt.metrics.Handler())
+	rt.mux.HandleFunc("GET /v1/metrics", rt.handleMetrics)
 
 	probeCtx, stop := context.WithCancel(context.Background())
 	rt.stop = stop
@@ -259,7 +258,7 @@ func (rt *Router) attemptOrder(replicas []int) []int {
 }
 
 func (rt *Router) markDown(ws *workerState, err error) {
-	ws.errors.Add(1)
+	ws.errors.Inc()
 	if !ws.down.Swap(true) {
 		rt.logger.Warn("worker down", "worker", ws.member.Name, "url", ws.member.URL, "error", err.Error())
 	}
@@ -324,10 +323,8 @@ func (rt *Router) handleExplain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req server.ExplainRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
 	var order []int
-	if err := dec.Decode(&req); err != nil {
+	if err := strictDecode(body, &req); err != nil {
 		// Undecodable at the router: forward anyway and let the worker
 		// reject it with the canonical error body.
 		order = rt.fallbackOrder()
@@ -346,14 +343,14 @@ func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, order []int,
 	var lastErr error
 	for attempt, wi := range order {
 		ws := rt.workers[wi]
-		rt.forwarded.Add(1)
+		rt.forwarded.Inc()
 		resp, err := rt.post(r.Context(), ws, path, r.URL.RawQuery, body)
 		if err != nil {
 			if r.Context().Err() != nil {
 				return // client gone; nothing to write, nobody to blame
 			}
 			rt.markDown(ws, err)
-			rt.failovers.Add(1)
+			rt.failovers.Inc()
 			lastErr = err
 			continue
 		}
@@ -364,19 +361,20 @@ func (rt *Router) forwardTo(w http.ResponseWriter, r *http.Request, order []int,
 		rt.relay(w, resp, ws)
 		return
 	}
-	rt.unroutable.Add(1)
+	rt.unroutable.Inc()
 	rt.writeError(w, http.StatusBadGateway,
 		fmt.Errorf("no reachable worker (tried %d): %v", len(order), lastErr))
 }
 
-// relay copies a worker response to the client: status, the
-// explanation headers, and the body bytes untouched.
+// relay copies a worker response to the client: status,
+// Content-Type, Retry-After, every X-Certa-* header the worker set, and
+// the body bytes untouched.
 func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, ws *workerState) {
 	defer resp.Body.Close()
 	h := w.Header()
-	for _, k := range []string{"Content-Type", "Retry-After", "X-Certa-Request-Id", "X-Certa-Coalesced", "X-Certa-Duration-Ms", "X-Certa-Backend"} {
-		if v := resp.Header.Get(k); v != "" {
-			h.Set(k, v)
+	for k, v := range resp.Header {
+		if k == "Content-Type" || k == "Retry-After" || strings.HasPrefix(k, "X-Certa-") {
+			h[k] = v
 		}
 	}
 	h.Set("X-Certa-Worker", ws.member.Name)
@@ -386,9 +384,11 @@ func (rt *Router) relay(w http.ResponseWriter, resp *http.Response, ws *workerSt
 
 // handleBatch partitions a batch by shard, fans the per-worker
 // sub-batches out concurrently, and merges the workers' raw item
-// bytes index-aligned. The merged envelope is built exactly like the
-// worker's own batch handler (json.Encoder over raw messages), so a
-// routed batch response is byte-identical to a direct one.
+// bytes index-aligned. Sub-batches carry the client's own item bytes,
+// so one is never larger than the body the router accepted. The merged
+// envelope is built exactly like the worker's own batch handler
+// (json.Encoder over raw messages), so a routed batch response is
+// byte-identical to a direct one.
 func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	start := time.Now()
 	defer func() { rt.httpBatch.Observe(time.Since(start).Seconds()) }()
@@ -397,9 +397,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var breq server.BatchRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&breq); err != nil || len(breq.Requests) == 0 {
+	var raw struct {
+		Requests []json.RawMessage `json:"requests"`
+	}
+	if strictDecode(body, &breq) != nil || len(breq.Requests) == 0 || strictDecode(body, &raw) != nil {
 		// Not partitionable: forward whole, the worker produces the
 		// canonical 400 (malformed or empty batch).
 		rt.forwardTo(w, r, rt.attemptOrder(rt.fallbackOrder()), "/v1/explain/batch", body)
@@ -407,7 +408,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	n := len(breq.Requests)
-	rt.batchItems.Add(int64(n))
+	rt.batchItems.Add(uint64(n))
 	responses := make([]json.RawMessage, n)
 	replicas := make([][]int, n)
 	tried := make([]map[int]bool, n)
@@ -429,7 +430,7 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 		for _, i := range pending {
 			wi, ok := rt.nextReplica(replicas[i], tried[i])
 			if !ok {
-				rt.unroutable.Add(1)
+				rt.unroutable.Inc()
 				responses[i] = rt.itemError(&breq.Requests[i], "no reachable worker for this shard")
 				continue
 			}
@@ -452,10 +453,10 @@ func (rt *Router) handleBatch(w http.ResponseWriter, r *http.Request) {
 			go func(gi, wi int) {
 				defer wg.Done()
 				items := groups[wi]
-				if err := rt.forwardSubBatch(r.Context(), rt.workers[wi], &breq, items, responses); err != nil {
+				if err := rt.forwardSubBatch(r.Context(), rt.workers[wi], raw.Requests, items, responses); err != nil {
 					if r.Context().Err() == nil {
 						rt.markDown(rt.workers[wi], err)
-						rt.failovers.Add(1)
+						rt.failovers.Inc()
 					}
 					failed[gi] = items
 					return
@@ -496,19 +497,28 @@ func (rt *Router) nextReplica(replicas []int, tried map[int]bool) (int, bool) {
 	return 0, false
 }
 
-// forwardSubBatch sends the given items to one worker as a batch and
-// scatters the returned raw item bodies back into the index-aligned
-// response slice.
-func (rt *Router) forwardSubBatch(ctx context.Context, ws *workerState, breq *server.BatchRequest, items []int, responses []json.RawMessage) error {
-	sub := server.BatchRequest{Requests: make([]server.ExplainRequest, len(items))}
+// strictDecode decodes a request body the way the worker does,
+// rejecting unknown fields.
+func strictDecode(data []byte, into any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	return dec.Decode(into)
+}
+
+// forwardSubBatch sends the given items' raw bytes to one worker as a
+// batch and scatters the returned raw item bodies back into the
+// index-aligned response slice.
+func (rt *Router) forwardSubBatch(ctx context.Context, ws *workerState, raw []json.RawMessage, items []int, responses []json.RawMessage) error {
+	var body bytes.Buffer
+	body.WriteString(`{"requests":[`)
 	for j, i := range items {
-		sub.Requests[j] = breq.Requests[i]
+		if j > 0 {
+			body.WriteByte(',')
+		}
+		body.Write(raw[i])
 	}
-	body, err := json.Marshal(sub)
-	if err != nil {
-		return fmt.Errorf("marshaling sub-batch: %w", err)
-	}
-	resp, err := rt.post(ctx, ws, "/v1/explain/batch", "", body)
+	body.WriteString(`]}`)
+	resp, err := rt.post(ctx, ws, "/v1/explain/batch", "", body.Bytes())
 	if err != nil {
 		return err
 	}
@@ -570,123 +580,42 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStats aggregates /v1/stats across the ring: each worker's own
-// stats document is fetched concurrently (bounded by StatsTimeout) and
-// reported per worker plus summed into the ring aggregate.
-func (rt *Router) handleStats(w http.ResponseWriter, r *http.Request) {
-	rows := rt.fetchWorkerStats(r.Context())
-	resp := RingStatsResponse{
-		UptimeMS:       float64(time.Since(rt.start)) / float64(time.Millisecond),
-		Workers:        len(rt.workers),
-		HealthyWorkers: rt.healthyWorkers(),
-		Forwarded:      rt.forwarded.Load(),
-		BatchItems:     rt.batchItems.Load(),
-		Failovers:      rt.failovers.Load(),
-		Unroutable:     rt.unroutable.Load(),
-		PerWorker:      rows,
-		Aggregate:      aggregateRows(rows),
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+// handleMetrics serves GET /v1/metrics: the router's own series plus
+// every worker's, each worker sample labeled worker="<member name>", as
+// one exposition (telemetry.WriteMerged). Worker scrapes run
+// concurrently, bounded by StatsTimeout. A failed or malformed scrape
+// marks the worker down and leaves its series out of this answer; a
+// good one marks it up. The router's own series are read after the
+// scrapes, so the health gauges reflect them.
+func (rt *Router) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	exps := rt.scrapeWorkers(r.Context())
+	w.Header().Set("Content-Type", telemetry.ContentType)
+	telemetry.WriteMerged(w, append([]*telemetry.Exposition{rt.metrics.Exposition()}, exps...)...)
 }
 
-// fetchWorkerStats pulls every worker's /v1/stats concurrently. Rows
-// come back in member (name) order regardless of response order, and a
-// fetch failure marks the worker down just like a failed forward.
-func (rt *Router) fetchWorkerStats(ctx context.Context) []WorkerRingStats {
+// scrapeWorkers reads every worker's /v1/metrics concurrently, in
+// member order; a failed worker's slot stays nil.
+func (rt *Router) scrapeWorkers(ctx context.Context) []*telemetry.Exposition {
 	ctx, cancel := context.WithTimeout(ctx, rt.opts.StatsTimeout)
 	defer cancel()
-	rows := make([]WorkerRingStats, len(rt.workers))
+	exps := make([]*telemetry.Exposition, len(rt.workers))
 	var wg sync.WaitGroup
 	for i, ws := range rt.workers {
 		wg.Add(1)
 		go func(i int, ws *workerState) {
 			defer wg.Done()
-			row := WorkerRingStats{Name: ws.member.Name, URL: ws.member.URL}
-			st, err := rt.fetchStats(ctx, ws)
+			exp, err := telemetry.Scrape(ctx, rt.opts.Client, ws.member.URL+"/v1/metrics")
 			if err != nil {
 				rt.markDown(ws, err)
-				row.Error = err.Error()
-			} else {
-				rt.markUp(ws)
-				row.Stats = st
+				return
 			}
-			row.Healthy = !ws.down.Load()
-			rows[i] = row
+			rt.markUp(ws)
+			exp.AddLabel("worker", ws.member.Name)
+			exps[i] = exp
 		}(i, ws)
 	}
 	wg.Wait()
-	return rows
-}
-
-func (rt *Router) fetchStats(ctx context.Context, ws *workerState) (*server.StatsResponse, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, ws.member.URL+"/v1/stats", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := rt.opts.Client.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("stats status %d", resp.StatusCode)
-	}
-	var st server.StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return nil, err
-	}
-	return &st, nil
-}
-
-// aggregateRows sums serving and cache counters across the reachable
-// workers' stats documents, folding all backends together. Backend
-// names are visited in sorted order so any future per-backend
-// breakdown stays deterministic.
-func aggregateRows(rows []WorkerRingStats) RingAggregateStats {
-	var agg RingAggregateStats
-	for _, row := range rows {
-		st := row.Stats
-		if st == nil {
-			continue
-		}
-		agg.Served += st.Served
-		agg.Coalesced += st.Coalesced
-		agg.Memoized += st.Memoized
-		agg.Rejected += st.Rejected
-		agg.Cancelled += st.Cancelled
-		agg.Errors += st.Errors
-		names := make([]string, 0, len(st.Backends))
-		for name := range st.Backends {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			bs := st.Backends[name]
-			agg.Entries += bs.Entries
-			agg.Lookups += bs.Lookups
-			agg.Hits += bs.Hits
-			agg.Misses += bs.Misses
-			agg.Evictions += bs.Evictions
-			agg.FlipLookups += bs.FlipLookups
-			agg.FlipHits += bs.FlipHits
-			if bs.ResultMemo != nil {
-				agg.MemoEntries += bs.ResultMemo.Entries
-				agg.MemoLookups += bs.ResultMemo.Lookups
-				agg.MemoHits += bs.ResultMemo.Hits
-			}
-		}
-	}
-	if agg.Lookups > 0 {
-		agg.HitRate = float64(agg.Hits) / float64(agg.Lookups)
-	}
-	if agg.FlipLookups > 0 {
-		agg.FlipHitRate = float64(agg.FlipHits) / float64(agg.FlipLookups)
-	}
-	if agg.MemoLookups > 0 {
-		agg.MemoHitRate = float64(agg.MemoHits) / float64(agg.MemoLookups)
-	}
-	return agg
+	return exps
 }
 
 // probeLoop actively probes worker liveness until Close.
@@ -743,23 +672,3 @@ func (rt *Router) writeError(w http.ResponseWriter, status int, err error) {
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(server.ErrorResponse{Error: err.Error()})
 }
-
-// Stats assembles the router's ring stats without HTTP (for daemons
-// and tests); ctx bounds the worker stats fetches.
-func (rt *Router) Stats(ctx context.Context) RingStatsResponse {
-	rows := rt.fetchWorkerStats(ctx)
-	return RingStatsResponse{
-		UptimeMS:       float64(time.Since(rt.start)) / float64(time.Millisecond),
-		Workers:        len(rt.workers),
-		HealthyWorkers: rt.healthyWorkers(),
-		Forwarded:      rt.forwarded.Load(),
-		BatchItems:     rt.batchItems.Load(),
-		Failovers:      rt.failovers.Load(),
-		Unroutable:     rt.unroutable.Load(),
-		PerWorker:      rows,
-		Aggregate:      aggregateRows(rows),
-	}
-}
-
-// uptimeSeconds backs the router uptime gauge.
-func (rt *Router) uptimeSeconds() float64 { return time.Since(rt.start).Seconds() }

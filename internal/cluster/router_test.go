@@ -16,6 +16,7 @@ import (
 	"certa/internal/record"
 	"certa/internal/scorecache"
 	"certa/internal/server"
+	"certa/internal/telemetry"
 )
 
 // The fixture mirrors internal/server's: token-overlap scoring over
@@ -81,15 +82,16 @@ type testWorker struct {
 	svc  *scorecache.Service
 }
 
-func newTestWorker(t *testing.T, name string, left, right *record.Table, pairs []record.Pair, capacity int) *testWorker {
+// newTestWorker starts one worker; memo is its ResultMemo bound.
+func newTestWorker(t *testing.T, name string, left, right *record.Table, pairs []record.Pair, memo int) *testWorker {
 	t.Helper()
-	svc := scorecache.NewService(overlapModel{}, scorecache.ServiceOptions{Capacity: capacity})
+	svc := scorecache.NewService(overlapModel{}, scorecache.ServiceOptions{})
 	srv, err := server.New([]server.Backend{{
 		Name: "toy", Left: left, Right: right, Model: overlapModel{},
 		Options: core.Options{Triangles: 8, Seed: 3},
 		Pairs:   pairs,
 		Service: svc,
-	}}, server.Options{Name: name})
+	}}, server.Options{Name: name, ResultMemo: memo})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,16 +115,22 @@ func newTestRing(t *testing.T, n int, opts Options) *testRing {
 		tr.workers = append(tr.workers, w)
 		members = append(members, Member{Name: w.name, URL: w.ts.URL})
 	}
+	tr.router, tr.ts = newRouter(t, members, left, right, pairs, opts)
+	return tr
+}
+
+// newRouter fronts members with a router over the toy keyspace.
+func newRouter(t *testing.T, members []Member, left, right *record.Table, pairs []record.Pair, opts Options) (*Router, *httptest.Server) {
+	t.Helper()
 	opts.Keyspaces = []Keyspace{{Name: "toy", Left: left, Right: right, Pairs: pairs}}
 	rt, err := NewRouter(members, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(rt.Close)
-	tr.router = rt
-	tr.ts = httptest.NewServer(rt)
-	t.Cleanup(tr.ts.Close)
-	return tr
+	ts := httptest.NewServer(rt)
+	t.Cleanup(ts.Close)
+	return rt, ts
 }
 
 func post(t *testing.T, url string, body string) (*http.Response, []byte) {
@@ -137,6 +145,28 @@ func post(t *testing.T, url string, body string) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// scrape reads url's GET /v1/metrics through the telemetry reader and
+// returns it with the raw exposition text.
+func scrape(t *testing.T, url string) (*telemetry.Exposition, string) {
+	t.Helper()
+	resp, err := http.Get(url + "/v1/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	m, rerr := telemetry.ReadExposition(bytes.NewReader(body))
+	if err != nil || rerr != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s/v1/metrics: status %d, %v, %v", url, resp.StatusCode, err, rerr)
+	}
+	return m, string(body)
+}
+
+// sampleKey renders a sample's name and labels (fmt sorts map keys).
+func sampleKey(s telemetry.Sample) string {
+	return fmt.Sprintf("%s%v", s.Name, s.Labels)
 }
 
 // identityRequests is the request matrix the byte-identity tests run:
@@ -277,17 +307,15 @@ func TestFailoverRetriesNextReplica(t *testing.T) {
 		}
 	}
 
-	st := ring.router.Stats(context.Background())
-	if st.HealthyWorkers != 1 {
-		t.Fatalf("healthy_workers = %d after kill, want 1", st.HealthyWorkers)
+	m, _ := scrape(t, ring.ts.URL)
+	if h := m.Sum("certa_router_workers_healthy", nil); h != 1 {
+		t.Fatalf("certa_router_workers_healthy = %v after kill, want 1", h)
 	}
-	if st.Failovers == 0 {
+	if m.Sum("certa_router_failovers_total", nil) == 0 {
 		t.Fatal("failovers = 0 after killing a worker mid-load")
 	}
-	for _, row := range st.PerWorker {
-		if row.Name == victim.name && row.Healthy {
-			t.Fatalf("dead worker %s still reported healthy", victim.name)
-		}
+	if m.Sum("certa_router_worker_healthy", telemetry.Labels{"worker": victim.name}) != 0 {
+		t.Fatalf("dead worker %s still reported healthy", victim.name)
 	}
 }
 
@@ -307,70 +335,136 @@ func TestAllWorkersDownReturns502(t *testing.T) {
 	if err := json.Unmarshal(body, &er); err != nil || er.Error == "" {
 		t.Fatalf("502 body not an ErrorResponse: %s", body)
 	}
-	st := ring.router.Stats(context.Background())
-	if st.Unroutable == 0 {
+	if ring.router.unroutable.Value() == 0 {
 		t.Fatal("unroutable = 0 after a 502")
 	}
 }
 
-// TestRingStatsAggregation: the router's /v1/stats document carries
-// name-ordered per-worker rows (each worker's own stats verbatim) and
-// an aggregate whose counters are the exact sums.
-func TestRingStatsAggregation(t *testing.T) {
+// TestRingMetricsFederation: the router's /v1/metrics carries every
+// sample of each worker's own /v1/metrics, labeled worker="<name>" with
+// the value text untouched, under one TYPE line per family; the
+// workers' counters add up to the traffic sent; and a worker that
+// cannot be scraped is left out and reported down while the scrape
+// still answers.
+func TestRingMetricsFederation(t *testing.T) {
 	ring := newTestRing(t, 2, Options{})
 	for i := range ring.pairs {
 		if resp, body := post(t, ring.ts.URL+"/v1/explain", fmt.Sprintf(`{"pair_index":%d}`, i)); resp.StatusCode != 200 {
 			t.Fatalf("pair %d: %d %s", i, resp.StatusCode, body)
 		}
 	}
-	resp, body := func() (*http.Response, []byte) {
-		resp, err := http.Get(ring.ts.URL + "/v1/stats")
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
-		return resp, out
-	}()
-	if resp.StatusCode != 200 {
-		t.Fatalf("GET /v1/stats: %d", resp.StatusCode)
-	}
-	var st RingStatsResponse
-	if err := json.Unmarshal(body, &st); err != nil {
+	resp, err := http.Get(ring.ts.URL + "/v1/stats")
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Workers != 2 || st.HealthyWorkers != 2 {
-		t.Fatalf("workers %d healthy %d, want 2/2", st.Workers, st.HealthyWorkers)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats on the router: status %d, want 404", resp.StatusCode)
 	}
-	if len(st.PerWorker) != 2 || st.PerWorker[0].Name != "w0" || st.PerWorker[1].Name != "w1" {
-		t.Fatalf("per_worker rows out of order: %+v", st.PerWorker)
-	}
-	var served, hits, lookups int64
-	for _, row := range st.PerWorker {
-		if row.Stats == nil {
-			t.Fatalf("worker %s row has no stats: %+v", row.Name, row)
-		}
-		if row.Stats.Worker != row.Name {
-			t.Fatalf("row %s carries stats.worker %q", row.Name, row.Stats.Worker)
-		}
-		served += row.Stats.Served
-		for _, bs := range row.Stats.Backends {
-			hits += int64(bs.Hits)
-			lookups += int64(bs.Lookups)
+
+	fed, text := scrape(t, ring.ts.URL)
+	routed := make(map[string]string)
+	for _, f := range fed.Families {
+		for _, s := range f.Samples {
+			routed[sampleKey(s)] = s.Value
 		}
 	}
-	if st.Aggregate.Served != served {
-		t.Fatalf("aggregate.served = %d, rows sum to %d", st.Aggregate.Served, served)
+	for _, w := range ring.workers {
+		own, _ := scrape(t, w.ts.URL)
+		own.AddLabel("worker", w.name)
+		for _, f := range own.Families {
+			for _, s := range f.Samples {
+				got, ok := routed[sampleKey(s)]
+				switch {
+				case !ok:
+					t.Errorf("router scrape lacks %s", sampleKey(s))
+				case got != s.Value && f.Name != "certa_uptime_seconds": // the clock moves between scrapes
+					t.Errorf("%s = %q at the router, %q at the worker", sampleKey(s), got, s.Value)
+				}
+			}
+		}
 	}
-	if int64(st.Aggregate.Hits) != hits || int64(st.Aggregate.Lookups) != lookups {
-		t.Fatalf("aggregate cache counters (%d/%d) != row sums (%d/%d)",
-			st.Aggregate.Hits, st.Aggregate.Lookups, hits, lookups)
+	for _, f := range fed.Families {
+		if n := strings.Count("\n"+text, "\n# TYPE "+f.Name+" "); n != 1 {
+			t.Errorf("family %s has %d TYPE lines, want 1", f.Name, n)
+		}
 	}
-	if served != int64(len(ring.pairs)) {
-		t.Fatalf("ring served %d computations for %d distinct requests", served, len(ring.pairs))
+	var order []string
+	for _, s := range fed.Family("certa_explanations_served_total").Samples {
+		order = append(order, s.Labels["worker"])
 	}
-	if st.Forwarded < int64(len(ring.pairs)) {
-		t.Fatalf("forwarded = %d, want >= %d", st.Forwarded, len(ring.pairs))
+	if strings.Join(order, ",") != "w0,w1" {
+		t.Errorf("served series in worker order %v, want member order w0,w1", order)
+	}
+
+	if w, h := fed.Sum("certa_router_workers", nil), fed.Sum("certa_router_workers_healthy", nil); w != 2 || h != 2 {
+		t.Fatalf("workers %v healthy %v, want 2/2", w, h)
+	}
+	n := float64(len(ring.pairs))
+	if served := fed.Sum("certa_explanations_served_total", nil); served != n {
+		t.Fatalf("ring served %v computations for %v distinct requests", served, n)
+	}
+	if fwd := fed.Sum("certa_router_forwarded_total", nil); fwd < n {
+		t.Fatalf("forwarded = %v, want >= %v", fwd, n)
+	}
+
+	ring.workers[1].ts.Close()
+	fed, _ = scrape(t, ring.ts.URL)
+	for _, f := range fed.Families {
+		for _, s := range f.Samples {
+			if s.Labels["worker"] == "w1" && !strings.HasPrefix(f.Name, "certa_router_") {
+				t.Fatalf("closed worker's series still federated: %s", sampleKey(s))
+			}
+		}
+	}
+	if h := fed.Sum("certa_router_worker_healthy", telemetry.Labels{"worker": "w1"}); h != 0 {
+		t.Fatalf("certa_router_worker_healthy{worker=\"w1\"} = %v after its listener closed, want 0", h)
+	}
+	if fed.Sum("certa_explanations_served_total", telemetry.Labels{"worker": "w0"}) == 0 {
+		t.Fatal("the live worker's series dropped with the dead one's")
+	}
+}
+
+// TestRoutedBatchKeepsClientItemBytes: sub-batches carry the client's
+// own item bytes. Re-encoding items turned each '&' into a six-byte
+// \u0026 escape, so this 200,097-byte batch, which a worker accepts
+// directly, grew past the worker's 1 MiB body limit behind the router:
+// the worker answered 413 and the router marked a healthy worker down
+// and failed both items.
+func TestRoutedBatchKeepsClientItemBytes(t *testing.T) {
+	ring := newTestRing(t, 1, Options{})
+	direct := newTestWorker(t, "direct", ring.left, ring.right, ring.pairs, 0)
+	batch := `{"requests":[{"left":{"values":["` + strings.Repeat("&", 200_000) +
+		`","x","1"]},"right":{"values":["x","x","1"]}},{"pair_index":0}]}`
+	directResp, directBody := post(t, direct.ts.URL+"/v1/explain/batch", batch)
+	routedResp, routedBody := post(t, ring.ts.URL+"/v1/explain/batch", batch)
+	if directResp.StatusCode != 200 || routedResp.StatusCode != 200 {
+		t.Fatalf("status: direct %d routed %d", directResp.StatusCode, routedResp.StatusCode)
+	}
+	if f, u := ring.router.failovers.Value(), ring.router.unroutable.Value(); f != 0 || u != 0 {
+		t.Fatalf("healthy worker failed over: %d failovers, %d unroutable", f, u)
+	}
+	if !bytes.Equal(directBody, routedBody) {
+		t.Fatalf("routed batch (%d bytes) differs from direct (%d bytes)", len(routedBody), len(directBody))
+	}
+}
+
+// TestRoutedMemoHitKeepsHeaders: the router relays every X-Certa-*
+// header the worker set, so a routed repeat still says it was answered
+// from the worker's result memo.
+func TestRoutedMemoHitKeepsHeaders(t *testing.T) {
+	left, right := testSources(24)
+	pairs := []record.Pair{{Left: left.Records[0], Right: right.Records[0]}}
+	w0 := newTestWorker(t, "w0", left, right, pairs, 4)
+	_, ts := newRouter(t, []Member{{Name: "w0", URL: w0.ts.URL}}, left, right, pairs, Options{})
+	for i, want := range []string{"false", "true"} {
+		resp, body := post(t, ts.URL+"/v1/explain", `{"pair_index":0}`)
+		if resp.StatusCode != 200 {
+			t.Fatalf("request %d: status %d: %s", i, resp.StatusCode, body)
+		}
+		if got := resp.Header.Get("X-Certa-Memoized"); got != want {
+			t.Fatalf("request %d: routed X-Certa-Memoized = %q, want %q", i, got, want)
+		}
 	}
 }
 
@@ -381,12 +475,7 @@ func TestRouterMetricsSurface(t *testing.T) {
 	if resp, body := post(t, ring.ts.URL+"/v1/explain", `{"pair_index":0}`); resp.StatusCode != 200 {
 		t.Fatalf("%d %s", resp.StatusCode, body)
 	}
-	resp, err := http.Get(ring.ts.URL + "/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	scrape, _ := io.ReadAll(resp.Body)
+	_, scrape := scrape(t, ring.ts.URL)
 	for _, want := range []string{
 		"certa_router_uptime_seconds",
 		"certa_router_forwarded_total 1",
@@ -397,7 +486,7 @@ func TestRouterMetricsSurface(t *testing.T) {
 		"certa_router_failovers_total 0",
 		"certa_router_request_duration_seconds",
 	} {
-		if !strings.Contains(string(scrape), want) {
+		if !strings.Contains(scrape, want) {
 			t.Errorf("metrics scrape missing %q", want)
 		}
 	}

@@ -1,93 +1,20 @@
 package cluster
 
-import (
-	"certa/internal/server"
-)
-
 // The router's own wire types. Explanation traffic passes through the
 // router byte-for-byte — workers produce the response bodies — so the
-// only documents minted here are the ring-level health and stats
-// surfaces.
+// only document minted here is the ring-level health surface.
 
 // RingHealthResponse is the body of GET /v1/healthz on the router:
-// ring occupancy rather than worker liveness detail (that lives in
-// /v1/stats per_worker). Status is "ok" while every member is
-// healthy, "degraded" when some are down, "down" when all are. Its
-// serialized form is pinned by testdata/wire_golden.json
-// (wire_golden_test.go; refresh with -update-golden).
+// ring occupancy rather than worker liveness detail (that is the
+// certa_router_worker_healthy series in /v1/metrics). Status is "ok"
+// while every member is healthy, "degraded" when some are down, "down"
+// when all are. Its serialized form is pinned by
+// testdata/wire_golden.json (wire_golden_test.go; refresh with
+// -update-golden).
 type RingHealthResponse struct {
 	Status         string   `json:"status"`
 	UptimeMS       float64  `json:"uptime_ms"`
 	Benchmarks     []string `json:"benchmarks"`
 	Workers        int      `json:"workers"`
 	HealthyWorkers int      `json:"healthy_workers"`
-}
-
-// WorkerRingStats is one worker's row in RingStatsResponse.PerWorker.
-// Stats is the worker's own /v1/stats document, fetched at request
-// time; Error replaces it when the fetch failed (which also reports
-// the worker unhealthy).
-type WorkerRingStats struct {
-	Name    string                `json:"name"`
-	URL     string                `json:"url"`
-	Healthy bool                  `json:"healthy"`
-	Error   string                `json:"error,omitempty"`
-	Stats   *server.StatsResponse `json:"stats,omitempty"`
-}
-
-// RingAggregateStats sums the serving and cache counters across every
-// reachable worker (all backends folded together): the whole-ring view
-// of served traffic, coalescing, and cache effectiveness. Rates are
-// recomputed from the summed counters, not averaged.
-type RingAggregateStats struct {
-	Served    int64 `json:"served"`
-	Coalesced int64 `json:"coalesced"`
-	Memoized  int64 `json:"memoized"`
-	Rejected  int64 `json:"rejected"`
-	Cancelled int64 `json:"cancelled"`
-	Errors    int64 `json:"errors"`
-	// Entries is the ring's aggregate cache footprint — the point of
-	// sharding: it grows with the worker count while each worker's own
-	// store stays within its capacity bound.
-	Entries     int     `json:"entries"`
-	Lookups     int     `json:"lookups"`
-	Hits        int     `json:"hits"`
-	Misses      int     `json:"misses"`
-	Evictions   int     `json:"evictions,omitempty"`
-	HitRate     float64 `json:"hit_rate"`
-	FlipLookups int     `json:"flip_lookups"`
-	FlipHits    int     `json:"flip_hits"`
-	FlipHitRate float64 `json:"flip_hit_rate"`
-	// The summed serving-layer result memos (see
-	// server.ResultMemoStats); MemoEntries is the ring's aggregate
-	// memoized-response footprint, which — like Entries — grows with
-	// the worker count.
-	MemoEntries int     `json:"memo_entries,omitempty"`
-	MemoLookups int64   `json:"memo_lookups,omitempty"`
-	MemoHits    int64   `json:"memo_hits,omitempty"`
-	MemoHitRate float64 `json:"memo_hit_rate,omitempty"`
-}
-
-// RingStatsResponse is the body of GET /v1/stats on the router: the
-// router's own forwarding counters, a per-worker row with each
-// worker's full stats document, and the ring-wide aggregate. Its
-// serialized form is pinned by testdata/wire_golden.json
-// (wire_golden_test.go; refresh with -update-golden).
-type RingStatsResponse struct {
-	UptimeMS       float64 `json:"uptime_ms"`
-	Workers        int     `json:"workers"`
-	HealthyWorkers int     `json:"healthy_workers"`
-	// Forwarded counts single-explain requests sent to workers
-	// (failover retries included); BatchItems counts batch items fanned
-	// out. Failovers counts forwards that fell through to a later
-	// replica after a worker failure; Unroutable the requests and items
-	// no reachable worker could serve (answered 502 / per-item error).
-	Forwarded  int64 `json:"forwarded"`
-	BatchItems int64 `json:"batch_items"`
-	Failovers  int64 `json:"failovers"`
-	Unroutable int64 `json:"unroutable"`
-	// PerWorker rows are sorted by member name; the order never depends
-	// on map iteration.
-	PerWorker []WorkerRingStats  `json:"per_worker"`
-	Aggregate RingAggregateStats `json:"aggregate"`
 }

@@ -7,17 +7,14 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
-
-	"certa/internal/server"
 )
 
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden files")
 
 // TestWireGolden pins the serialized form of the router's own wire
-// documents — RingHealthResponse and RingStatsResponse with a healthy
-// row, a failed-fetch row, and the populated aggregate. Explanation
-// bodies are deliberately absent: the router relays worker bytes
-// verbatim, so their schema is pinned by the server package's golden.
+// document, RingHealthResponse. Explanation bodies are deliberately
+// absent: the router relays worker bytes verbatim, so their schema is
+// pinned by the server package's golden.
 // Built from fixed values, the test asserts schema stability, not
 // router behavior; refresh with -update-golden after a deliberate
 // change. certa-lint's wiretag analyzer requires this file to be
@@ -25,7 +22,6 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata golden fi
 func TestWireGolden(t *testing.T) {
 	doc := struct {
 		Health RingHealthResponse `json:"health"`
-		Stats  RingStatsResponse  `json:"stats"`
 	}{
 		Health: RingHealthResponse{
 			Status:         "degraded",
@@ -33,70 +29,6 @@ func TestWireGolden(t *testing.T) {
 			Benchmarks:     []string{"AB"},
 			Workers:        2,
 			HealthyWorkers: 1,
-		},
-		Stats: RingStatsResponse{
-			UptimeMS:       1250,
-			Workers:        2,
-			HealthyWorkers: 1,
-			Forwarded:      96,
-			BatchItems:     64,
-			Failovers:      3,
-			Unroutable:     1,
-			PerWorker: []WorkerRingStats{
-				{
-					Name:    "w0",
-					URL:     "http://127.0.0.1:8081",
-					Healthy: true,
-					Stats: &server.StatsResponse{
-						Worker:    "w0",
-						UptimeMS:  1200,
-						Served:    48,
-						Coalesced: 8,
-						Memoized:  16,
-						Backends: map[string]server.BackendStats{
-							"AB": {
-								Model:       "deepmatcher",
-								Requests:    56,
-								Entries:     128,
-								Lookups:     4096,
-								Hits:        3072,
-								Misses:      1024,
-								Batches:     96,
-								HitRate:     0.75,
-								FlipLookups: 256,
-								FlipHits:    128,
-								FlipHitRate: 0.5,
-								ResultMemo: &server.ResultMemoStats{
-									Capacity: 16, Entries: 16, Lookups: 64, Hits: 16, HitRate: 0.25,
-								},
-							},
-						},
-					},
-				},
-				{
-					Name:    "w1",
-					URL:     "http://127.0.0.1:8082",
-					Healthy: false,
-					Error:   "Get \"http://127.0.0.1:8082/v1/stats\": connection refused",
-				},
-			},
-			Aggregate: RingAggregateStats{
-				Served:      48,
-				Coalesced:   8,
-				Memoized:    16,
-				Entries:     128,
-				Lookups:     4096,
-				Hits:        3072,
-				Misses:      1024,
-				HitRate:     0.75,
-				FlipLookups: 256,
-				FlipHits:    128,
-				FlipHitRate: 0.5,
-				MemoEntries: 16,
-				MemoLookups: 64,
-				MemoHits:    16,
-				MemoHitRate: 0.25,
-			},
 		},
 	}
 	got, err := json.MarshalIndent(doc, "", "  ")

@@ -115,14 +115,6 @@ type StoreStats struct {
 	Entries   int
 }
 
-// HitRate is Hits/Lookups, 0 when idle.
-func (s StoreStats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Lookups)
-}
-
 // Stats snapshots the store's counters and current size.
 func (st *Store) Stats() StoreStats {
 	s := StoreStats{

@@ -38,7 +38,7 @@ var Analyzer = &analysis.Analyzer{
 Diagnostics counters must be identical at any Parallelism; shared
 Service/ServiceStats counters depend on which explanation got scheduled
 first. Populate Diagnostics only from the per-explanation Scorer view,
-and surface shared-service counters through ServiceStats and /v1/stats
+and surface shared-service counters through ServiceStats and /v1/metrics
 (the FlipHits split PR 6 established).`,
 	Run: run,
 }

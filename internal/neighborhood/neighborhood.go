@@ -113,7 +113,7 @@ type Index struct {
 
 // NewIndex builds the index over a table.
 func NewIndex(t *record.Table) *Index {
-	//lint:allow nodrift index build time feeds the BuildMS stat (/v1/stats, certa_index_build_seconds); retrieval results never depend on it
+	//lint:allow nodrift index build time feeds the BuildMS stat (certa_index_build_seconds in /v1/metrics); retrieval results never depend on it
 	start := time.Now()
 	n := t.Len()
 	ix := &Index{

@@ -81,22 +81,6 @@ type ServiceStats struct {
 	FlipHits    int
 }
 
-// FlipHitRate returns FlipHits/FlipLookups, or 0 before any flip lookup.
-func (s ServiceStats) FlipHitRate() float64 {
-	if s.FlipLookups == 0 {
-		return 0
-	}
-	return float64(s.FlipHits) / float64(s.FlipLookups)
-}
-
-// HitRate returns Hits/Lookups, or 0 before any lookup.
-func (s ServiceStats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Lookups)
-}
-
 // entry is one key's slot in the store. A pending entry (ready not yet
 // closed) marks an in-flight computation: concurrent requesters wait on
 // ready instead of invoking the model again (singleflight). Waiters hold

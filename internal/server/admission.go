@@ -35,8 +35,8 @@ type admission struct {
 	inflight int
 	queue    []*ticket
 	// highWater is the deepest the queue has ever been — the signal
-	// (exported via /v1/stats and /v1/metrics) that MaxQueue is sized
-	// too tight even when the instantaneous depth looks calm.
+	// (exported as certa_admission_queue_high_water) that MaxQueue is
+	// sized too tight even when the instantaneous depth looks calm.
 	highWater int
 	ewmaMS    float64
 }

@@ -86,7 +86,7 @@ func TestClientDisconnectCancelsExplanation(t *testing.T) {
 	// The model's blocked call observes the cancellation...
 	waitFor(t, "model cancellation", func() bool { return sm.sawCancel.Load() })
 	// ...the server accounts the disconnect...
-	waitFor(t, "cancelled counter", func() bool { return s.Stats().Cancelled == 1 })
+	waitFor(t, "cancelled counter", func() bool { return s.cancelled.Value() == 1 })
 	// ...the admission slot drains...
 	waitFor(t, "admission drain", func() bool {
 		inflight, queued, _, _ := s.adm.snapshot()
@@ -184,8 +184,7 @@ func TestClientDisconnectStopsBatchDispatch(t *testing.T) {
 	// cancellation each). Watch the counters until they go quiet — the
 	// handler may still be unwinding — and judge the peak.
 	accounted := func() int {
-		st := s.Stats()
-		return int(st.Served + st.Coalesced + st.Rejected + st.Cancelled + st.Errors)
+		return int(s.served.Value() + s.coalesced.Value() + s.rejected.Value() + s.cancelled.Value() + s.errored.Value())
 	}
 	last, stable := accounted(), 0
 	for stable < 30 { // quiet for 300ms
@@ -197,9 +196,8 @@ func TestClientDisconnectStopsBatchDispatch(t *testing.T) {
 		}
 	}
 	if last >= items/2 {
-		st := s.Stats()
 		t.Fatalf("disconnected batch still accounted %d of %d items (served=%d coalesced=%d rejected=%d cancelled=%d errors=%d); dispatch was not stopped",
-			last, items, st.Served, st.Coalesced, st.Rejected, st.Cancelled, st.Errors)
+			last, items, s.served.Value(), s.coalesced.Value(), s.rejected.Value(), s.cancelled.Value(), s.errored.Value())
 	}
 
 	// The server is still healthy afterwards.

@@ -7,6 +7,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"certa/internal/telemetry"
 )
 
 // TestResultMemoReplaysIdenticalBody: with the memo enabled, a repeat
@@ -37,21 +39,25 @@ func TestResultMemoReplaysIdenticalBody(t *testing.T) {
 		t.Fatalf("memoized body differs from the computed one:\n%s\n%s", body1, body2)
 	}
 
-	st := s.Stats()
-	if st.Memoized != 1 {
-		t.Fatalf("Stats.Memoized = %d, want 1", st.Memoized)
+	if got := s.memoized.Value(); got != 1 {
+		t.Fatalf("memoized = %d, want 1", got)
 	}
-	ms := st.Backends["toy"].ResultMemo
-	if ms == nil {
-		t.Fatal("BackendStats.ResultMemo missing with the memo enabled")
+	m := s.metrics.Exposition()
+	if m.Family("certa_result_memo_capacity") == nil {
+		t.Fatal("result memo series missing with the memo enabled")
 	}
-	if ms.Capacity != 8 || ms.Lookups != 2 || ms.Hits != 1 || ms.Entries != 1 {
-		t.Fatalf("memo stats = %+v, want capacity 8, 2 lookups, 1 hit, 1 entry", ms)
+	capacity, entries := m.Sum("certa_result_memo_capacity", toy), m.Sum("certa_result_memo_entries", toy)
+	lookups, hits := m.Sum("certa_result_memo_lookups_total", toy), m.Sum("certa_result_memo_hits_total", toy)
+	if capacity != 8 || lookups != 2 || hits != 1 || entries != 1 {
+		t.Fatalf("memo series = capacity %v, %v lookups, %v hits, %v entries; want 8, 2, 1, 1", capacity, lookups, hits, entries)
 	}
-	if ms.HitRate != 0.5 {
-		t.Fatalf("memo hit rate = %v, want 0.5", ms.HitRate)
+	if rate := hits / lookups; rate != 0.5 {
+		t.Fatalf("memo hit rate = %v, want 0.5", rate)
 	}
 }
+
+// toy selects the test backend's series in a scrape.
+var toy = telemetry.Labels{"backend": "toy"}
 
 // TestResultMemoKeyedByKnobs: requests that differ only in engine knobs
 // memoize separately — a knob change must never replay another
@@ -89,8 +95,9 @@ func TestResultMemoExcludesDeadlines(t *testing.T) {
 			t.Fatalf("deadline request %d: X-Certa-Memoized = %q", i, got)
 		}
 	}
-	if ms := s.Stats().Backends["toy"].ResultMemo; ms.Lookups != 0 || ms.Entries != 0 {
-		t.Fatalf("deadline requests touched the memo: %+v", ms)
+	m := s.metrics.Exposition()
+	if lookups, entries := m.Sum("certa_result_memo_lookups_total", toy), m.Sum("certa_result_memo_entries", toy); lookups != 0 || entries != 0 {
+		t.Fatalf("deadline requests touched the memo: %v lookups, %v entries", lookups, entries)
 	}
 }
 
@@ -116,13 +123,13 @@ func TestResultMemoTraceBypass(t *testing.T) {
 	if out.Trace == nil {
 		t.Fatal("traced request came back without a trace — replayed from the memo?")
 	}
-	if ms := s.Stats().Backends["toy"].ResultMemo; ms.Lookups != 1 {
-		t.Fatalf("traced request consulted the memo: %+v", ms)
+	if lookups := s.metrics.Exposition().Sum("certa_result_memo_lookups_total", toy); lookups != 1 {
+		t.Fatalf("traced request consulted the memo: %v lookups", lookups)
 	}
 }
 
 // TestResultMemoDisabledByDefault: Options.ResultMemo zero means no
-// memo — repeats recompute and /v1/stats omits the block.
+// memo — repeats recompute and /v1/metrics has no result memo series.
 func TestResultMemoDisabledByDefault(t *testing.T) {
 	s := newTestServer(t, overlapModel{}, Options{}, nil)
 	ts := httptest.NewServer(s)
@@ -134,12 +141,11 @@ func TestResultMemoDisabledByDefault(t *testing.T) {
 	if got := resp.Header.Get("X-Certa-Memoized"); got != "false" {
 		t.Fatalf("X-Certa-Memoized = %q with the memo disabled", got)
 	}
-	st := s.Stats()
-	if st.Memoized != 0 {
-		t.Fatalf("Stats.Memoized = %d with the memo disabled", st.Memoized)
+	if got := s.memoized.Value(); got != 0 {
+		t.Fatalf("memoized = %d with the memo disabled", got)
 	}
-	if st.Backends["toy"].ResultMemo != nil {
-		t.Fatal("BackendStats.ResultMemo present with the memo disabled")
+	if s.metrics.Exposition().Family("certa_result_memo_capacity") != nil {
+		t.Fatal("result memo series present with the memo disabled")
 	}
 }
 
@@ -216,8 +222,8 @@ func TestResultMemoBatchItems(t *testing.T) {
 	if !bytes.Equal(bytes.TrimSpace(single), bytes.TrimSpace(item0)) {
 		t.Fatalf("batch item differs from the memoized single body:\n%s\n%s", single, item0)
 	}
-	if got := s.Stats().Memoized; got != 1 {
-		t.Fatalf("Stats.Memoized = %d after a batch repeat, want 1", got)
+	if got := s.memoized.Value(); got != 1 {
+		t.Fatalf("memoized = %d after a batch repeat, want 1", got)
 	}
 }
 

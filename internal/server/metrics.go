@@ -3,19 +3,21 @@ package server
 import (
 	"time"
 
+	"certa/internal/embedding"
 	"certa/internal/telemetry"
 )
 
-// The server's metric catalog. Every counter the serving layers keep —
-// and every stat the engine reports through side channels
-// (scorecache.ServiceStats, embedding.StoreStats, index build stats) —
-// is published as a named series in Options.Metrics and scraped at
-// GET /v1/metrics. Counters that already live elsewhere are bridged
-// with callback-backed series (CounterFunc/GaugeFunc) read at scrape
-// time, so there is exactly one source of truth per number: the same
-// values /v1/stats reports, in Prometheus text form.
+// The server's metric catalog, scraped at GET /v1/metrics — the
+// server's only stats surface. The counters the serving layers own
+// (request outcomes, per-backend requests and errors) are registry
+// Counter handles, incremented in place. Numbers another package owns
+// (scorecache.ServiceStats, the flip memo, embedding.StoreStats, the
+// result memo, admission occupancy) are bridged with callback-backed
+// series (CounterFunc/GaugeFunc) read at scrape time. Either way the
+// registry holds the only copy of each number.
 const (
 	metricUptime    = "certa_uptime_seconds"
+	metricModelInfo = "certa_model_info"
 	metricServed    = "certa_explanations_served_total"
 	metricCoalesced = "certa_requests_coalesced_total"
 	metricMemoized  = "certa_requests_memoized_total"
@@ -37,6 +39,7 @@ const (
 	metricCacheBatches   = "certa_score_cache_batches_total"
 	metricCacheEvictions = "certa_score_cache_evictions_total"
 	metricCacheEntries   = "certa_score_cache_entries"
+	metricCacheRestored  = "certa_score_cache_restored_entries"
 
 	metricFlipLookups = "certa_flip_memo_lookups_total"
 	metricFlipHits    = "certa_flip_memo_hits_total"
@@ -44,6 +47,7 @@ const (
 	metricMemoLookups = "certa_result_memo_lookups_total"
 	metricMemoHits    = "certa_result_memo_hits_total"
 	metricMemoEntries = "certa_result_memo_entries"
+	metricMemoCap     = "certa_result_memo_capacity"
 
 	metricEmbedLookups   = "certa_embedding_lookups_total"
 	metricEmbedHits      = "certa_embedding_hits_total"
@@ -68,18 +72,12 @@ func (s *Server) registerMetrics() {
 	m := s.metrics
 	m.GaugeFunc(metricUptime, "Seconds since server construction.", nil,
 		func() float64 { return time.Since(s.start).Seconds() })
-	m.CounterFunc(metricServed, "Completed explanation computations.", nil,
-		func() float64 { return float64(s.served.Load()) })
-	m.CounterFunc(metricCoalesced, "Requests answered by attaching to another request's in-flight computation.", nil,
-		func() float64 { return float64(s.coalesced.Load()) })
-	m.CounterFunc(metricMemoized, "Requests answered by replaying a memoized response body.", nil,
-		func() float64 { return float64(s.memoized.Load()) })
-	m.CounterFunc(metricRejected, "Requests rejected with 429 by the admission controller.", nil,
-		func() float64 { return float64(s.rejected.Load()) })
-	m.CounterFunc(metricCancelled, "Requests whose client disconnected mid-wait or mid-computation.", nil,
-		func() float64 { return float64(s.cancelled.Load()) })
-	m.CounterFunc(metricErrors, "Requests that failed for any other reason.", nil,
-		func() float64 { return float64(s.errored.Load()) })
+	s.served = m.Counter(metricServed, "Completed explanation computations.", nil)
+	s.coalesced = m.Counter(metricCoalesced, "Requests answered by attaching to another request's in-flight computation.", nil)
+	s.memoized = m.Counter(metricMemoized, "Requests answered by replaying a memoized response body.", nil)
+	s.rejected = m.Counter(metricRejected, "Requests rejected with 429 by the admission controller.", nil)
+	s.cancelled = m.Counter(metricCancelled, "Requests whose client disconnected mid-wait or mid-computation.", nil)
+	s.errored = m.Counter(metricErrors, "Requests that failed for any other reason.", nil)
 
 	m.GaugeFunc(metricAdmInFlight, "Explanations computing right now.", nil, func() float64 {
 		inflight, _, _, _ := s.adm.snapshot()
@@ -110,6 +108,12 @@ func (s *Server) registerMetrics() {
 	}
 }
 
+// embeddingStatser is implemented by backend models that keep a
+// matcher-lifetime embedding store (see embedding.Store).
+type embeddingStatser interface {
+	EmbeddingStats() embedding.StoreStats
+}
+
 // registerBackendMetrics publishes one backend's series, labeled
 // {backend="name"}. Engine-side stats (score cache, flip memo,
 // embedding store) are bridged from their existing side-channel
@@ -118,10 +122,10 @@ func (s *Server) registerBackendMetrics(b *backend) {
 	m := s.metrics
 	lbl := telemetry.Labels{"backend": b.name}
 
-	m.CounterFunc(metricBackendRequests, "Explanation requests routed to this backend.", lbl,
-		func() float64 { return float64(b.requests.Load()) })
-	m.CounterFunc(metricBackendErrors, "Routed requests that failed (rejections and cancellations included).", lbl,
-		func() float64 { return float64(b.errors.Load()) })
+	m.Gauge(metricModelInfo, "Always 1; the model label names the model this backend explains.",
+		telemetry.Labels{"backend": b.name, "model": b.model.Name()}).Set(1)
+	b.requests = m.Counter(metricBackendRequests, "Explanation requests routed to this backend.", lbl)
+	b.errors = m.Counter(metricBackendErrors, "Routed requests that failed (rejections and cancellations included).", lbl)
 	b.latency = m.Histogram(metricExplainDuration,
 		"Per-computation explanation latency, admission wait excluded.",
 		lbl, telemetry.LatencyBuckets)
@@ -138,6 +142,8 @@ func (s *Server) registerBackendMetrics(b *backend) {
 		func() float64 { return float64(b.svc.Stats().Evictions) })
 	m.GaugeFunc(metricCacheEntries, "Scores currently stored in the cache.", lbl,
 		func() float64 { return float64(b.svc.Len()) })
+	m.Gauge(metricCacheRestored, "Cache entries restored from a snapshot at startup.", lbl).
+		Set(float64(b.restored))
 
 	m.CounterFunc(metricFlipLookups, "Flip-outcome memo lookups (lattice oracle questions).", lbl,
 		func() float64 { return float64(b.svc.Stats().FlipLookups) })
@@ -145,6 +151,8 @@ func (s *Server) registerBackendMetrics(b *backend) {
 		func() float64 { return float64(b.svc.Stats().FlipHits) })
 
 	if b.memo != nil {
+		m.Gauge(metricMemoCap, "Response bodies the result memo can hold.", lbl).
+			Set(float64(b.memo.capacity))
 		m.CounterFunc(metricMemoLookups, "Result memo lookups (deterministic explanation requests).", lbl,
 			func() float64 { lookups, _, _ := b.memo.stats(); return float64(lookups) })
 		m.CounterFunc(metricMemoHits, "Requests answered by replaying a memoized response body.", lbl,

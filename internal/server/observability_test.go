@@ -148,12 +148,13 @@ func TestDebugTraceKnob(t *testing.T) {
 }
 
 // TestRequestLogging asserts Options.Logger receives one structured
-// summary line per request, joined to the response by request ID and
-// carrying the stage breakdown for computation leaders.
+// summary line per request, joined to the response by request ID,
+// carrying the stage breakdown for computation leaders, and saying
+// which tier answered: a memo replay logs memoized=true and no stages.
 func TestRequestLogging(t *testing.T) {
 	var buf bytes.Buffer
 	logger := slog.New(slog.NewTextHandler(&buf, nil))
-	s := newTestServer(t, overlapModel{}, Options{Logger: logger}, nil)
+	s := newTestServer(t, overlapModel{}, Options{Logger: logger, ResultMemo: 4}, nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
@@ -173,11 +174,30 @@ func TestRequestLogging(t *testing.T) {
 		"pair=l0|r0",
 		"status=200",
 		"coalesced=false",
+		"memoized=false",
 		"stages=",
 		"triangles=",
 	} {
 		if !strings.Contains(line, want) {
 			t.Errorf("log line is missing %q:\n%s", want, line)
 		}
+	}
+	if strings.Contains(line, "worker=") {
+		t.Errorf("unnamed server logged a worker attribute:\n%s", line)
+	}
+
+	buf.Reset()
+	resp, body = postJSON(t, ts.URL+"/v1/explain", ExplainRequest{LeftID: "l0", RightID: "r0"})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("repeat status %d: %s", resp.StatusCode, body)
+	}
+	line = buf.String()
+	for _, want := range []string{"req_id=" + resp.Header.Get("X-Certa-Request-Id"), "coalesced=false", "memoized=true"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("memo replay log line is missing %q:\n%s", want, line)
+		}
+	}
+	if strings.Contains(line, "stages=") {
+		t.Errorf("memo replay logged a stage breakdown it never computed:\n%s", line)
 	}
 }

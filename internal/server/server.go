@@ -9,9 +9,8 @@
 //	POST /v1/explain        one explanation (?debug=trace returns the span tree)
 //	POST /v1/explain/batch  many, admitted and coalesced individually
 //	GET  /v1/healthz        liveness
-//	GET  /v1/stats          admission + coalescing + cache counters (JSON)
 //	GET  /v1/snapshot       the score cache in snapshot format (cluster warm bring-up)
-//	GET  /v1/metrics        the same state as Prometheus text exposition
+//	GET  /v1/metrics        every serving and engine counter (Prometheus text exposition)
 //
 // Three serving layers sit between the HTTP surface and the engine:
 //
@@ -34,12 +33,12 @@
 // Observability cuts across all three: every computation runs under a
 // telemetry.Trace whose per-stage wall times feed the
 // certa_stage_duration_seconds histograms and the structured request
-// log (Options.Logger), and every ad-hoc counter the server keeps —
+// log (Options.Logger), and every number the server reports —
 // admission occupancy, coalesce hits, score-cache and flip-memo rates,
-// embedding-store hits, index build time — is published as a named
-// series in Options.Metrics (internal/telemetry). Timing is strictly a
-// side channel: it never reaches core.Diagnostics or any Result, so
-// the byte-identity contracts hold with tracing on.
+// embedding-store hits, index build time — has its only copy in
+// Options.Metrics (internal/telemetry), served at GET /v1/metrics.
+// Timing is strictly a side channel: it never reaches core.Diagnostics
+// or any Result, so the byte-identity contracts hold with tracing on.
 //
 // Backends can be handed a scorecache.Service restored from a snapshot
 // (Service.Restore), and the server's cache can be written back out with
@@ -61,7 +60,6 @@ import (
 	"time"
 
 	"certa/internal/core"
-	"certa/internal/embedding"
 	"certa/internal/explain"
 	"certa/internal/lattice"
 	"certa/internal/neighborhood"
@@ -73,9 +71,9 @@ import (
 
 // Options tunes the serving layers.
 type Options struct {
-	// Name identifies this serving process in /v1/stats ("worker"). A
-	// cluster router uses it to label per-worker rows in its aggregated
-	// ring stats; standalone servers may leave it empty.
+	// Name identifies this serving process: when set, every request log
+	// line carries worker=<Name>. Ring members use their router member
+	// name (the router's worker label); standalone servers may omit it.
 	Name string
 	// MaxInFlight bounds concurrently computing explanations (default 4).
 	MaxInFlight int
@@ -140,8 +138,8 @@ type Backend struct {
 	// Parallelism...). Per-request knobs overlay CallBudget, Deadline,
 	// AugmentBudget and LatticePrune; Shared is overwritten with the backend's
 	// long-lived service. When Retrieval is nil, the backend builds its
-	// candidate index at server construction and reports it in
-	// /v1/stats.
+	// candidate index at server construction and reports it in the
+	// certa_index_* series.
 	Options core.Options
 	// Pairs optionally registers an addressable workload (pair_index
 	// requests) — typically a benchmark's test split.
@@ -150,8 +148,8 @@ type Backend struct {
 	// restored from a snapshot. When nil a fresh service is created with
 	// the backend's Parallelism.
 	Service *scorecache.Service
-	// RestoredEntries reports (for /v1/stats) how many entries Service
-	// started with when it was restored from a snapshot.
+	// RestoredEntries is how many entries Service started with when it
+	// was restored from a snapshot (certa_score_cache_restored_entries).
 	RestoredEntries int
 }
 
@@ -170,9 +168,9 @@ type backend struct {
 
 	// requests counts explanation requests routed to this backend
 	// (coalesced joiners included); errors the ones that failed after
-	// routing. Both feed /v1/stats and the certa_backend_*_total series.
-	requests atomic.Int64
-	errors   atomic.Int64
+	// routing: the certa_backend_{requests,errors}_total series.
+	requests *telemetry.Counter
+	errors   *telemetry.Counter
 	// latency is the certa_explain_duration_seconds{backend=...} series:
 	// per-computation latency, admission wait excluded.
 	latency *telemetry.Histogram
@@ -203,12 +201,12 @@ type Server struct {
 	lifetime context.Context
 	stop     context.CancelFunc
 
-	served    atomic.Int64
-	coalesced atomic.Int64
-	memoized  atomic.Int64
-	rejected  atomic.Int64
-	cancelled atomic.Int64
-	errored   atomic.Int64
+	served    *telemetry.Counter
+	coalesced *telemetry.Counter
+	memoized  *telemetry.Counter
+	rejected  *telemetry.Counter
+	cancelled *telemetry.Counter
+	errored   *telemetry.Counter
 }
 
 // New builds a Server over the given backends.
@@ -217,6 +215,10 @@ func New(backends []Backend, opts Options) (*Server, error) {
 		return nil, fmt.Errorf("server: no backends configured")
 	}
 	opts = opts.withDefaults()
+	logger := opts.Logger
+	if opts.Name != "" {
+		logger = logger.With("worker", opts.Name)
+	}
 	lifetime, stop := context.WithCancel(context.Background())
 	s := &Server{
 		opts:     opts,
@@ -226,7 +228,7 @@ func New(backends []Backend, opts Options) (*Server, error) {
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		metrics:  opts.Metrics,
-		logger:   opts.Logger,
+		logger:   logger,
 		lifetime: lifetime,
 		stop:     stop,
 	}
@@ -272,7 +274,6 @@ func New(backends []Backend, opts Options) (*Server, error) {
 	s.mux.HandleFunc("POST /v1/explain", s.handleExplain)
 	s.mux.HandleFunc("POST /v1/explain/batch", s.handleBatch)
 	s.mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("GET /v1/snapshot", s.handleSnapshot)
 	s.mux.Handle("GET /v1/metrics", s.metrics.Handler())
 	return s, nil
@@ -338,7 +339,7 @@ func (s *Server) serveOne(ctx context.Context, b *backend, p record.Pair, k knob
 	deterministic := k.deadlineMS == 0
 	if deterministic {
 		if body, ok := b.memo.get(key); ok {
-			s.memoized.Add(1)
+			s.memoized.Inc()
 			return body, false, true, nil, nil
 		}
 	}
@@ -358,7 +359,7 @@ func (s *Server) serveOne(ctx context.Context, b *backend, p record.Pair, k knob
 			continue
 		}
 		if joined {
-			s.coalesced.Add(1)
+			s.coalesced.Inc()
 		}
 		if err == nil {
 			// Reading led is safe only once the computation has delivered a
@@ -410,7 +411,7 @@ func (s *Server) compute(ctx context.Context, b *backend, p record.Pair, k knobs
 	elapsed := time.Since(start)
 	tr.Root().End()
 	s.adm.observe(elapsed)
-	s.served.Add(1)
+	s.served.Inc()
 	b.latency.Observe(elapsed.Seconds())
 	s.foldStages(b, tr)
 
@@ -474,22 +475,22 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	var req ExplainRequest
 	if status, err := s.decode(w, r, &req); err != nil {
 		s.writeError(w, status, err)
-		s.logExplain(reqID, req.Benchmark, "", status, false, time.Since(start), nil, err)
+		s.logExplain(reqID, req.Benchmark, "", status, false, false, time.Since(start), nil, err)
 		return
 	}
 	b, status, err := s.resolveBackend(req.Benchmark)
 	if err != nil {
 		s.writeError(w, status, err)
-		s.logExplain(reqID, req.Benchmark, "", status, false, time.Since(start), nil, err)
+		s.logExplain(reqID, req.Benchmark, "", status, false, false, time.Since(start), nil, err)
 		return
 	}
 	p, err := b.resolvePair(&req)
 	if err != nil {
 		s.writeError(w, http.StatusBadRequest, err)
-		s.logExplain(reqID, b.name, "", http.StatusBadRequest, false, time.Since(start), nil, err)
+		s.logExplain(reqID, b.name, "", http.StatusBadRequest, false, false, time.Since(start), nil, err)
 		return
 	}
-	b.requests.Add(1)
+	b.requests.Inc()
 	var (
 		body     []byte
 		joined   bool
@@ -504,9 +505,9 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	s.httpExplain.Observe(elapsed.Seconds())
 	if err != nil {
-		b.errors.Add(1)
+		b.errors.Inc()
 		status := s.writeServeError(w, r, err)
-		s.logExplain(reqID, b.name, p.Key(), status, joined, elapsed, nil, err)
+		s.logExplain(reqID, b.name, p.Key(), status, joined, false, elapsed, nil, err)
 		return
 	}
 	h := w.Header()
@@ -515,7 +516,7 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	h.Set("X-Certa-Memoized", strconv.FormatBool(memoized))
 	h.Set("X-Certa-Duration-Ms", strconv.FormatInt(elapsed.Milliseconds(), 10))
 	w.Write(body)
-	s.logExplain(reqID, b.name, p.Key(), http.StatusOK, joined, elapsed, tr, nil)
+	s.logExplain(reqID, b.name, p.Key(), http.StatusOK, joined, memoized, elapsed, tr, nil)
 }
 
 // nextRequestID mints a process-unique request ID. IDs are sequential
@@ -526,16 +527,18 @@ func (s *Server) nextRequestID() string {
 }
 
 // logExplain writes the one-line structured summary of one explanation
-// request. The stage breakdown appears only when this request led the
-// computation: joiners reused another request's bytes and have no
+// request; coalesced and memoized say which tier answered it. The stage
+// breakdown appears only when this request led the computation:
+// joiners and memo replays reused another request's bytes and have no
 // trace of their own.
-func (s *Server) logExplain(reqID, backend, pairKey string, status int, joined bool, d time.Duration, tr *telemetry.Trace, err error) {
+func (s *Server) logExplain(reqID, backend, pairKey string, status int, joined, memoized bool, d time.Duration, tr *telemetry.Trace, err error) {
 	attrs := []any{
 		"req_id", reqID,
 		"backend", backend,
 		"pair", pairKey,
 		"status", status,
 		"coalesced", joined,
+		"memoized", memoized,
 		"duration_ms", float64(d) / float64(time.Millisecond),
 	}
 	if st := stageSummary(tr); st != "" {
@@ -624,10 +627,10 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			itemError(i, b.name, "", err.Error())
 			return nil
 		}
-		b.requests.Add(1)
+		b.requests.Inc()
 		body, _, _, _, err := s.serveOne(ctx, b, p, item.knobs(), reqID+"."+strconv.Itoa(i))
 		if err != nil {
-			b.errors.Add(1)
+			b.errors.Inc()
 			s.countServeError(err)
 			itemError(i, b.name, p.Key(), err.Error())
 			return nil
@@ -661,12 +664,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleStats serves GET /v1/stats.
-func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(s.Stats())
-}
-
 // handleSnapshot serves GET /v1/snapshot?benchmark=NAME: the named
 // backend's score cache streamed in the scorecache binary snapshot
 // format (octet-stream). This is the donor side of the cluster's warm
@@ -694,86 +691,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	s.logger.InfoContext(r.Context(), "snapshot", "backend", b.name, "entries", n)
 }
 
-// embeddingStatser is implemented by backend models that keep a
-// matcher-lifetime embedding store (see embedding.Store).
-type embeddingStatser interface {
-	EmbeddingStats() embedding.StoreStats
-}
-
-// Stats assembles the server's counters.
-func (s *Server) Stats() StatsResponse {
-	inflight, queued, highWater, ewma := s.adm.snapshot()
-	out := StatsResponse{
-		Worker:         s.opts.Name,
-		UptimeMS:       float64(time.Since(s.start)) / float64(time.Millisecond),
-		Served:         s.served.Load(),
-		Coalesced:      s.coalesced.Load(),
-		Memoized:       s.memoized.Load(),
-		Rejected:       s.rejected.Load(),
-		Cancelled:      s.cancelled.Load(),
-		Errors:         s.errored.Load(),
-		InFlight:       inflight,
-		Queued:         queued,
-		QueueHighWater: highWater,
-		EwmaLatencyMS:  ewma,
-		Backends:       make(map[string]BackendStats, len(s.backends)),
-	}
-	for name, b := range s.backends {
-		st := b.svc.Stats()
-		bs := BackendStats{
-			Model:           b.model.Name(),
-			Requests:        b.requests.Load(),
-			Errors:          b.errors.Load(),
-			Entries:         b.svc.Len(),
-			RestoredEntries: b.restored,
-			Lookups:         st.Lookups,
-			Hits:            st.Hits,
-			Misses:          st.Misses,
-			Batches:         st.Batches,
-			Evictions:       st.Evictions,
-			HitRate:         st.HitRate(),
-			FlipLookups:     st.FlipLookups,
-			FlipHits:        st.FlipHits,
-			FlipHitRate:     st.FlipHitRate(),
-		}
-		if es, ok := b.model.(embeddingStatser); ok {
-			est := es.EmbeddingStats()
-			if est.Lookups > 0 || est.Entries > 0 {
-				bs.Embedding = &EmbeddingStats{
-					Lookups:   est.Lookups,
-					Hits:      est.Hits,
-					Misses:    est.Misses,
-					Evictions: est.Evictions,
-					Entries:   est.Entries,
-					HitRate:   est.HitRate(),
-				}
-			}
-		}
-		if ist, ok := b.opts.Retrieval.Stats(); ok {
-			bs.Index = &IndexStats{
-				Records:        ist.Records,
-				DistinctTokens: ist.DistinctTokens,
-				BuildMS:        ist.BuildMS,
-			}
-		}
-		if b.memo != nil {
-			lookups, hits, entries := b.memo.stats()
-			ms := &ResultMemoStats{
-				Capacity: b.memo.capacity,
-				Entries:  entries,
-				Lookups:  lookups,
-				Hits:     hits,
-			}
-			if lookups > 0 {
-				ms.HitRate = float64(hits) / float64(lookups)
-			}
-			bs.ResultMemo = ms
-		}
-		out.Backends[name] = bs
-	}
-	return out
-}
-
 // decode reads a JSON request body strictly: unknown fields are
 // rejected, so schema drift between client and server fails loudly. The
 // returned status separates an oversized body (413 — split the batch)
@@ -792,17 +709,18 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) (int, 
 	return 0, nil
 }
 
-// countServeError classifies a serveOne failure into the stats counters.
+// countServeError classifies a serveOne failure into the outcome
+// counters.
 func (s *Server) countServeError(err error) (status int) {
 	switch {
 	case errors.Is(err, errOverloaded):
-		s.rejected.Add(1)
+		s.rejected.Inc()
 		return http.StatusTooManyRequests
 	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		s.cancelled.Add(1)
+		s.cancelled.Inc()
 		return 499 // client closed request (nginx convention); nothing readable anyway
 	default:
-		s.errored.Add(1)
+		s.errored.Inc()
 		return http.StatusInternalServerError
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -15,6 +16,7 @@ import (
 	"certa/internal/core"
 	"certa/internal/record"
 	"certa/internal/scorecache"
+	"certa/internal/telemetry"
 )
 
 // testSources builds two small product-like sources whose paired rows
@@ -324,12 +326,11 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 			t.Fatalf("request %d body differs:\n%s\n%s", i, bodies[i], bodies[0])
 		}
 	}
-	st := s.Stats()
-	if st.Served != 1 {
-		t.Fatalf("server ran %d computations for %d identical requests, want exactly 1", st.Served, n)
+	if served := s.served.Value(); served != 1 {
+		t.Fatalf("server ran %d computations for %d identical requests, want exactly 1", served, n)
 	}
-	if st.Coalesced != n-1 {
-		t.Fatalf("coalesced = %d, want %d", st.Coalesced, n-1)
+	if coalesced := s.coalesced.Value(); coalesced != n-1 {
+		t.Fatalf("coalesced = %d, want %d", coalesced, n-1)
 	}
 }
 
@@ -426,8 +427,8 @@ func TestAdmissionOverloadReturns429(t *testing.T) {
 			t.Fatalf("queued request finished with status %d", code)
 		}
 	}
-	if st := s.Stats(); st.Rejected != 1 || st.Served != 2 {
-		t.Fatalf("stats = served %d, rejected %d; want 2, 1", st.Served, st.Rejected)
+	if served, rejected := s.served.Value(), s.rejected.Value(); rejected != 1 || served != 2 {
+		t.Fatalf("counters = served %d, rejected %d; want 2, 1", served, rejected)
 	}
 }
 
@@ -584,8 +585,8 @@ func TestComputationPanicIsContained(t *testing.T) {
 	if !strings.Contains(string(body), "panicked") {
 		t.Fatalf("error body does not surface the panic: %s", body)
 	}
-	if st := s.Stats(); st.Errors != 1 {
-		t.Fatalf("Errors = %d after a panicked computation", st.Errors)
+	if errored := s.errored.Value(); errored != 1 {
+		t.Fatalf("errors = %d after a panicked computation", errored)
 	}
 	// The server survived.
 	hresp, err := http.Get(ts.URL + "/v1/healthz")
@@ -618,29 +619,30 @@ func TestHealthzAndStats(t *testing.T) {
 
 	postJSON(t, ts.URL+"/v1/explain", ExplainRequest{LeftID: "l0", RightID: "r0"})
 
+	// /v1/metrics is the only stats surface; the retired JSON one is gone.
 	resp, err = http.Get(ts.URL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats StatsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
-		t.Fatal(err)
-	}
 	resp.Body.Close()
-	if stats.Served != 1 {
-		t.Fatalf("stats.Served = %d", stats.Served)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/stats: status %d, want 404", resp.StatusCode)
 	}
-	b, ok := stats.Backends["toy"]
-	if !ok || b.Misses == 0 || b.Entries == 0 {
-		t.Fatalf("backend stats = %+v", stats.Backends)
+	m := s.metrics.Exposition()
+	if served := m.Sum("certa_explanations_served_total", nil); served != 1 {
+		t.Fatalf("served = %v", served)
+	}
+	if misses, entries := m.Sum("certa_score_cache_misses_total", toy), m.Sum("certa_score_cache_entries", toy); misses == 0 || entries == 0 {
+		t.Fatalf("backend cache series: %v misses, %v entries", misses, entries)
+	}
+	if m.Sum("certa_model_info", telemetry.Labels{"backend": "toy", "model": "overlap"}) != 1 {
+		t.Fatal("certa_model_info does not name the backend's model")
 	}
 	// The candidate retrieval index is built at server construction and
-	// must be visible in the stats document.
-	if b.Index == nil {
-		t.Fatal("backend stats expose no candidate index section")
-	}
-	if b.Index.Records != 48 || b.Index.DistinctTokens == 0 || b.Index.BuildMS <= 0 {
-		t.Fatalf("index stats = %+v, want 48 records, tokens > 0, build_ms > 0", b.Index)
+	// must be visible in the scrape.
+	records, tokens := m.Sum("certa_index_records", toy), m.Sum("certa_index_distinct_tokens", toy)
+	if build := m.Sum("certa_index_build_seconds", toy); records != 48 || tokens == 0 || build <= 0 {
+		t.Fatalf("index series = %v records, %v tokens, %vs build; want 48 records, tokens > 0, build > 0", records, tokens, build)
 	}
 }
 
@@ -687,13 +689,19 @@ func TestAugmentBudgetKnob(t *testing.T) {
 // fresh service over HTTP — the donor side of cluster warm bring-up.
 // An unknown benchmark name is a 404 with the usual error body.
 func TestSnapshotEndpointStreamsRestorableCache(t *testing.T) {
-	s := newTestServer(t, overlapModel{}, Options{Name: "donor"}, nil)
+	var logBuf bytes.Buffer
+	s := newTestServer(t, overlapModel{}, Options{Name: "donor", Logger: slog.New(slog.NewTextHandler(&logBuf, nil))}, nil)
 	ts := httptest.NewServer(s)
 	defer ts.Close()
 
 	idx := 0
 	if resp, body := postJSON(t, ts.URL+"/v1/explain", ExplainRequest{PairIndex: &idx}); resp.StatusCode != 200 {
 		t.Fatalf("warming request: status %d: %s", resp.StatusCode, body)
+	}
+	// The request log names the serving process, so ring workers' lines
+	// can be told apart.
+	if line := logBuf.String(); !strings.Contains(line, "msg=explain") || !strings.Contains(line, "worker=donor") {
+		t.Fatalf("request log line does not carry worker=donor:\n%s", line)
 	}
 	svc, _ := s.CacheService("toy")
 	if svc.Len() == 0 {
@@ -721,20 +729,6 @@ func TestSnapshotEndpointStreamsRestorableCache(t *testing.T) {
 	}
 	if n != svc.Len() {
 		t.Fatalf("restored %d entries over HTTP, donor holds %d", n, svc.Len())
-	}
-
-	// Stats carry the worker name for ring aggregation.
-	var st StatsResponse
-	statsResp, err := http.Get(ts.URL + "/v1/stats")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer statsResp.Body.Close()
-	if err := json.NewDecoder(statsResp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Worker != "donor" {
-		t.Fatalf("stats.worker = %q, want %q", st.Worker, "donor")
 	}
 
 	badResp, err := http.Get(ts.URL + "/v1/snapshot?benchmark=nope")

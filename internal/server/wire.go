@@ -120,118 +120,6 @@ type HealthResponse struct {
 	Backends []string `json:"backends"`
 }
 
-// IndexStats reports one backend's candidate retrieval index in GET
-// /v1/stats: the per-table token indexes built at server startup
-// (summed over the two sources).
-type IndexStats struct {
-	// Records is the number of indexed records across both sources.
-	Records int `json:"records"`
-	// DistinctTokens is the combined inverted-index vocabulary size.
-	DistinctTokens int `json:"distinct_tokens"`
-	// BuildMS is the wall-clock index construction time in milliseconds.
-	BuildMS float64 `json:"build_ms"`
-}
-
-// BackendStats reports one backend's shared score cache in GET
-// /v1/stats.
-type BackendStats struct {
-	Model string `json:"model"`
-	// Requests counts explanation requests routed to this backend
-	// (coalesced joiners included); Errors the ones that failed after
-	// routing (overload rejections and cancellations included).
-	Requests int64 `json:"requests"`
-	Errors   int64 `json:"errors,omitempty"`
-	// Entries is the number of scores currently stored;
-	// RestoredEntries how many of the initial ones came from a snapshot
-	// (certa-serve -cache-file).
-	Entries         int `json:"entries"`
-	RestoredEntries int `json:"restored_entries,omitempty"`
-	// The scorecache.ServiceStats counters: Misses is the number of
-	// unique model invocations the whole serving run has paid.
-	Lookups   int     `json:"lookups"`
-	Hits      int     `json:"hits"`
-	Misses    int     `json:"misses"`
-	Batches   int     `json:"batches"`
-	Evictions int     `json:"evictions,omitempty"`
-	HitRate   float64 `json:"hit_rate"`
-	// The cross-explanation flip-outcome memo (see
-	// scorecache.ServiceStats): FlipHits counts lattice oracle questions
-	// answered without a score lookup because another explanation already
-	// settled the pair content's class. All zero when the memo is
-	// disabled.
-	FlipLookups int     `json:"flip_lookups"`
-	FlipHits    int     `json:"flip_hits"`
-	FlipHitRate float64 `json:"flip_hit_rate"`
-	// Embedding reports the backend model's persistent embedding store
-	// (absent for models that don't keep one).
-	Embedding *EmbeddingStats `json:"embedding,omitempty"`
-	// Index reports the backend's candidate retrieval index (absent
-	// only when the backend was configured with unindexed scan sources).
-	Index *IndexStats `json:"index,omitempty"`
-	// ResultMemo reports the backend's serving-layer memo of rendered
-	// response bodies (absent when ServerOptions.ResultMemo is 0).
-	ResultMemo *ResultMemoStats `json:"result_memo,omitempty"`
-}
-
-// ResultMemoStats reports one backend's serving-layer result memo in
-// GET /v1/stats: Hits are explanation requests answered by replaying a
-// previously rendered byte-identical body, Entries the bodies held.
-type ResultMemoStats struct {
-	Capacity int     `json:"capacity"`
-	Entries  int     `json:"entries"`
-	Lookups  int64   `json:"lookups"`
-	Hits     int64   `json:"hits"`
-	HitRate  float64 `json:"hit_rate"`
-}
-
-// EmbeddingStats reports a backend model's matcher-lifetime embedding
-// store in GET /v1/stats: Hits are texts served without re-embedding,
-// Entries the vectors currently held.
-type EmbeddingStats struct {
-	Lookups   int     `json:"lookups"`
-	Hits      int     `json:"hits"`
-	Misses    int     `json:"misses"`
-	Evictions int     `json:"evictions,omitempty"`
-	Entries   int     `json:"entries"`
-	HitRate   float64 `json:"hit_rate"`
-}
-
-// StatsResponse is the body of GET /v1/stats. Its serialized form —
-// including every nested stats block — is pinned by
-// testdata/wire_golden.json (wire_golden_test.go; refresh deliberate
-// schema changes with -update-golden).
-type StatsResponse struct {
-	// Worker names this serving process (Options.Name) so a cluster
-	// router can label the rows of its aggregated ring stats. Empty —
-	// and omitted — for unnamed standalone servers.
-	Worker   string  `json:"worker,omitempty"`
-	UptimeMS float64 `json:"uptime_ms"`
-	// Served counts completed explanation computations; Coalesced counts
-	// requests answered by attaching to another request's in-flight
-	// computation (so Served + Coalesced ≥ HTTP requests that returned
-	// explanations, with equality when none were cancelled).
-	Served    int64 `json:"served"`
-	Coalesced int64 `json:"coalesced"`
-	// Memoized counts requests answered from the result memo: repeats
-	// of an already-answered deterministic request whose stored body
-	// was replayed without admission or computation.
-	Memoized int64 `json:"memoized"`
-	// Rejected counts 429s from the admission controller, Cancelled
-	// client disconnects that aborted a wait or computation, Errors
-	// everything else that failed.
-	Rejected  int64 `json:"rejected"`
-	Cancelled int64 `json:"cancelled"`
-	Errors    int64 `json:"errors"`
-	// InFlight/Queued are the admission controller's instantaneous
-	// occupancy; QueueHighWater the deepest the queue has been since
-	// startup; EwmaLatencyMS its latency estimate (prices Retry-After).
-	InFlight       int                     `json:"in_flight"`
-	Queued         int                     `json:"queued"`
-	QueueHighWater int                     `json:"queue_high_water"`
-	EwmaLatencyMS  float64                 `json:"ewma_latency_ms"`
-	Backends       map[string]BackendStats `json:"backends"`
-}
-
 // resolvePair materializes the request's pair against a backend.
 func (b *backend) resolvePair(req *ExplainRequest) (record.Pair, error) {
 	return ResolvePair(req, b.left, b.right, b.pairs)

@@ -19,6 +19,14 @@
 // and GaugeFunc callbacks read at scrape time, so the serving layer
 // does not maintain a second copy of any number.
 //
+// # Reading and merging
+//
+// ReadExposition (Scrape over HTTP) parses an exposition back into
+// families, and WriteMerged writes several as one: certa-router
+// federates its workers' GET /v1/metrics that way, and a Registry
+// writes its own exposition through the same writer. Smokes, examples
+// and tests read scrapes with the same reader, so the format lives here.
+//
 // # Tracing
 //
 // A Trace records a tree of wall-time spans for one explanation:

@@ -1,8 +1,8 @@
 package telemetry
 
 import (
-	"bufio"
 	"io"
+	"maps"
 	"math"
 	"net/http"
 	"sort"
@@ -11,12 +11,18 @@ import (
 )
 
 // WritePrometheus renders every registered series in the Prometheus
-// text exposition format (version 0.0.4). Output is deterministic:
-// families sorted by name, series by their canonical label rendering,
-// histogram buckets ascending with the cumulative `le` convention —
-// which is what lets testdata/exposition_golden.txt pin the format.
+// text exposition format (version 0.0.4) through WriteMerged. Output is
+// deterministic — families, series and label keys sorted, histogram
+// buckets ascending with the cumulative `le` convention — which is what
+// lets testdata/exposition_golden.txt pin the format.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	bw := bufio.NewWriter(w)
+	return WriteMerged(w, r.Exposition())
+}
+
+// Exposition snapshots every registered series, callback-backed ones
+// read now, in exposition order.
+func (r *Registry) Exposition() *Exposition {
+	e := &Exposition{}
 	for _, f := range r.snapshotFamilies() {
 		f.mu.Lock()
 		keys := make([]string, 0, len(f.series))
@@ -30,81 +36,52 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 		f.mu.Unlock()
 
-		if f.help != "" {
-			bw.WriteString("# HELP ")
-			bw.WriteString(f.name)
-			bw.WriteByte(' ')
-			bw.WriteString(escapeHelp(f.help))
-			bw.WriteByte('\n')
-		}
-		bw.WriteString("# TYPE ")
-		bw.WriteString(f.name)
-		bw.WriteByte(' ')
-		bw.WriteString(f.kind.String())
-		bw.WriteByte('\n')
+		out := &Family{Name: f.name, Help: escapeHelp(f.help), Type: f.kind.String()}
 		for _, s := range sers {
-			writeSeries(bw, f, s)
+			out.Samples = appendSamples(out.Samples, f, s)
 		}
+		e.Families = append(e.Families, out)
 	}
-	return bw.Flush()
+	return e
 }
 
-func writeSeries(bw *bufio.Writer, f *family, s *series) {
-	if fn := s.readFn(); fn != nil && f.kind != kindHistogram {
-		writeSample(bw, f.name, s.labels, fn())
-		return
+// appendSamples renders one series' samples. Integral values (counter
+// values, bucket cumulative counts, _count) are plain decimal:
+// FormatFloat 'g' would switch to scientific notation at 1e6+, which
+// scrapers parsing a count as an integer would silently misread.
+func appendSamples(out []Sample, f *family, s *series) []Sample {
+	add := func(suffix string, labels Labels, value string) {
+		out = append(out, Sample{Name: f.name + suffix, Labels: labels, Value: value})
 	}
 	switch {
-	case f.kind == kindHistogram && s.hist != nil:
-		writeHistogram(bw, f.name, s)
+	case f.kind == kindHistogram:
+		h := s.hist
+		var cum uint64
+		for i, b := range h.bounds {
+			cum += h.counts[i].Load()
+			add("_bucket", withLE(s.labels, formatValue(b)), strconv.FormatUint(cum, 10))
+		}
+		add("_bucket", withLE(s.labels, "+Inf"), strconv.FormatUint(cum+h.inf.Load(), 10))
+		add("_sum", maps.Clone(s.labels), formatValue(h.Sum()))
+		add("_count", maps.Clone(s.labels), strconv.FormatUint(h.Count(), 10))
+	case s.readFn() != nil:
+		add("", maps.Clone(s.labels), formatValue(s.readFn()()))
 	case s.counter != nil:
-		writeSampleUint(bw, f.name, s.labels, s.counter.Value())
-	case s.gauge != nil:
-		writeSample(bw, f.name, s.labels, s.gauge.Value())
+		add("", maps.Clone(s.labels), strconv.FormatUint(s.counter.Value(), 10))
+	default:
+		add("", maps.Clone(s.labels), formatValue(s.gauge.Value()))
 	}
+	return out
 }
 
-func writeHistogram(bw *bufio.Writer, name string, s *series) {
-	h := s.hist
-	var cum uint64
-	for i, b := range h.bounds {
-		cum += h.counts[i].Load()
-		writeSampleUint(bw, name+"_bucket", withLE(s.labels, formatValue(b)), cum)
+// withLE copies a series' labels with the `le` bucket bound added.
+func withLE(labels Labels, bound string) Labels {
+	out := maps.Clone(labels)
+	if out == nil {
+		out = Labels{}
 	}
-	cum += h.inf.Load()
-	writeSampleUint(bw, name+"_bucket", withLE(s.labels, "+Inf"), cum)
-	writeSample(bw, name+"_sum", s.labels, h.Sum())
-	writeSampleUint(bw, name+"_count", s.labels, h.Count())
-}
-
-// withLE appends the `le` bucket label to an already-rendered label
-// set. le always renders last, after the series' own (sorted) labels.
-func withLE(labels, bound string) string {
-	le := `le="` + bound + `"`
-	if labels == "" {
-		return "{" + le + "}"
-	}
-	return labels[:len(labels)-1] + "," + le + "}"
-}
-
-func writeSample(bw *bufio.Writer, name, labels string, v float64) {
-	bw.WriteString(name)
-	bw.WriteString(labels)
-	bw.WriteByte(' ')
-	bw.WriteString(formatValue(v))
-	bw.WriteByte('\n')
-}
-
-// writeSampleUint renders integral samples (counter values, bucket
-// cumulative counts, _count) in plain decimal: FormatFloat 'g' would
-// switch to scientific notation at 1e6+, which scrapers parsing the
-// count with %d (servesmoke does) would silently misread.
-func writeSampleUint(bw *bufio.Writer, name, labels string, v uint64) {
-	bw.WriteString(name)
-	bw.WriteString(labels)
-	bw.WriteByte(' ')
-	bw.WriteString(strconv.FormatUint(v, 10))
-	bw.WriteByte('\n')
+	out["le"] = bound
+	return out
 }
 
 func formatValue(v float64) string {
@@ -131,7 +108,7 @@ func escapeHelp(h string) string {
 // behind GET /v1/metrics on certa-serve and the daemons' debug muxes.
 func (r *Registry) Handler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+		w.Header().Set("Content-Type", ContentType)
 		r.WritePrometheus(w)
 	})
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"maps"
 	"math"
 	"sort"
 	"strconv"
@@ -69,7 +70,7 @@ type family struct {
 // mutable field (re-registration replaces the callback), is atomic and
 // takes precedence over counter/gauge for callback-backed series.
 type series struct {
-	labels  string // canonical `{k="v",...}` rendering, "" when unlabeled
+	labels  Labels // a copy of the registration labels
 	counter *Counter
 	gauge   *Gauge
 	fn      atomic.Value // func() float64, unset until a *Func registration
@@ -266,7 +267,7 @@ func (r *Registry) register(name, help string, kind metricKind, labels Labels, f
 	defer f.mu.Unlock()
 	s, ok := f.series[key]
 	if !ok {
-		s = &series{labels: key}
+		s = &series{labels: maps.Clone(labels)}
 		switch kind {
 		case kindCounter:
 			s.counter = &Counter{}

@@ -3,15 +3,16 @@
 // ephemeral ports, routes a load of pair requests through the router
 // (bodies recorded), then SIGKILLs one worker mid-load and asserts the
 // surviving requests all still succeed byte-identically — the ring's
-// failover contract — and that the router's stats surface reports the
-// degraded ring (one healthy worker, failovers counted). Run from CI
-// as:
+// failover contract — and that the router's federated GET /v1/metrics
+// reports the degraded ring (one healthy worker, failovers counted).
+// Run from CI as:
 //
 //	go run ./scripts/ringsmoke
 package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -23,7 +24,7 @@ import (
 	"syscall"
 	"time"
 
-	"certa/internal/cluster"
+	"certa/internal/telemetry"
 )
 
 const pairCount = 8
@@ -89,18 +90,16 @@ func run() error {
 			return fmt.Errorf("full-ring request %d: %w", i, err)
 		}
 	}
-	st, err := ringStats(rt.addr)
+	m, err := telemetry.Scrape(context.Background(), http.DefaultClient, "http://"+rt.addr+"/v1/metrics")
 	if err != nil {
 		return err
 	}
-	if st.HealthyWorkers != 2 || st.Workers != 2 {
-		return fmt.Errorf("full ring reports %d/%d healthy workers", st.HealthyWorkers, st.Workers)
+	if healthy, workers := m.Sum("certa_router_workers_healthy", nil), m.Sum("certa_router_workers", nil); healthy != 2 || workers != 2 {
+		return fmt.Errorf("full ring reports %v/%v healthy workers", healthy, workers)
 	}
-	perWorker := make(map[string]int64)
-	for _, row := range st.PerWorker {
-		if row.Stats != nil {
-			perWorker[row.Name] = row.Stats.Served
-		}
+	perWorker := make(map[string]float64)
+	for _, w := range []string{"w0", "w1"} {
+		perWorker[w] = m.Sum("certa_explanations_served_total", telemetry.Labels{"worker": w})
 	}
 	if perWorker["w0"] == 0 || perWorker["w1"] == 0 {
 		return fmt.Errorf("load was not sharded across both workers: %v", perWorker)
@@ -135,20 +134,20 @@ func run() error {
 		}
 	}
 
-	// The degraded ring must be visible on the stats surface: one healthy
+	// The degraded ring must show in the router's metrics: one healthy
 	// worker and a nonzero failover count (w1's shard fell through to
 	// w0). The health prober may need a beat to notice, so poll briefly.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, err = ringStats(rt.addr)
-		if err != nil {
+		if m, err = telemetry.Scrape(context.Background(), http.DefaultClient, "http://"+rt.addr+"/v1/metrics"); err != nil {
 			return err
 		}
-		if st.HealthyWorkers == 1 && st.Failovers > 0 {
+		healthy, failovers := m.Sum("certa_router_workers_healthy", nil), m.Sum("certa_router_failovers_total", nil)
+		if healthy == 1 && failovers > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("ring never reported degraded: %d healthy, %d failovers", st.HealthyWorkers, st.Failovers)
+			return fmt.Errorf("ring never reported degraded: %v healthy, %v failovers", healthy, failovers)
 		}
 		time.Sleep(200 * time.Millisecond)
 	}
@@ -161,8 +160,10 @@ func run() error {
 	if health.Status != "degraded" {
 		return fmt.Errorf("router healthz status = %q after losing a worker, want degraded", health.Status)
 	}
-	fmt.Printf("ringsmoke: degraded ring: %d/%d healthy, %d failovers, %d unroutable, aggregate memo hits %d\n",
-		st.HealthyWorkers, st.Workers, st.Failovers, st.Unroutable, st.Aggregate.MemoHits)
+	fmt.Printf("ringsmoke: degraded ring: %v/%v healthy, %v failovers, %v unroutable, memo hits on w0 %v\n",
+		m.Sum("certa_router_workers_healthy", nil), m.Sum("certa_router_workers", nil),
+		m.Sum("certa_router_failovers_total", nil), m.Sum("certa_router_unroutable_total", nil),
+		m.Sum("certa_result_memo_hits_total", nil))
 	return nil
 }
 
@@ -229,12 +230,6 @@ func postExplain(addr string, pairIdx int) ([]byte, error) {
 		return nil, fmt.Errorf("status %d: %s", resp.StatusCode, body)
 	}
 	return body, nil
-}
-
-func ringStats(addr string) (cluster.RingStatsResponse, error) {
-	var st cluster.RingStatsResponse
-	err := getJSON(addr, "/v1/stats", &st)
-	return st, err
 }
 
 func getJSON(addr, path string, into any) error {

@@ -3,28 +3,30 @@
 // issues one cold and one warm request, shuts it down gracefully
 // (snapshot written), restarts it from the snapshot and asserts the
 // restarted server answers the same request entirely from the restored
-// cache (warm hit rate > 0, zero model invocations). It also scrapes
-// GET /v1/metrics and asserts the telemetry surface recorded the smoke
-// requests. Run from CI as:
+// cache (restored entries > 0, cache hits > 0, zero model invocations).
+// Every check reads GET /v1/metrics, the server's only stats surface,
+// through the telemetry package's exposition reader. Run from CI as:
 //
 //	go run ./scripts/servesmoke
 package main
 
 import (
 	"bytes"
-	"encoding/json"
+	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strings"
 	"syscall"
 	"time"
 
-	"certa/internal/server"
+	"certa/internal/telemetry"
 )
+
+// ab selects the smoke backend's series.
+var ab = telemetry.Labels{"backend": "AB"}
 
 func main() {
 	if err := run(); err != nil {
@@ -70,24 +72,30 @@ func run() error {
 		stop()
 		return fmt.Errorf("warm response differs from cold response")
 	}
-	st, err := stats(addr)
+	m, err := telemetry.Scrape(context.Background(), http.DefaultClient, "http://"+addr+"/v1/metrics")
 	if err != nil {
 		stop()
 		return err
 	}
-	if st.Served != 2 {
+	if served := m.Sum("certa_explanations_served_total", nil); served != 2 {
 		stop()
-		return fmt.Errorf("first life served %d computations, want 2", st.Served)
+		return fmt.Errorf("first life served %v computations, want 2", served)
 	}
-	// The telemetry scrape surface: after two explanations the explain
-	// latency histogram must have observations and the coalescing counter
-	// must be present (zero is fine — the requests were sequential).
-	if err := checkMetrics(addr); err != nil {
+	// After two explanations the explain latency histogram must have
+	// observations and the coalescing counter must be present (zero is
+	// fine — the requests were sequential).
+	count := m.Sum("certa_explain_duration_seconds_count", ab)
+	if count <= 0 {
 		stop()
-		return err
+		return fmt.Errorf("/v1/metrics explain latency histogram recorded no observations")
 	}
-	fmt.Printf("servesmoke: first life: cold %s, warm %s, %d cached scores\n",
-		coldDur.Round(time.Millisecond), warmDur.Round(time.Millisecond), st.Backends["AB"].Entries)
+	if m.Family("certa_requests_coalesced_total") == nil {
+		stop()
+		return fmt.Errorf("/v1/metrics is missing certa_requests_coalesced_total")
+	}
+	fmt.Printf("servesmoke: first life: cold %s, warm %s, %.0f cached scores, %.0f explain observations\n",
+		coldDur.Round(time.Millisecond), warmDur.Round(time.Millisecond),
+		m.Sum("certa_score_cache_entries", ab), count)
 	if err := stop(); err != nil {
 		return fmt.Errorf("graceful shutdown: %w", err)
 	}
@@ -109,31 +117,29 @@ func run() error {
 	if !bytes.Equal(coldBody, restartBody) {
 		return fmt.Errorf("post-restart response differs from first life's")
 	}
-	st, err = stats(addr)
-	if err != nil {
+	if m, err = telemetry.Scrape(context.Background(), http.DefaultClient, "http://"+addr+"/v1/metrics"); err != nil {
 		return err
 	}
-	b := st.Backends["AB"]
-	if b.RestoredEntries == 0 {
+	restored := m.Sum("certa_score_cache_restored_entries", ab)
+	hits, misses := m.Sum("certa_score_cache_hits_total", ab), m.Sum("certa_score_cache_misses_total", ab)
+	if restored <= 0 {
 		return fmt.Errorf("restart restored no cache entries")
 	}
-	if b.HitRate <= 0 || b.Hits == 0 {
-		return fmt.Errorf("restarted server answered cold (hit rate %v)", b.HitRate)
+	if hits <= 0 {
+		return fmt.Errorf("restarted server answered cold (0 cache hits)")
 	}
-	if b.Misses != 0 {
-		return fmt.Errorf("restarted server still paid %d model calls", b.Misses)
+	if misses != 0 {
+		return fmt.Errorf("restarted server still paid %v model calls", misses)
 	}
 	// The candidate retrieval index is rebuilt at every startup; a warm
-	// backend must expose its footprint in /v1/stats.
-	if b.Index == nil {
-		return fmt.Errorf("warm backend exposes no candidate index stats")
+	// backend must expose its footprint.
+	records, tokens := m.Sum("certa_index_records", ab), m.Sum("certa_index_distinct_tokens", ab)
+	buildS := m.Sum("certa_index_build_seconds", ab)
+	if records <= 0 || tokens <= 0 || buildS <= 0 {
+		return fmt.Errorf("warm backend index series incomplete: %v records, %v tokens, %vs build", records, tokens, buildS)
 	}
-	if b.Index.Records == 0 || b.Index.DistinctTokens == 0 || b.Index.BuildMS <= 0 {
-		return fmt.Errorf("warm backend index stats incomplete: %+v", *b.Index)
-	}
-	fmt.Printf("servesmoke: second life: %d entries restored, request in %s with hit rate %.1f%% and 0 model calls; index %d records / %d tokens in %.1fms\n",
-		b.RestoredEntries, restartDur.Round(time.Millisecond), 100*b.HitRate,
-		b.Index.Records, b.Index.DistinctTokens, b.Index.BuildMS)
+	fmt.Printf("servesmoke: second life: %.0f entries restored, request in %s with %.0f cache hits and 0 model calls; index %.0f records / %.0f tokens in %.1fms\n",
+		restored, restartDur.Round(time.Millisecond), hits, records, tokens, 1000*buildS)
 	return nil
 }
 
@@ -196,50 +202,4 @@ func timedExplain(addr string, body []byte) ([]byte, time.Duration, error) {
 		return nil, 0, fmt.Errorf("status %d: %s", resp.StatusCode, out)
 	}
 	return out, time.Since(start), nil
-}
-
-// checkMetrics scrapes GET /v1/metrics and asserts the Prometheus text
-// surface is live: the per-backend explain latency histogram recorded
-// the smoke requests, and the coalescing counter is exported.
-func checkMetrics(addr string) error {
-	resp, err := http.Get("http://" + addr + "/v1/metrics")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("GET /v1/metrics: status %d: %s", resp.StatusCode, body)
-	}
-	text := string(body)
-	count := 0
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, `certa_explain_duration_seconds_count{backend="AB"}`) {
-			fmt.Sscanf(line[strings.LastIndexByte(line, ' ')+1:], "%d", &count)
-		}
-	}
-	if count <= 0 {
-		return fmt.Errorf("/v1/metrics explain latency histogram recorded no observations:\n%s", text)
-	}
-	if !strings.Contains(text, "certa_requests_coalesced_total") {
-		return fmt.Errorf("/v1/metrics is missing certa_requests_coalesced_total:\n%s", text)
-	}
-	fmt.Printf("servesmoke: /v1/metrics live: %d explain observations, coalesce counter exported\n", count)
-	return nil
-}
-
-func stats(addr string) (server.StatsResponse, error) {
-	var st server.StatsResponse
-	resp, err := http.Get("http://" + addr + "/v1/stats")
-	if err != nil {
-		return st, err
-	}
-	defer resp.Body.Close()
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return st, err
-	}
-	return st, nil
 }
