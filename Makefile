@@ -30,17 +30,22 @@ bench:
 servesmoke:
 	$(GO) run ./scripts/servesmoke
 
-# profile captures a CPU profile of untraced explanations over the AB
-# blocked-cluster fixture (certa.pprof, plus the certa.test binary it
-# symbolizes against; inspect with `go tool pprof certa.pprof`).
+# profile captures two CPU profiles of untraced explanations over the AB
+# blocked-cluster fixture, plus the certa.test binary they symbolize
+# against: certa.pprof re-explains pairs on a warm shared service
+# (BenchmarkExplainPlain: store lookups, few model calls), and
+# certa-cold.pprof explains each pair on a fresh service at
+# Parallelism 1 (BenchmarkExplainCold: every model call and store
+# insertion paid). Inspect with `go tool pprof certa.test certa.pprof`.
 profile:
-	$(GO) test -run '^$$' -bench BenchmarkExplainPlain -benchtime 32x -cpuprofile certa.pprof .
-	@echo "CPU profile written to certa.pprof"
+	$(GO) test -run '^$$' -bench '^BenchmarkExplainPlain$$' -benchtime 32x -cpuprofile certa.pprof .
+	$(GO) test -run '^$$' -bench '^BenchmarkExplainCold$$' -benchtime 32x -cpuprofile certa-cold.pprof .
+	@echo "CPU profiles written to certa.pprof (warm) and certa-cold.pprof (cold)"
 
 # ci runs the full gate: every stage of scripts/ci.sh, races and smokes included.
 ci:
 	sh scripts/ci.sh
 
 clean:
-	rm -f certa.pprof certa.test
+	rm -f certa.pprof certa-cold.pprof certa.test
 	rm -rf bin

@@ -100,17 +100,22 @@ const prunePatience = 6
 // a one-candidate-at-a-time scan (eligibility is per-candidate and the
 // accepted set is a prefix property); only the scoring is batched, which
 // may look at most one chunk past the last accepted candidate.
+//
+// The scan is key-first: a buffered candidate is a descriptor, keyed
+// from its source record's values by a SupportKeyer, and its record is
+// built only when the model must score it or it is accepted.
 type supportScan struct {
-	ctx  context.Context
-	bud  *runBudget
-	sc   *scorecache.Scorer
-	p    record.Pair
-	side record.Side
-	y    bool
-	want int
+	ctx   context.Context
+	bud   *runBudget
+	sc    *scorecache.Scorer
+	keyer *scorecache.SupportKeyer
+	p     record.Pair
+	side  record.Side
+	y     bool
+	want  int
 
 	chunk   int
-	pending []*record.Record
+	pending []candidate
 	recOrds []int // per pending candidate: ordinal of its source record
 	out     []*record.Record
 	scored  int  // candidates actually scored (chunk overscan included)
@@ -136,6 +141,28 @@ type supportScan struct {
 	recEligible bool // the record being scored has yielded an eligible candidate
 }
 
+// candidate describes one support candidate without building it: the
+// source record itself (attr < 0) or a token-drop variant of it, with
+// value val at index attr and the augmentation ordinal that names it.
+type candidate struct {
+	src  *record.Record
+	attr int
+	val  string
+	aug  int
+}
+
+// build materializes the candidate record: the source record itself, or
+// a copy carrying the variant value and the ID "<src>#aug<ordinal>".
+func (c candidate) build() *record.Record {
+	if c.attr < 0 {
+		return c.src
+	}
+	r := c.src.Clone()
+	r.Values[c.attr] = c.val
+	r.ID = c.src.ID + "#aug" + strconv.Itoa(c.aug)
+	return r
+}
+
 func newSupportScan(ctx context.Context, bud *runBudget, sc *scorecache.Scorer, p record.Pair, side record.Side, y bool, want int) *supportScan {
 	chunk := want
 	if chunk < 1 {
@@ -144,7 +171,7 @@ func newSupportScan(ctx context.Context, bud *runBudget, sc *scorecache.Scorer, 
 	if chunk > maxSearchChunk {
 		chunk = maxSearchChunk
 	}
-	return &supportScan{ctx: ctx, bud: bud, sc: sc, p: p, side: side, y: y, want: want, chunk: chunk}
+	return &supportScan{ctx: ctx, bud: bud, sc: sc, keyer: scorecache.NewSupportKeyer(p, side), p: p, side: side, y: y, want: want, chunk: chunk}
 }
 
 // beginRecord marks the start of a new source record's candidates; the
@@ -152,7 +179,7 @@ func newSupportScan(ctx context.Context, bud *runBudget, sc *scorecache.Scorer, 
 func (s *supportScan) beginRecord() { s.curRec++ }
 
 // add buffers one candidate, flushing a full chunk through the scorer.
-func (s *supportScan) add(cand *record.Record) {
+func (s *supportScan) add(cand candidate) {
 	if s.done {
 		return
 	}
@@ -177,11 +204,13 @@ func (s *supportScan) flush() {
 		s.recOrds = s.recOrds[:0]
 		return
 	}
-	pairs := make([]record.Pair, len(s.pending))
-	for i, w := range s.pending {
-		pairs[i] = s.p.WithRecord(s.side, w)
+	keys := make([]string, len(s.pending))
+	for i, c := range s.pending {
+		keys[i] = s.keyer.Key(c.src, c.attr, c.val)
 	}
-	scores, err := s.sc.ScoreBatchContext(s.ctx, pairs)
+	scores, err := s.sc.ScoreBatchKeyedContext(s.ctx, keys, func(i int) record.Pair {
+		return s.p.WithRecord(s.side, s.pending[i].build())
+	})
 	if err != nil {
 		s.err = err
 		s.done = true
@@ -208,7 +237,7 @@ func (s *supportScan) flush() {
 		}
 		if (score > 0.5) != s.y {
 			s.recEligible = true
-			s.out = append(s.out, s.pending[i])
+			s.out = append(s.out, s.pending[i].build())
 			if len(s.out) >= s.want {
 				s.seed = s.scored + i + 1
 				s.done = true
@@ -273,7 +302,7 @@ func (e *Explainer) naturalSupports(ctx context.Context, bud *runBudget, prog *p
 			continue
 		}
 		scan.beginRecord()
-		scan.add(w)
+		scan.add(candidate{src: w, attr: -1})
 	}
 	out := scan.finish()
 	if scan.err != nil {
@@ -346,24 +375,22 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 			if scan.done || generated >= budget {
 				break
 			}
-			toks := strutil.Tokenize(w.Value(a))
+			ai := w.Schema.AttrIndex(a)
+			toks := strutil.Tokenize(w.Values[ai])
 			n := len(toks)
 			if n < 2 {
 				continue
 			}
+			// Drop the first k and the last k tokens (k < n, so neither
+			// variant is empty), slicing the one token list.
 			for k := 1; k < n && !scan.done && generated < budget; k++ {
-				for _, variant := range []string{
-					strutil.DropFirstTokens(w.Value(a), k),
-					strutil.DropLastTokens(w.Value(a), k),
-				} {
+				for _, variant := range [2][]string{toks[k:], toks[:n-k]} {
 					if scan.done || generated >= budget {
 						break
 					}
-					cand := w.WithValue(a, variant)
-					cand.ID = w.ID + "#aug" + strconv.Itoa(augID)
+					scan.add(candidate{src: w, attr: ai, val: strutil.JoinTokens(variant), aug: augID})
 					augID++
 					generated++
-					scan.add(cand)
 				}
 			}
 		}

@@ -14,7 +14,8 @@
 // internal/debugserve, internal/eval, cmd/*) stay free to read clocks
 // and the environment. The sanctioned in-path exceptions — the
 // anytime-deadline clock reads in internal/core/anytime.go and
-// wall-clock telemetry such as index build times — carry
+// wall-clock telemetry such as index build times, and the per-process
+// maphash seeds that place keys on lock stripes — carry
 // //lint:allow nodrift directives with their justification.
 package nodrift
 
@@ -26,15 +27,15 @@ import (
 )
 
 // Analyzer flags time.Now/Since/Until, os.Getenv-style environment
-// reads, and global math/rand functions inside the deterministic
-// scoring packages.
+// reads, global math/rand functions and hash/maphash.MakeSeed inside the
+// deterministic scoring packages.
 var Analyzer = &analysis.Analyzer{
 	Name: "nodrift",
 	Doc: `forbids wall clocks, global math/rand and environment reads in the deterministic scoring path
 
 Explanations must be byte-identical for the same inputs at any
-parallelism. time.Now, the shared math/rand generator and os.Getenv
-smuggle run-to-run state into scoring. Use a seeded *rand.Rand
+parallelism. time.Now, the shared math/rand generator, os.Getenv and
+maphash.MakeSeed smuggle run-to-run state into scoring. Use a seeded *rand.Rand
 (Options.Seed), thread deadlines in from the serving layer, and read
 configuration in cmd/*. Sanctioned uses (the anytime-deadline clock,
 build-time telemetry) carry //lint:allow nodrift <reason>.`,
@@ -81,6 +82,9 @@ var denied = map[string]map[string]string{
 		"Now":   "reads the wall clock",
 		"Since": "reads the wall clock",
 		"Until": "reads the wall clock",
+	},
+	"hash/maphash": {
+		"MakeSeed": "draws a per-process random seed",
 	},
 	"os": {
 		"Getenv":    "reads the process environment",

@@ -1,6 +1,9 @@
 package core
 
-import "time"
+import (
+	"hash/maphash"
+	"time"
+)
 
 // softDeadline mirrors the real anytime-deadline exception: the clock
 // read is sanctioned by contract and waived with a reasoned directive.
@@ -12,6 +15,12 @@ func softDeadline() time.Time {
 // trailing directive form on the flagged line itself.
 func buildTelemetry(start time.Time) time.Duration {
 	return time.Since(start) //lint:allow nodrift build-time telemetry; no Result depends on it
+}
+
+// stripeSeed mirrors the lock-stripe seeds: the seed places keys on
+// stripes and never reaches a result, so the waiver names that.
+func stripeSeed() maphash.Seed {
+	return maphash.MakeSeed() //lint:allow nodrift stripe placement only; no Result depends on it
 }
 
 // missingReason shows a bare directive: it suppresses nothing and is

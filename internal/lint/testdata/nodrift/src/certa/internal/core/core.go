@@ -3,6 +3,7 @@
 package core
 
 import (
+	"hash/maphash"
 	"math/rand"
 	"os"
 	"time"
@@ -22,6 +23,15 @@ func fromEnv() string {
 
 func globalRand() float64 {
 	return rand.Float64() // want `rand.Float64 draws from the shared, unseeded generator inside the deterministic scoring path`
+}
+
+func randomSeed() maphash.Seed {
+	return maphash.MakeSeed() // want `maphash.MakeSeed draws a per-process random seed inside the deterministic scoring path`
+}
+
+// hashUnder hashes with a seed the caller supplies — fine.
+func hashUnder(seed maphash.Seed, s string) uint64 {
+	return maphash.String(seed, s)
 }
 
 // seededRand is the sanctioned form: methods on a seeded *rand.Rand

@@ -2,8 +2,8 @@ package matchers
 
 import (
 	"fmt"
+	"hash/maphash"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 
@@ -141,31 +141,28 @@ func (f *deepMatcherFeat) appendFeatures(dst []float64, p record.Pair, text text
 // memoized blocks are bit-identical to recomputed ones. Striped locks
 // keep concurrent explanations out of each other's way.
 type blockMemo struct {
+	seed   maphash.Seed // stripe placement
 	shards [16]blockShard
 }
 
 type blockShard struct {
 	mu sync.RWMutex
-	m  map[string][dmBlock]float64
+	m  map[[2]string][dmBlock]float64
 }
 
 func newBlockMemo() *blockMemo {
-	bm := &blockMemo{}
+	// maphash seeds are random per process; the seed decides lock
+	// placement only, never a feature value.
+	bm := &blockMemo{seed: maphash.MakeSeed()} //lint:allow nodrift stripe placement only; blocks are pure functions of their value pair
 	for i := range bm.shards {
-		bm.shards[i].m = make(map[string][dmBlock]float64)
+		bm.shards[i].m = make(map[[2]string][dmBlock]float64)
 	}
 	return bm
 }
 
-// blockKey frames the value pair unambiguously (length prefix, so value
-// contents cannot collide across the boundary).
-func blockKey(lv, rv string) string {
-	return strconv.Itoa(len(lv)) + ":" + lv + rv
-}
-
 func (bm *blockMemo) get(lv, rv string, text textFunc) [dmBlock]float64 {
-	key := blockKey(lv, rv)
-	sh := &bm.shards[fnvHash(key)&15]
+	key := [2]string{lv, rv}
+	sh := &bm.shards[maphash.Comparable(bm.seed, key)&15]
 	sh.mu.RLock()
 	blk, ok := sh.m[key]
 	sh.mu.RUnlock()
@@ -180,15 +177,6 @@ func (bm *blockMemo) get(lv, rv string, text textFunc) [dmBlock]float64 {
 	sh.m[key] = out
 	sh.mu.Unlock()
 	return out
-}
-
-func fnvHash(s string) uint64 {
-	var h uint64 = 14695981039346656037
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= 1099511628211
-	}
-	return h
 }
 
 // appendAttrBlock appends the per-attribute feature block shared by

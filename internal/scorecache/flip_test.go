@@ -194,3 +194,44 @@ func TestFlipBatchDuplicates(t *testing.T) {
 		t.Fatalf("stats = %+v, want 3 lookups / 2 hits / 1 miss / 1 batch", st)
 	}
 }
+
+// TestFlipMemoHonorsCapacity pins that the capacity bound covers flip
+// answers: they are read from the store's entries, so once the LRU
+// evicts a key, a flip question about it is not a memo hit and the key
+// is scored again.
+func TestFlipMemoHonorsCapacity(t *testing.T) {
+	m := &countingModel{}
+	svc := NewService(m, ServiceOptions{Capacity: 4, Shards: 1})
+	target := pairOf(strings.Repeat("x", 30), "target")
+	if _, err := svc.ScoreBatchContext(context.Background(), []record.Pair{target}); err != nil {
+		t.Fatal(err)
+	}
+	var filler []record.Pair
+	for i := 0; i < 8; i++ {
+		filler = append(filler, pairOf("f", strings.Repeat("b", i+1)))
+	}
+	if _, err := svc.ScoreBatchContext(context.Background(), filler); err != nil {
+		t.Fatal(err)
+	}
+	if svc.Len() > 4 {
+		t.Fatalf("store holds %d entries, capacity 4", svc.Len())
+	}
+	want := wantFlips(svc, []record.Pair{target}, false)
+	before, calls := svc.Stats(), m.calls
+
+	got, err := svc.NewScorer(Options{}).ScoreFlipsContext(context.Background(), []record.Pair{target}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != want[0] {
+		t.Fatalf("flip = %v, want %v", got[0], want[0])
+	}
+	st := svc.Stats()
+	if st.FlipLookups != before.FlipLookups+1 || st.FlipHits != before.FlipHits {
+		t.Fatalf("evicted key answered by the flip memo: flip lookups %d->%d, hits %d->%d",
+			before.FlipLookups, st.FlipLookups, before.FlipHits, st.FlipHits)
+	}
+	if m.calls != calls+1 {
+		t.Fatalf("evicted key not re-scored: %d model calls, want %d", m.calls, calls+1)
+	}
+}

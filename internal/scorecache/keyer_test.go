@@ -227,3 +227,128 @@ func TestFlipKeyedMaterializesOnlyMisses(t *testing.T) {
 		t.Fatalf("view stats = %+v, want 3 lookups / 1 hit / 2 misses / 1 batch", vs)
 	}
 }
+
+// TestSupportKeyerMatchesMaterializedKey is SupportKeyer's byte-identity
+// gate: for random schemas and values (multi-digit lengths, the
+// framing bytes ;:#| and non-ASCII included), both sides, natural and
+// value-overridden candidates and nil fixed records, the keyer's key
+// equals Key of the materialized pair.
+func TestSupportKeyerMatchesMaterializedKey(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	alphabet := []string{
+		"", "x", "3#S", ";1:x", "a|b", "<nil>", "é", "日本語", "\xff\xfe",
+		strings.Repeat("z", 9), strings.Repeat("y", 10), strings.Repeat("w;", 60),
+		strings.Repeat("日", 40),
+	}
+	pick := func() string { return alphabet[rng.Intn(len(alphabet))] }
+	vals := func(k int) []string {
+		out := make([]string, k)
+		for i := range out {
+			out[i] = pick()
+		}
+		return out
+	}
+	for trial := 0; trial < 500; trial++ {
+		n := 1 + rng.Intn(12)
+		attrs := make([]string, n)
+		for i := range attrs {
+			attrs[i] = "a" + strings.Repeat("b", i)
+		}
+		schema := record.MustSchema(pick()+"S", attrs...)
+		p := record.Pair{
+			Left:  record.MustNew("L", schema, vals(n)...),
+			Right: record.MustNew("R", schema, vals(n)...),
+		}
+		side := record.Side(rng.Intn(2))
+		if rng.Intn(5) == 0 {
+			if side == record.Left {
+				p.Right = nil
+			} else {
+				p.Left = nil
+			}
+		}
+		keyer := NewSupportKeyer(p, side)
+		for c := 0; c < 8; c++ {
+			w := record.MustNew("w", schema, vals(n)...)
+			at, v := -1, ""
+			cand := w
+			if rng.Intn(3) > 0 {
+				at, v = rng.Intn(n), pick()
+				cand = w.Clone()
+				cand.Values[at] = v
+			}
+			got := keyer.Key(w, at, v)
+			want := Key(p.WithRecord(side, cand))
+			if got != want {
+				t.Fatalf("trial %d side %v at %d:\nkeyer %q\nwant  %q", trial, side, at, got, want)
+			}
+		}
+	}
+}
+
+// TestScoreKeyedMaterializesOnlyMisses pins the keyed score path:
+// materialize runs once per key the store must score — never for a view
+// hit, an in-batch duplicate or a key a warm store holds — and the
+// view's Stats equal ScoreBatchContext's on the same input.
+func TestScoreKeyedMaterializesOnlyMisses(t *testing.T) {
+	m := &countingModel{}
+	svc := NewService(m, ServiceOptions{})
+	known := pairOf(strings.Repeat("x", 30), "warm")
+	miss := pairOf("x", "cold")
+	other := pairOf("xy", "cold")
+	if _, err := svc.NewScorer(Options{}).ScoreBatchContext(context.Background(), []record.Pair{known}); err != nil {
+		t.Fatal(err)
+	}
+
+	batch := []record.Pair{known, miss, miss, other}
+	keys := make([]string, len(batch))
+	for i, p := range batch {
+		keys[i] = Key(p)
+	}
+	materialized := make(map[int]int)
+	keyed := svc.NewScorer(Options{})
+	got, err := keyed.ScoreBatchKeyedContext(context.Background(), keys, func(i int) record.Pair {
+		materialized[i]++
+		return batch[i]
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := svc.Underlying().ScoreBatch(batch)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("score %d = %v, want %v", i, got[i], want[i])
+		}
+	}
+	if len(materialized) != 2 || materialized[1] != 1 || materialized[3] != 1 {
+		t.Fatalf("materialized %v, want indexes 1 and 3 once each", materialized)
+	}
+
+	// A repeat batch on the same view is all view hits; a new view over
+	// the now-warm store is all store hits. Neither materializes.
+	noBuild := func(i int) record.Pair {
+		t.Fatalf("index %d materialized with every key stored", i)
+		return record.Pair{}
+	}
+	if _, err := keyed.ScoreBatchKeyedContext(context.Background(), keys, noBuild); err != nil {
+		t.Fatal(err)
+	}
+	warm := svc.NewScorer(Options{})
+	if _, err := warm.ScoreBatchKeyedContext(context.Background(), keys, noBuild); err != nil {
+		t.Fatal(err)
+	}
+
+	// Stats match the unkeyed path on the same input sequence.
+	plain := svc.NewScorer(Options{})
+	for r := 0; r < 2; r++ {
+		if _, err := plain.ScoreBatchContext(context.Background(), batch); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keyed.Stats() != plain.Stats() {
+		t.Fatalf("keyed stats %+v, unkeyed %+v", keyed.Stats(), plain.Stats())
+	}
+	if want := (Stats{Lookups: 8, Hits: 5, Misses: 3, Batches: 1}); keyed.Stats() != want {
+		t.Fatalf("keyed stats %+v, want %+v", keyed.Stats(), want)
+	}
+}

@@ -25,6 +25,15 @@
 // Unique misses are pushed through the model's batch entry point
 // (explain.BatchModel) in parallel shards.
 //
+// Callers that can compute a pair's canonical Key without building the
+// pair (PerturbKeyer for lattice subsets, SupportKeyer for triangle
+// support candidates) use the keyed entry points, ScoreBatchKeyedContext
+// and ScoreFlipsKeyedContext: a record.Pair is then materialized only
+// for the store misses the model must score. Lattice flip questions are
+// answered from the store itself (the flip memo is a read path over it,
+// not a second copy), so the capacity bound covers every entry the
+// service holds.
+//
 // Both layers are cancellation-aware (explain.ContextModel): waits on
 // another explanation's in-flight computation return ctx.Err() as soon
 // as the caller's context is cancelled, and a cancelled evaluation never
@@ -36,9 +45,6 @@ package scorecache
 import (
 	"context"
 	"fmt"
-	"strconv"
-	"strings"
-
 	"sync"
 
 	"certa/internal/explain"
@@ -165,16 +171,31 @@ func (s *Scorer) ScoreBatch(pairs []record.Pair) []float64 {
 // caller context. Cancellation aborts store waits and model calls with
 // ctx.Err(); the view's counters still record the batch's lookups and
 // misses (they were requested), but no score from an aborted batch is
-// installed in the view or the shared store.
+// installed in the view or the shared store. It is
+// ScoreBatchKeyedContext with the keys derived from the pairs.
 func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]float64, error) {
-	out := make([]float64, len(pairs))
-	if len(pairs) == 0 {
-		return out, ctx.Err()
-	}
-
 	keys := make([]string, len(pairs))
 	for i, p := range pairs {
 		keys[i] = Key(p)
+	}
+	return s.ScoreBatchKeyedContext(ctx, keys, func(i int) record.Pair { return pairs[i] })
+}
+
+// dup is an in-batch duplicate: output slot answered by unique miss mi.
+type dup struct{ mi, slot int }
+
+// ScoreBatchKeyedContext is ScoreBatchContext with caller-supplied
+// canonical keys (see Key, PerturbKeyer and SupportKeyer) and a
+// materialize callback invoked only for the pairs the model must score:
+// view hits, in-batch duplicates and keys the shared store already
+// holds never build a record.Pair. keys[i] must equal
+// Key(materialize(i)); materialize is called at most once per index, on
+// the calling goroutine. Stats are identical to ScoreBatchContext's on
+// the same input.
+func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, materialize func(i int) record.Pair) ([]float64, error) {
+	out := make([]float64, len(keys))
+	if len(keys) == 0 {
+		return out, ctx.Err()
 	}
 
 	// Resolve view hits and collect unique misses in first-occurrence
@@ -182,19 +203,24 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]
 	// fetch — the view never saw their scores — but count as view hits,
 	// not misses: a private cache would be answering from its own store.
 	type miss struct {
-		key      string
-		pair     record.Pair
+		at       int // key index of the first occurrence
 		sentinel bool
 	}
 	var misses []miss
-	missAt := make(map[string]int) // key -> index into misses
-	pending := make([][]int, 0)    // miss index -> output slots
-	counted := 0                   // misses charged to the view (non-sentinel)
+	var dups []dup
+	counted := 0 // misses charged to the view (non-sentinel)
 
 	s.mu.Lock()
-	s.stats.Lookups += len(pairs)
-	for i, k := range keys {
-		if !s.opts.Disabled {
+	s.stats.Lookups += len(keys)
+	if s.opts.Disabled {
+		// Every lookup reaches the model; nothing is deduplicated.
+		for i := range keys {
+			misses = append(misses, miss{at: i})
+		}
+		counted = len(keys)
+	} else {
+		missAt := make(map[string]int, len(keys)) // key -> index into misses
+		for i, k := range keys {
 			if v, ok := s.local[k]; ok {
 				out[i] = v
 				s.stats.Hits++
@@ -202,22 +228,19 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]
 			}
 			if mi, ok := missAt[k]; ok {
 				// Duplicate within this batch: scored once, fanned out.
-				pending[mi] = append(pending[mi], i)
+				dups = append(dups, dup{mi: mi, slot: i})
 				s.stats.Hits++
 				continue
 			}
-			if _, ok := s.memoized[k]; ok {
+			_, sentinel := s.memoized[k]
+			if sentinel {
 				s.stats.Hits++
-				missAt[k] = len(misses)
-				misses = append(misses, miss{key: k, pair: pairs[i], sentinel: true})
-				pending = append(pending, []int{i})
-				continue
+			} else {
+				counted++
 			}
+			missAt[k] = len(misses)
+			misses = append(misses, miss{at: i, sentinel: sentinel})
 		}
-		missAt[k] = len(misses)
-		misses = append(misses, miss{key: k, pair: pairs[i]})
-		pending = append(pending, []int{i})
-		counted++
 	}
 	if counted > 0 {
 		s.stats.Misses += counted
@@ -229,72 +252,56 @@ func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]
 		return out, nil
 	}
 
+	missKeys := make([]string, len(misses))
+	for j, m := range misses {
+		missKeys[j] = keys[m.at]
+	}
+	pairAt := func(j int) record.Pair { return materialize(misses[j].at) }
 	var scores []float64
 	var err error
 	if s.opts.Disabled {
 		missPairs := make([]record.Pair, len(misses))
-		for i, m := range misses {
-			missPairs[i] = m.pair
+		for j := range misses {
+			missPairs[j] = pairAt(j)
 		}
 		scores, err = s.svc.direct(ctx, missPairs, s.opts.Parallelism)
 	} else {
-		missKeys := make([]string, len(misses))
-		missPairs := make([]record.Pair, len(misses))
-		for i, m := range misses {
-			missKeys[i] = m.key
-			missPairs[i] = m.pair
-		}
-		scores, err = s.svc.fetch(ctx, missKeys, missPairs)
+		scores, err = s.svc.fetch(ctx, missKeys, pairAt)
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	s.mu.Lock()
-	for mi, m := range misses {
+	for j, m := range misses {
 		if !s.opts.Disabled {
-			s.local[m.key] = scores[mi]
+			s.local[missKeys[j]] = scores[j]
 			if m.sentinel {
-				delete(s.memoized, m.key)
+				delete(s.memoized, missKeys[j])
 			}
 		}
-		for _, slot := range pending[mi] {
-			out[slot] = scores[mi]
-		}
+		out[m.at] = scores[j]
 	}
 	s.mu.Unlock()
+	for _, d := range dups {
+		out[d.slot] = scores[d.mi]
+	}
 	return out, nil
 }
 
 // ScoreFlipsContext answers the lattice oracle's real question — does
 // this perturbed pair's predicted class differ from y? — through the
-// shared cross-explanation flip memo. It is ScoreFlipsKeyedContext with
-// the keys derived from the materialized pairs; callers that can compute
+// shared store's flip read path. It is ScoreFlipsKeyedContext with the
+// keys derived from the materialized pairs; callers that can compute
 // keys without building the pairs (the lattice oracle, via PerturbKeyer)
 // should use the keyed entry point directly so memo- and view-resident
 // questions skip pair materialization entirely.
 func (s *Scorer) ScoreFlipsContext(ctx context.Context, pairs []record.Pair, y bool) ([]bool, error) {
-	if s.opts.Disabled || !s.svc.flipEnabled() {
-		return s.flipsViaScores(ctx, pairs, y)
-	}
 	keys := make([]string, len(pairs))
 	for i, p := range pairs {
 		keys[i] = Key(p)
 	}
 	return s.ScoreFlipsKeyedContext(ctx, keys, y, func(i int) record.Pair { return pairs[i] })
-}
-
-// flipsViaScores is the memo-less fallback: score everything, threshold.
-func (s *Scorer) flipsViaScores(ctx context.Context, pairs []record.Pair, y bool) ([]bool, error) {
-	scores, err := s.ScoreBatchContext(ctx, pairs)
-	if err != nil {
-		return nil, err
-	}
-	flips := make([]bool, len(scores))
-	for i, v := range scores {
-		flips[i] = (v > 0.5) != y
-	}
-	return flips, nil
 }
 
 // ScoreFlipsKeyedContext is the streaming form of ScoreFlipsContext: the
@@ -307,22 +314,28 @@ func (s *Scorer) flipsViaScores(ctx context.Context, pairs []record.Pair, y bool
 // its private key set exactly as ScoreBatchContext would — local scores,
 // previously memo-answered keys and in-batch duplicates are view hits,
 // unique unseen keys are view misses — and only the misses are put to
-// the shared flip memo (one FlipLookup each; a hit means some other
-// explanation already scored this exact pair content and its class
-// answers the question with no score fetch, no model call and no pair
-// materialization). The two layers never disagree — a predicted class is
+// the flip memo (one FlipLookup each). The memo is a read path over the
+// shared store: a ready entry means some explanation already scored
+// this exact pair content, and its class (score > 0.5) answers the
+// question with no score fetch, no model call and no pair
+// materialization. The two layers never disagree — a predicted class is
 // a pure function of pair content — so Stats, and therefore Diagnostics
 // and the anytime budgets they feed, are bit-identical to the unkeyed
-// path and independent of what the memo happens to hold. Only the view
-// misses the memo cannot answer are materialized and fetched through the
-// shared store.
+// path and independent of what the store happens to hold. Only the view
+// misses the memo cannot answer are fetched through the shared store,
+// and only the store's misses among those are materialized.
 func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bool, materialize func(i int) record.Pair) ([]bool, error) {
 	if s.opts.Disabled || !s.svc.flipEnabled() {
-		pairs := make([]record.Pair, len(keys))
-		for i := range keys {
-			pairs[i] = materialize(i)
+		// Memo off: every answer is derived from a score lookup.
+		scores, err := s.ScoreBatchKeyedContext(ctx, keys, materialize)
+		if err != nil {
+			return nil, err
 		}
-		return s.flipsViaScores(ctx, pairs, y)
+		flips := make([]bool, len(scores))
+		for i, v := range scores {
+			flips[i] = (v > 0.5) != y
+		}
+		return flips, nil
 	}
 
 	out := make([]bool, len(keys))
@@ -331,8 +344,8 @@ func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bo
 	}
 
 	var misses []int // key index of each unique unseen key
-	missAt := make(map[string]int)
-	pending := make([][]int, 0)
+	var dups []dup
+	missAt := make(map[string]int, len(keys))
 
 	s.mu.Lock()
 	s.stats.Lookups += len(keys)
@@ -348,13 +361,12 @@ func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bo
 			continue
 		}
 		if mi, ok := missAt[k]; ok {
-			pending[mi] = append(pending[mi], i)
+			dups = append(dups, dup{mi: mi, slot: i})
 			s.stats.Hits++
 			continue
 		}
 		missAt[k] = len(misses)
 		misses = append(misses, i)
-		pending = append(pending, []int{i})
 	}
 	if len(misses) > 0 {
 		// Memo-answered misses count like any other: the view requested a
@@ -371,14 +383,14 @@ func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bo
 	}
 
 	// Put only the questions the view could not answer itself to the
-	// shared memo — FlipHitRate then measures cross-explanation reuse,
+	// memo — the flip hit rate then measures cross-explanation reuse,
 	// undiluted by questions this explanation had already settled.
 	missKeys := make([]string, len(misses))
 	for j, ki := range misses {
 		missKeys[j] = keys[ki]
 	}
-	// Memo-lookup span: how long the shared flip memo took to answer
-	// (or decline) this batch of unique unseen questions.
+	// Memo-lookup span: how long the store took to answer (or decline)
+	// this batch of unique unseen questions.
 	sp := telemetry.StartLeaf(ctx, "memo")
 	classes, known := s.svc.flipGet(missKeys)
 	sp.AddItems(len(missKeys))
@@ -392,73 +404,32 @@ func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bo
 	s.mu.Lock()
 	for mi, ki := range misses {
 		if known[mi] {
-			s.memoized[keys[ki]] = classes[mi]
-			flip := classes[mi] != y
-			for _, slot := range pending[mi] {
-				out[slot] = flip
-			}
+			s.memoized[missKeys[mi]] = classes[mi]
+			out[ki] = classes[mi] != y
 			continue
 		}
 		fidx = append(fidx, mi)
 	}
 	s.mu.Unlock()
 
-	if len(fidx) == 0 {
-		return out, nil
-	}
-
-	fkeys := make([]string, len(fidx))
-	fpairs := make([]record.Pair, len(fidx))
-	for j, mi := range fidx {
-		fkeys[j] = keys[misses[mi]]
-		fpairs[j] = materialize(misses[mi])
-	}
-	scores, err := s.svc.fetch(ctx, fkeys, fpairs)
-	if err != nil {
-		return nil, err
-	}
-
-	s.mu.Lock()
-	for j, mi := range fidx {
-		v := scores[j]
-		s.local[fkeys[j]] = v
-		flip := (v > 0.5) != y
-		for _, slot := range pending[mi] {
-			out[slot] = flip
+	if len(fidx) > 0 {
+		fkeys := make([]string, len(fidx))
+		for j, mi := range fidx {
+			fkeys[j] = missKeys[mi]
 		}
+		scores, err := s.svc.fetch(ctx, fkeys, func(j int) record.Pair { return materialize(misses[fidx[j]]) })
+		if err != nil {
+			return nil, err
+		}
+		s.mu.Lock()
+		for j, mi := range fidx {
+			s.local[fkeys[j]] = scores[j]
+			out[misses[mi]] = (scores[j] > 0.5) != y
+		}
+		s.mu.Unlock()
 	}
-	s.mu.Unlock()
+	for _, d := range dups {
+		out[d.slot] = out[misses[d.mi]]
+	}
 	return out, nil
-}
-
-// Key renders the canonical content of a pair: schema names and every
-// attribute value, length-framed so distinct contents cannot collide.
-// Record IDs are deliberately excluded — augmentation mints synthetic
-// IDs for otherwise identical perturbations, and models score values,
-// not identifiers.
-func Key(p record.Pair) string {
-	var b strings.Builder
-	writeRecord(&b, p.Left)
-	b.WriteByte('|')
-	writeRecord(&b, p.Right)
-	return b.String()
-}
-
-func writeRecord(b *strings.Builder, r *record.Record) {
-	if r == nil {
-		b.WriteString("<nil>")
-		return
-	}
-	// The schema name is length-framed like the values: written bare, a
-	// schema named "S;1:x" would collide with a schema "S" holding the
-	// value "x".
-	b.WriteString(strconv.Itoa(len(r.Schema.Name)))
-	b.WriteByte('#')
-	b.WriteString(r.Schema.Name)
-	for _, v := range r.Values {
-		b.WriteByte(';')
-		b.WriteString(strconv.Itoa(len(v)))
-		b.WriteByte(':')
-		b.WriteString(v)
-	}
 }

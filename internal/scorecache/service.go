@@ -3,6 +3,7 @@ package scorecache
 import (
 	"context"
 	"fmt"
+	"hash/maphash"
 	"sync"
 
 	"certa/internal/explain"
@@ -18,19 +19,27 @@ type ServiceOptions struct {
 	// identical at any setting.
 	Parallelism int
 	// Capacity bounds the number of cached scores (0 = unbounded). When
-	// set, each lock stripe keeps an LRU list and evicts its coldest
-	// entries, so million-pair workloads cannot grow memory without
-	// limit. Eviction never changes results — an evicted key is simply
-	// re-scored on its next request.
+	// set, each lock stripe keeps an LRU list of at most
+	// ⌈Capacity/Shards⌉ entries and evicts its coldest, so the store
+	// holds at most Shards×⌈Capacity/Shards⌉ scores (1,024 for 1,000 over
+	// the default 32 stripes) and million-pair workloads cannot grow
+	// memory without limit. Flip answers are read from the same entries,
+	// so the bound covers them too. Eviction never changes results — an
+	// evicted key is simply re-scored on its next request. Stripes are
+	// chosen by a hash seeded per Service, so which keys share an LRU,
+	// and therefore eviction order and the Evictions count, varies from
+	// process to process.
 	Capacity int
 	// Shards is the number of lock stripes (default 32). More stripes
 	// reduce contention between concurrent explanations.
 	Shards int
-	// DisableFlipMemo turns off the cross-explanation flip-outcome memo
-	// (see Scorer.ScoreFlipsContext): every lattice oracle answer is then
-	// derived from a score lookup, as before the memo existed. Scores and
-	// explanation results are identical either way; the memo only changes
-	// how much shared work is spent producing them.
+	// DisableFlipMemo turns off the flip memo, the read path that answers
+	// lattice flip questions from the classes (score > 0.5) of scores
+	// already in the store (see Scorer.ScoreFlipsKeyedContext): every
+	// lattice oracle answer is then derived from a score lookup charged
+	// to the view. Scores and explanation results are identical either
+	// way; the memo only changes how much shared work is spent producing
+	// them.
 	DisableFlipMemo bool
 }
 
@@ -61,22 +70,23 @@ type ServiceStats struct {
 	// Evictions counts entries dropped by the capacity bound.
 	Evictions int
 	// FlipLookups counts lattice flip questions the per-explanation views
-	// put to the flip-outcome memo: one per unique question the view
-	// could not answer from its own key set (duplicates and
-	// locally-settled questions never reach the memo); FlipHits counts
-	// the ones the memo answered — pair contents some explanation already
-	// scored, whose published class settles the question without a new
-	// score fetch, model call or even pair materialization (see
-	// Scorer.ScoreFlipsKeyedContext). FlipHitRate is therefore the
+	// put to the flip memo: one per unique question the view could not
+	// answer from its own key set (duplicates and locally-settled
+	// questions never reach the memo); FlipHits counts the ones the memo
+	// answered — pair contents whose score is ready in the store, so
+	// their class settles the question without a new score fetch, model
+	// call or even pair materialization (see
+	// Scorer.ScoreFlipsKeyedContext). The flip hit rate is therefore the
 	// cross-explanation reuse rate over the questions that needed an
-	// answer. The memo
-	// is populated from every batch the service scores, so triangle-search
+	// answer. The memo holds no second copy: it reads the store every
+	// batch the service scores is published to, so triangle-search
 	// candidates — which dominate the store and recur across explanations
 	// that share a pivot — answer the lattice questions whose perturbed
-	// content coincides with them. Both counters are 0 when the memo is
+	// content coincides with them, and a key the capacity bound evicted
+	// is a miss like any other. Both counters are 0 when the memo is
 	// disabled. Hit attribution depends on scheduling (which explanation
-	// publishes a class first), so these two counters — unlike explanation
-	// Diagnostics — are not parallelism-deterministic.
+	// publishes a score first), so these two counters — unlike
+	// explanation Diagnostics — are not parallelism-deterministic.
 	FlipLookups int
 	FlipHits    int
 }
@@ -98,6 +108,18 @@ type entry struct {
 
 	// LRU links; only ready entries are linked.
 	prev, next *entry
+}
+
+// published reports whether e holds its score. The caller holds e's
+// shard lock and found e in the map: publication closes ready under
+// that lock, and a failed entry leaves the map before its ready closes.
+func (e *entry) published() bool {
+	select {
+	case <-e.ready:
+		return true
+	default:
+		return false
+	}
 }
 
 // serviceShard is one lock stripe of the store.
@@ -127,22 +149,11 @@ type Service struct {
 	model  explain.BatchModel
 	cmodel explain.ContextModel
 	opts   ServiceOptions
+	seed   maphash.Seed // stripe placement (shardFor)
 	shards []serviceShard
-	flips  []flipShard // cross-explanation flip-outcome memo; nil when disabled
 
 	statmu sync.Mutex
 	stats  ServiceStats
-}
-
-// flipShard is one lock stripe of the flip-outcome memo: pair content →
-// predicted class (score > 0.5). The class is a pure function of the
-// content (scoring is deterministic), so whichever explanation publishes
-// it first, every later reader derives the same flip answer its own
-// scoring would have produced. Entries are one bool per key, so the memo
-// is left unbounded even when the score store has a capacity limit.
-type flipShard struct {
-	mu sync.RWMutex
-	m  map[string]bool
 }
 
 // NewService wraps a model in a shared scoring service. The model's
@@ -155,6 +166,10 @@ func NewService(m explain.Model, opts ServiceOptions) *Service {
 		model:  explain.AsBatch(m),
 		cmodel: explain.AsContext(m),
 		opts:   opts,
+		// maphash seeds are random per process. The seed decides lock
+		// placement (and, under Capacity, which LRU holds a key), never
+		// a score, Result or Diagnostics.
+		seed:   maphash.MakeSeed(), //lint:allow nodrift stripe placement only; no score, Result or Diagnostics depends on it
 		shards: make([]serviceShard, opts.Shards),
 	}
 	perShard := 0
@@ -167,60 +182,38 @@ func NewService(m explain.Model, opts ServiceOptions) *Service {
 	for i := range s.shards {
 		s.shards[i] = serviceShard{entries: make(map[string]*entry), cap: perShard}
 	}
-	if !opts.DisableFlipMemo {
-		s.flips = make([]flipShard, opts.Shards)
-		for i := range s.flips {
-			s.flips[i].m = make(map[string]bool)
-		}
-	}
 	return s
 }
 
-// flipEnabled reports whether the flip-outcome memo is active.
-func (s *Service) flipEnabled() bool { return s.flips != nil }
+// flipEnabled reports whether the flip memo is active.
+func (s *Service) flipEnabled() bool { return !s.opts.DisableFlipMemo }
 
-// flipGet consults the flip memo for each key, returning the known
-// classes and a parallel known-mask, and records the lookup statistics.
+// flipGet is the flip memo: it answers each key's predicted class from
+// the store, returning the classes and a parallel known-mask, and
+// records the lookup statistics. A ready entry's class is score > 0.5 —
+// a pure function of the content, so every reader derives the answer
+// its own scoring would have produced — and the answer touches the LRU
+// like a score hit. A pending entry is unknown and is never waited on:
+// the caller fetches it, which joins the in-flight computation.
 func (s *Service) flipGet(keys []string) (classes, known []bool) {
 	classes = make([]bool, len(keys))
 	known = make([]bool, len(keys))
 	hits := 0
 	for i, k := range keys {
-		fs := &s.flips[flipHash(k)%uint32(len(s.flips))]
-		fs.mu.RLock()
-		cls, ok := fs.m[k]
-		fs.mu.RUnlock()
-		if ok {
-			classes[i], known[i] = cls, true
+		sh := s.shardFor(k)
+		sh.mu.Lock()
+		if e, ok := sh.entries[k]; ok && e.published() {
+			classes[i], known[i] = e.score > 0.5, true
+			sh.touch(e)
 			hits++
 		}
+		sh.mu.Unlock()
 	}
 	s.statmu.Lock()
 	s.stats.FlipLookups += len(keys)
 	s.stats.FlipHits += hits
 	s.statmu.Unlock()
 	return classes, known
-}
-
-// flipPut publishes predicted classes for freshly scored keys. Classes
-// are deterministic per key, so concurrent publishes agree and
-// last-writer-wins is benign.
-func (s *Service) flipPut(keys []string, classes []bool) {
-	for i, k := range keys {
-		fs := &s.flips[flipHash(k)%uint32(len(s.flips))]
-		fs.mu.Lock()
-		fs.m[k] = classes[i]
-		fs.mu.Unlock()
-	}
-}
-
-func flipHash(key string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return h
 }
 
 // Name implements explain.Model.
@@ -299,7 +292,7 @@ func (s *Service) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([
 		s.stats.Hits += dupes
 		s.statmu.Unlock()
 	}
-	scores, err := s.fetch(ctx, keys, unique)
+	scores, err := s.fetch(ctx, keys, func(i int) record.Pair { return unique[i] })
 	if err != nil {
 		return nil, err
 	}
@@ -311,14 +304,9 @@ func (s *Service) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([
 	return out, nil
 }
 
-// shardFor stripes a key across the locks (FNV-1a).
+// shardFor stripes a key across the locks.
 func (s *Service) shardFor(key string) *serviceShard {
-	var h uint32 = 2166136261
-	for i := 0; i < len(key); i++ {
-		h ^= uint32(key[i])
-		h *= 16777619
-	}
-	return &s.shards[h%uint32(len(s.shards))]
+	return &s.shards[maphash.String(s.seed, key)%uint64(len(s.shards))]
 }
 
 // waiter records an output slot blocked on another goroutine's in-flight
@@ -330,16 +318,18 @@ type waiter struct {
 
 // fetch resolves unique keys against the store: stored scores are
 // returned immediately, keys being computed by another goroutine are
-// waited on, and the remaining misses are claimed, scored in one logical
-// batch (sharded across ServiceOptions.Parallelism workers) and
-// published. Keys must be unique within one call.
+// waited on, and the remaining misses are claimed, materialized
+// (materialize(i) is the pair of keys[i], called only for claimed keys,
+// on the calling goroutine), scored in one logical batch (sharded
+// across ServiceOptions.Parallelism workers) and published. Keys must be
+// unique within one call.
 //
 // ctx governs the waits: a caller whose context is cancelled while
 // another caller computes its keys returns ctx.Err() immediately instead
 // of blocking on work it no longer wants. A leader that fails mid-batch
 // (cancellation or model panic) unpublishes its claims, so surviving
 // waiters re-claim the keys and score them under their own contexts.
-func (s *Service) fetch(ctx context.Context, keys []string, pairs []record.Pair) ([]float64, error) {
+func (s *Service) fetch(ctx context.Context, keys []string, materialize func(i int) record.Pair) ([]float64, error) {
 	out := make([]float64, len(keys))
 	var claimed []int    // indexes this call must score
 	var claims []*entry  // their store entries, index-aligned with claimed
@@ -379,7 +369,7 @@ func (s *Service) fetch(ctx context.Context, keys []string, pairs []record.Pair)
 	s.statmu.Unlock()
 
 	if len(claimed) > 0 {
-		if err := s.scoreClaims(ctx, keys, pairs, out, claimed, claims); err != nil {
+		if err := s.scoreClaims(ctx, materialize, out, claimed, claims); err != nil {
 			return nil, err
 		}
 	}
@@ -413,12 +403,10 @@ func (s *Service) fetch(ctx context.Context, keys []string, pairs []record.Pair)
 		s.statmu.Unlock()
 
 		rkeys := make([]string, len(retry))
-		rpairs := make([]record.Pair, len(retry))
 		for i, w := range retry {
 			rkeys[i] = keys[w.slot]
-			rpairs[i] = pairs[w.slot]
 		}
-		scores, err := s.fetch(ctx, rkeys, rpairs)
+		scores, err := s.fetch(ctx, rkeys, func(i int) record.Pair { return materialize(retry[i].slot) })
 		if err != nil {
 			return nil, err
 		}
@@ -436,7 +424,7 @@ func (s *Service) fetch(ctx context.Context, keys []string, pairs []record.Pair)
 // and marked failed before the error or panic propagates — the shared
 // store never holds a partial batch, and waiters are never left blocked
 // on a leader that gave up.
-func (s *Service) scoreClaims(ctx context.Context, keys []string, pairs []record.Pair, out []float64, claimed []int, claims []*entry) (err error) {
+func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) record.Pair, out []float64, claimed []int, claims []*entry) (err error) {
 	published := false
 	defer func() {
 		if published {
@@ -452,6 +440,10 @@ func (s *Service) scoreClaims(ctx context.Context, keys []string, pairs []record
 		}
 	}()
 
+	pairs := make([]record.Pair, len(claimed))
+	for j, i := range claimed {
+		pairs[j] = materialize(i)
+	}
 	scores := make([]float64, len(claimed))
 	shards := s.opts.Parallelism
 	if shards > len(claimed) {
@@ -473,10 +465,7 @@ func (s *Service) scoreClaims(ctx context.Context, keys []string, pairs []record
 		if lo >= hi {
 			return nil
 		}
-		chunk := make([]record.Pair, hi-lo)
-		for i := lo; i < hi; i++ {
-			chunk[i-lo] = pairs[claimed[i]]
-		}
+		chunk := pairs[lo:hi:hi]
 		got, err := s.cmodel.ScoreBatchContext(ctx, chunk)
 		if err != nil {
 			return err
@@ -505,20 +494,6 @@ func (s *Service) scoreClaims(ctx context.Context, keys []string, pairs []record
 		sh.mu.Unlock()
 	}
 	published = true
-	if s.flipEnabled() {
-		// Publish every freshly scored key's predicted class to the flip
-		// memo. Classes are one bool per content and never evicted, so the
-		// memo can answer lattice flip questions about any content the
-		// service ever scored — support candidates included — long after
-		// the score itself may have been evicted.
-		fkeys := make([]string, len(claims))
-		fclasses := make([]bool, len(claims))
-		for i, e := range claims {
-			fkeys[i] = e.key
-			fclasses[i] = scores[i] > 0.5
-		}
-		s.flipPut(fkeys, fclasses)
-	}
 	if evictions > 0 {
 		s.statmu.Lock()
 		s.stats.Evictions += evictions

@@ -1,6 +1,9 @@
 package scorecache
 
 import (
+	"context"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -267,5 +270,90 @@ func TestDisabledViewBypassesStore(t *testing.T) {
 	on.Score(p)
 	if m.calls != 5 {
 		t.Fatalf("store was warmed by the disabled view: %d calls, want 5", m.calls)
+	}
+}
+
+// TestConcurrentViewsMixFlipsAndScores runs views that interleave keyed
+// flip questions with score fetches over overlapping keys on one
+// Service (run with -race -count=10): flip lookups read the same shards
+// publication writes. Every answer must match the model, and an
+// unbounded store must reach the model once per unique key.
+func TestConcurrentViewsMixFlipsAndScores(t *testing.T) {
+	vals := []string{"a", "bb", "ccc", "dddd", "eeeee", strings.Repeat("f", 30), strings.Repeat("g", 45), "hh"}
+	mkBatch := func(offset int) []record.Pair {
+		var out []record.Pair
+		for i, a := range vals {
+			for j, b := range vals {
+				if (i+j+offset)%3 == 0 {
+					out = append(out, pairOf(a, b))
+				}
+			}
+		}
+		return out
+	}
+	for _, capacity := range []int{0, 12} {
+		t.Run(fmt.Sprintf("capacity=%d", capacity), func(t *testing.T) {
+			m := &countingModel{}
+			svc := NewService(m, ServiceOptions{Parallelism: 2, Shards: 4, Capacity: capacity})
+			ref := &countingModel{}
+
+			const goroutines = 12
+			var wg sync.WaitGroup
+			wg.Add(goroutines)
+			for g := 0; g < goroutines; g++ {
+				go func(g int) {
+					defer wg.Done()
+					batch := mkBatch(g % 3)
+					want := ref.ScoreBatch(batch)
+					keys := make([]string, len(batch))
+					for i, p := range batch {
+						keys[i] = Key(p)
+					}
+					view := svc.NewScorer(Options{Parallelism: 2})
+					for round := 0; round < 6; round++ {
+						if (g+round)%2 == 0 {
+							got, err := view.ScoreBatchContext(context.Background(), batch)
+							if err != nil {
+								t.Error(err)
+								return
+							}
+							for i := range want {
+								if got[i] != want[i] {
+									t.Errorf("view %d round %d score %d = %v, want %v", g, round, i, got[i], want[i])
+									return
+								}
+							}
+							continue
+						}
+						y := round%4 == 1
+						got, err := view.ScoreFlipsKeyedContext(context.Background(), keys, y, func(i int) record.Pair { return batch[i] })
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						for i := range want {
+							if got[i] != ((want[i] > 0.5) != y) {
+								t.Errorf("view %d round %d flip %d = %v for score %v, y %v", g, round, i, got[i], want[i], y)
+								return
+							}
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+
+			unique := make(map[string]bool)
+			for off := 0; off < 3; off++ {
+				for _, p := range mkBatch(off) {
+					unique[Key(p)] = true
+				}
+			}
+			if capacity == 0 && m.calls != len(unique) {
+				t.Fatalf("model reached %d times for %d unique keys", m.calls, len(unique))
+			}
+			if capacity > 0 && svc.Len() > 12 {
+				t.Fatalf("bounded store holds %d entries, capacity 12", svc.Len())
+			}
+		})
 	}
 }

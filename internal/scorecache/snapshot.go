@@ -223,11 +223,6 @@ func (s *Service) RestoreFunc(r io.Reader, keep func(key string) bool) (int, err
 		evictions += sh.link(e)
 		sh.mu.Unlock()
 		installed++
-		if s.flipEnabled() {
-			// A restored score determines its class; seed the flip memo so
-			// warm restarts answer lattice questions as well as scores.
-			s.flipPut([]string{en.key}, []bool{en.score > 0.5})
-		}
 	}
 	if evictions > 0 {
 		s.statmu.Lock()

@@ -509,29 +509,3 @@ func SuffixTokens(s string, k int) string {
 	}
 	return JoinTokens(toks[len(toks)-k:])
 }
-
-// DropFirstTokens removes the first k tokens (the paper's "drop first-k"
-// augmentation operator).
-func DropFirstTokens(s string, k int) string {
-	toks := Tokenize(s)
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(toks) {
-		return NaN
-	}
-	return JoinTokens(toks[k:])
-}
-
-// DropLastTokens removes the last k tokens (the paper's "drop last-k"
-// augmentation operator).
-func DropLastTokens(s string, k int) string {
-	toks := Tokenize(s)
-	if k < 0 {
-		k = 0
-	}
-	if k >= len(toks) {
-		return NaN
-	}
-	return JoinTokens(toks[:len(toks)-k])
-}

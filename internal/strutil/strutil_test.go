@@ -2,6 +2,7 @@ package strutil
 
 import (
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -230,6 +231,59 @@ func TestNumberOverlap(t *testing.T) {
 	}
 	if got := NumberOverlap("no numbers", "none here"); !almostEq(got, 1) {
 		t.Errorf("no numbers = %v, want neutral 1", got)
+	}
+}
+
+// DropFirstTokens removes the first k tokens (the paper's "drop first-k"
+// augmentation operator). The triangle scan slices its own token list
+// instead (TestDropTokensSliceTokenList); this is the reference.
+func DropFirstTokens(s string, k int) string {
+	toks := Tokenize(s)
+	if k < 0 {
+		k = 0
+	}
+	if k >= len(toks) {
+		return NaN
+	}
+	return JoinTokens(toks[k:])
+}
+
+// DropLastTokens removes the last k tokens (the paper's "drop last-k"
+// augmentation operator); the reference like DropFirstTokens.
+func DropLastTokens(s string, k int) string {
+	toks := Tokenize(s)
+	if k < 0 {
+		k = 0
+	}
+	if k >= len(toks) {
+		return NaN
+	}
+	return JoinTokens(toks[:len(toks)-k])
+}
+
+// TestDropTokensSliceTokenList gates the augmentation scan's
+// tokenize-once form: for 1 <= k < n, slicing one Tokenize result and
+// joining equals the drop operators, which re-tokenize per k.
+func TestDropTokensSliceTokenList(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	words := []string{"NaN", "nan", "Sony", "DSC-W55", "é", "ÉTÉ", "日本", "a", "4000", "x\ty", "  ", "\u00a0"}
+	for trial := 0; trial < 2000; trial++ {
+		var b strings.Builder
+		for w := rng.Intn(7); w >= 0; w-- {
+			b.WriteString(strings.Repeat(" ", rng.Intn(3)))
+			b.WriteString(words[rng.Intn(len(words))])
+		}
+		v := b.String()
+		toks := Tokenize(v)
+		n := len(toks)
+		for k := 1; k < n; k++ {
+			if got, want := JoinTokens(toks[k:]), DropFirstTokens(v, k); got != want {
+				t.Fatalf("%q first k=%d: sliced %q, DropFirstTokens %q", v, k, got, want)
+			}
+			if got, want := JoinTokens(toks[:n-k]), DropLastTokens(v, k); got != want {
+				t.Fatalf("%q last k=%d: sliced %q, DropLastTokens %q", v, k, got, want)
+			}
+		}
 	}
 }
 

@@ -79,6 +79,51 @@ func benchExplainTrace(b *testing.B, traced bool) {
 func BenchmarkExplainPlain(b *testing.B)  { benchExplainTrace(b, false) }
 func BenchmarkExplainTraced(b *testing.B) { benchExplainTrace(b, true) }
 
+// BenchmarkExplainCold profiles the cold path BenchmarkExplainPlain's
+// warm service never reaches: each iteration explains one fixture pair
+// on a fresh scoring service at Parallelism 1, so every model call,
+// store insertion and triangle-scan miss is paid, as in an offline
+// batch run over a new cache.
+func BenchmarkExplainCold(b *testing.B) {
+	f := loadTraceBenchFixture(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		svc := certa.NewScoringService(f.model, certa.ScoringServiceOptions{Parallelism: 1})
+		opts := certa.Options{Triangles: 100, Seed: 7, Parallelism: 1, Shared: svc, Retrieval: f.idx}
+		j := i % len(f.pairs)
+		if _, err := certa.ExplainBatchContext(context.Background(), f.model, f.bench.Left, f.bench.Right, f.pairs[j:j+1], opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestWarmReexplainAllocs bounds the allocations of one warm
+// re-explanation on the fixture (a shared service already holding every
+// score, Parallelism 1), where the triangle scan and the lattice are
+// answered by the store: candidates are keyed without building records
+// and flip questions read the store. Before the scan keyed candidates
+// first, this path allocated 33,161 objects; the bound is half of that.
+func TestWarmReexplainAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector drops sync.Pool puts at random; alloc counts are unreliable")
+	}
+	f := loadTraceBenchFixture(t)
+	svc := certa.NewScoringService(f.model, certa.ScoringServiceOptions{Parallelism: 1})
+	opts := certa.Options{Triangles: 100, Seed: 7, Parallelism: 1, Shared: svc, Retrieval: f.idx}
+	explain := func() {
+		if _, err := certa.ExplainBatchContext(context.Background(), f.model, f.bench.Left, f.bench.Right, f.pairs[:1], opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	explain() // warm the service
+	const bound = 33161 / 2
+	got := testing.AllocsPerRun(5, explain)
+	t.Logf("%.0f allocations per warm re-explanation (bound %d)", got, bound)
+	if got > bound {
+		t.Errorf("warm re-explanation allocates %.0f objects, want <= %d", got, bound)
+	}
+}
+
 // TestTraceOverheadUnderTwoPercent holds per-explanation tracing under
 // 2% of the untraced pipeline on the fixture. The difference of two
 // tens-of-ms wall times swings by several percent on a loaded machine,
