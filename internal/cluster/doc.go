@@ -1,7 +1,7 @@
 // Package cluster scales the explanation service out: a thin HTTP
 // router consistent-hash-shards the explanation keyspace across N
-// certa-serve workers, so each worker's score cache, flip memo and
-// embedding store stay hot for its slice of the keyspace.
+// certa-serve workers, so each worker's score cache and embedding
+// store stay hot for its slice of the keyspace.
 //
 // The shard key is the canonical pair-content key the score cache
 // already stripes on (scorecache.Key), hashed with the frozen

@@ -560,12 +560,13 @@ func (e *Explainer) exploreSide(ctx context.Context, bud *runBudget, prog *progr
 	spSide, ctx := telemetry.StartSpan(ctx, "lattice/"+side.String())
 	defer spSide.End()
 
-	// The oracle needs classes, not scores, and most questions repeat
-	// perturbations some lattice already asked: the keyers assemble each
-	// question's canonical cache key without cloning a record, so the
-	// score cache and the shared flip memo answer known subsets with zero
-	// materialization — pairs are built only for true misses, with
-	// identical answers and identical per-explanation accounting.
+	// Each oracle question is a keyed score lookup, answered by the
+	// class of the score (score > 0.5 against y, as the support scan
+	// decides). Most questions repeat perturbations some lattice already
+	// asked: the keyers assemble each question's canonical cache key
+	// without cloning a record, so the view and the shared store answer
+	// known subsets with zero materialization — pairs are built only for
+	// true misses.
 	keyers := make([]*scorecache.PerturbKeyer, len(supports))
 	for i, w := range supports {
 		keyers[i] = scorecache.NewPerturbKeyer(p, side, w)
@@ -583,12 +584,19 @@ func (e *Explainer) exploreSide(ctx context.Context, bud *runBudget, prog *progr
 			sp, qctx = telemetry.StartSpan(ctx, "lattice/level"+strconv.Itoa(qs[0].Mask.Count()))
 			sp.AddItems(len(qs))
 		}
-		flips, err := sc.ScoreFlipsKeyedContext(qctx, keys, y, func(i int) record.Pair {
+		scores, err := sc.ScoreBatchKeyedContext(qctx, keys, func(i int) record.Pair {
 			q := qs[i]
 			return perturb(p, side, supports[q.Lattice], counts.attrs, q.Mask)
 		})
 		sp.End()
-		return flips, err
+		if err != nil {
+			return nil, err
+		}
+		flips := make([]bool, len(scores))
+		for i, score := range scores {
+			flips[i] = (score > 0.5) != y
+		}
+		return flips, nil
 	}
 
 	before := sc.Stats().Misses

@@ -6,7 +6,7 @@
 // flip memo) is that every counter in it is byte-identical at any
 // Parallelism. The shared scorecache.Service, by contrast, aggregates
 // counters across concurrently running explanations — ServiceStats
-// explicitly documents that its flip counters depend on scheduling.
+// explicitly documents that its shared-store counters depend on scheduling.
 // PR 6 dodged exactly this bug class by keeping FlipHits in
 // ServiceStats instead of Diagnostics; this analyzer makes that
 // decision a checked contract: no function may both populate

@@ -101,133 +101,6 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 	}
 }
 
-// TestFlipKeyedSkipsMaterialization pins the streaming win: once a pair
-// content's class is memo-resident, a keyed flip query must be answered
-// without ever materializing the pair — the materialize callback is the
-// proof, wired to fail the test if invoked.
-func TestFlipKeyedSkipsMaterialization(t *testing.T) {
-	m := &countingModel{}
-	svc := NewService(m, ServiceOptions{})
-	pairs := flipPairs()
-	y := false
-	want := wantFlips(svc, pairs, y)
-	keys := make([]string, len(pairs))
-	for i, p := range pairs {
-		keys[i] = Key(p)
-	}
-
-	a := svc.NewScorer(Options{})
-	if _, err := a.ScoreFlipsContext(context.Background(), pairs, y); err != nil {
-		t.Fatal(err)
-	}
-	callsAfterA := m.calls
-
-	b := svc.NewScorer(Options{})
-	got, err := b.ScoreFlipsKeyedContext(context.Background(), keys, y, func(i int) record.Pair {
-		t.Fatalf("memo-resident key %d materialized", i)
-		return record.Pair{}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("keyed flip %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if m.calls != callsAfterA {
-		t.Fatalf("memo-answered keyed query reached the model: %d calls, want %d", m.calls, callsAfterA)
-	}
-	// The view's own accounting still reads like a private cache's.
-	vb := b.Stats()
-	if vb.Lookups != len(pairs) || vb.Hits != 0 || vb.Misses != len(pairs) || vb.Batches != 1 {
-		t.Fatalf("view stats = %+v, want %d lookups / 0 hits / %d misses / 1 batch",
-			vb, len(pairs), len(pairs))
-	}
-}
-
-// TestFlipMemoPopulatedByScoring checks that plain score traffic seeds
-// the flip memo: every freshly scored key's class is published, so a
-// later flip query from any view is a memo hit with no new store lookup.
-func TestFlipMemoPopulatedByScoring(t *testing.T) {
-	m := &countingModel{}
-	svc := NewService(m, ServiceOptions{})
-	pairs := flipPairs()
-	want := wantFlips(svc, pairs, true)
-
-	a := svc.NewScorer(Options{})
-	if _, err := a.ScoreBatchContext(context.Background(), pairs); err != nil {
-		t.Fatal(err)
-	}
-	afterScore := svc.Stats()
-	if afterScore.FlipLookups != 0 {
-		t.Fatalf("plain scoring charged flip lookups: %+v", afterScore)
-	}
-
-	b := svc.NewScorer(Options{})
-	got, err := b.ScoreFlipsContext(context.Background(), pairs, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flip %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	st := svc.Stats()
-	if st.FlipHits != len(pairs) {
-		t.Fatalf("scored keys not memo-resident: %d flip hits, want %d", st.FlipHits, len(pairs))
-	}
-	if st.Lookups != afterScore.Lookups || st.Misses != afterScore.Misses {
-		t.Fatalf("memo-answered view touched the score store: lookups %d->%d, misses %d->%d",
-			afterScore.Lookups, st.Lookups, afterScore.Misses, st.Misses)
-	}
-}
-
-// TestFlipKeyedMaterializesOnlyMisses exercises the mixed case: a batch
-// holding memo-resident keys, in-batch duplicates and true misses must
-// materialize exactly the unique misses.
-func TestFlipKeyedMaterializesOnlyMisses(t *testing.T) {
-	m := &countingModel{}
-	svc := NewService(m, ServiceOptions{})
-	long := strings.Repeat("x", 30)
-	known := pairOf(long, "warm")
-	miss := pairOf("x", "cold")
-
-	warm := svc.NewScorer(Options{})
-	if _, err := warm.ScoreBatchContext(context.Background(), []record.Pair{known}); err != nil {
-		t.Fatal(err)
-	}
-
-	batch := []record.Pair{known, miss, miss}
-	keys := make([]string, len(batch))
-	for i, p := range batch {
-		keys[i] = Key(p)
-	}
-	materialized := make(map[int]int)
-	s := svc.NewScorer(Options{})
-	got, err := s.ScoreFlipsKeyedContext(context.Background(), keys, false, func(i int) record.Pair {
-		materialized[i]++
-		return batch[i]
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := wantFlips(svc, batch, false)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("flip %d = %v, want %v", i, got[i], want[i])
-		}
-	}
-	if len(materialized) != 1 || materialized[1] != 1 {
-		t.Fatalf("materialized %v, want exactly index 1 once", materialized)
-	}
-	vs := s.Stats()
-	if vs.Lookups != 3 || vs.Hits != 1 || vs.Misses != 2 || vs.Batches != 1 {
-		t.Fatalf("view stats = %+v, want 3 lookups / 1 hit / 2 misses / 1 batch", vs)
-	}
-}
-
 // TestSupportKeyerMatchesMaterializedKey is SupportKeyer's byte-identity
 // gate: for random schemas and values (multi-digit lengths, the
 // framing bytes ;:#| and non-ASCII included), both sides, natural and

@@ -27,12 +27,12 @@
 //
 // Callers that can compute a pair's canonical Key without building the
 // pair (PerturbKeyer for lattice subsets, SupportKeyer for triangle
-// support candidates) use the keyed entry points, ScoreBatchKeyedContext
-// and ScoreFlipsKeyedContext: a record.Pair is then materialized only
-// for the store misses the model must score. Lattice flip questions are
-// answered from the store itself (the flip memo is a read path over it,
-// not a second copy), so the capacity bound covers every entry the
-// service holds.
+// support candidates) use the keyed entry point, ScoreBatchKeyedContext:
+// a record.Pair is then materialized only for the store misses the model
+// must score. The lattice oracle's flip questions are keyed score
+// lookups too — a question's answer is the class (score > 0.5) of the
+// score the store returns — so there is one read path into the store,
+// and the capacity bound covers every entry the service holds.
 //
 // Both layers are cancellation-aware (explain.ContextModel): waits on
 // another explanation's in-flight computation return ctx.Err() as soon
@@ -49,7 +49,6 @@ import (
 
 	"certa/internal/explain"
 	"certa/internal/record"
-	"certa/internal/telemetry"
 )
 
 // Options tunes a Scorer view.
@@ -103,13 +102,7 @@ type Scorer struct {
 
 	mu    sync.Mutex
 	local map[string]float64
-	// memoized holds keys whose flip outcome was answered by the shared
-	// flip memo (predicted class known, score never fetched). The view
-	// counts them as seen — a private cache would hold their scores — so
-	// a later score request for one is a view hit whose score is fetched
-	// from the shared store without recounting the work.
-	memoized map[string]bool
-	stats    Stats
+	stats Stats
 }
 
 // New wraps a model in a private scoring view: a fresh single-view
@@ -198,26 +191,18 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 		return out, ctx.Err()
 	}
 
-	// Resolve view hits and collect unique misses in first-occurrence
-	// order. Keys the flip memo answered earlier (sentinel) also need a
-	// fetch — the view never saw their scores — but count as view hits,
-	// not misses: a private cache would be answering from its own store.
-	type miss struct {
-		at       int // key index of the first occurrence
-		sentinel bool
-	}
-	var misses []miss
+	// Resolve view hits and collect unique misses (the key index of each
+	// first occurrence) in first-occurrence order.
+	var misses []int
 	var dups []dup
-	counted := 0 // misses charged to the view (non-sentinel)
 
 	s.mu.Lock()
 	s.stats.Lookups += len(keys)
 	if s.opts.Disabled {
 		// Every lookup reaches the model; nothing is deduplicated.
 		for i := range keys {
-			misses = append(misses, miss{at: i})
+			misses = append(misses, i)
 		}
-		counted = len(keys)
 	} else {
 		missAt := make(map[string]int, len(keys)) // key -> index into misses
 		for i, k := range keys {
@@ -232,18 +217,12 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 				s.stats.Hits++
 				continue
 			}
-			_, sentinel := s.memoized[k]
-			if sentinel {
-				s.stats.Hits++
-			} else {
-				counted++
-			}
 			missAt[k] = len(misses)
-			misses = append(misses, miss{at: i, sentinel: sentinel})
+			misses = append(misses, i)
 		}
 	}
-	if counted > 0 {
-		s.stats.Misses += counted
+	if len(misses) > 0 {
+		s.stats.Misses += len(misses)
 		s.stats.Batches++
 	}
 	s.mu.Unlock()
@@ -253,10 +232,10 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 	}
 
 	missKeys := make([]string, len(misses))
-	for j, m := range misses {
-		missKeys[j] = keys[m.at]
+	for j, ki := range misses {
+		missKeys[j] = keys[ki]
 	}
-	pairAt := func(j int) record.Pair { return materialize(misses[j].at) }
+	pairAt := func(j int) record.Pair { return materialize(misses[j]) }
 	var scores []float64
 	var err error
 	if s.opts.Disabled {
@@ -273,163 +252,15 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 	}
 
 	s.mu.Lock()
-	for j, m := range misses {
+	for j, ki := range misses {
 		if !s.opts.Disabled {
 			s.local[missKeys[j]] = scores[j]
-			if m.sentinel {
-				delete(s.memoized, missKeys[j])
-			}
 		}
-		out[m.at] = scores[j]
+		out[ki] = scores[j]
 	}
 	s.mu.Unlock()
 	for _, d := range dups {
 		out[d.slot] = scores[d.mi]
-	}
-	return out, nil
-}
-
-// ScoreFlipsContext answers the lattice oracle's real question — does
-// this perturbed pair's predicted class differ from y? — through the
-// shared store's flip read path. It is ScoreFlipsKeyedContext with the
-// keys derived from the materialized pairs; callers that can compute
-// keys without building the pairs (the lattice oracle, via PerturbKeyer)
-// should use the keyed entry point directly so memo- and view-resident
-// questions skip pair materialization entirely.
-func (s *Scorer) ScoreFlipsContext(ctx context.Context, pairs []record.Pair, y bool) ([]bool, error) {
-	keys := make([]string, len(pairs))
-	for i, p := range pairs {
-		keys[i] = Key(p)
-	}
-	return s.ScoreFlipsKeyedContext(ctx, keys, y, func(i int) record.Pair { return pairs[i] })
-}
-
-// ScoreFlipsKeyedContext is the streaming form of ScoreFlipsContext: the
-// caller supplies canonical keys (see Key and PerturbKeyer) up front and
-// a materialize callback invoked only for the questions that truly need
-// a record.Pair — the ones no memo layer can answer. keys[i] must equal
-// Key(materialize(i)); materialize may be called at most once per index.
-//
-// Resolution order per question: the view classifies every key against
-// its private key set exactly as ScoreBatchContext would — local scores,
-// previously memo-answered keys and in-batch duplicates are view hits,
-// unique unseen keys are view misses — and only the misses are put to
-// the flip memo (one FlipLookup each). The memo is a read path over the
-// shared store: a ready entry means some explanation already scored
-// this exact pair content, and its class (score > 0.5) answers the
-// question with no score fetch, no model call and no pair
-// materialization. The two layers never disagree — a predicted class is
-// a pure function of pair content — so Stats, and therefore Diagnostics
-// and the anytime budgets they feed, are bit-identical to the unkeyed
-// path and independent of what the store happens to hold. Only the view
-// misses the memo cannot answer are fetched through the shared store,
-// and only the store's misses among those are materialized.
-func (s *Scorer) ScoreFlipsKeyedContext(ctx context.Context, keys []string, y bool, materialize func(i int) record.Pair) ([]bool, error) {
-	if s.opts.Disabled || !s.svc.flipEnabled() {
-		// Memo off: every answer is derived from a score lookup.
-		scores, err := s.ScoreBatchKeyedContext(ctx, keys, materialize)
-		if err != nil {
-			return nil, err
-		}
-		flips := make([]bool, len(scores))
-		for i, v := range scores {
-			flips[i] = (v > 0.5) != y
-		}
-		return flips, nil
-	}
-
-	out := make([]bool, len(keys))
-	if len(keys) == 0 {
-		return out, ctx.Err()
-	}
-
-	var misses []int // key index of each unique unseen key
-	var dups []dup
-	missAt := make(map[string]int, len(keys))
-
-	s.mu.Lock()
-	s.stats.Lookups += len(keys)
-	for i, k := range keys {
-		if v, ok := s.local[k]; ok {
-			out[i] = (v > 0.5) != y
-			s.stats.Hits++
-			continue
-		}
-		if cls, ok := s.memoized[k]; ok {
-			out[i] = cls != y
-			s.stats.Hits++
-			continue
-		}
-		if mi, ok := missAt[k]; ok {
-			dups = append(dups, dup{mi: mi, slot: i})
-			s.stats.Hits++
-			continue
-		}
-		missAt[k] = len(misses)
-		misses = append(misses, i)
-	}
-	if len(misses) > 0 {
-		// Memo-answered misses count like any other: the view requested a
-		// unique evaluation it had never seen, exactly what a private
-		// cache would charge — which keeps Diagnostics (and the anytime
-		// budget they feed) deterministic however the misses get answered.
-		s.stats.Misses += len(misses)
-		s.stats.Batches++
-	}
-	s.mu.Unlock()
-
-	if len(misses) == 0 {
-		return out, nil
-	}
-
-	// Put only the questions the view could not answer itself to the
-	// memo — the flip hit rate then measures cross-explanation reuse,
-	// undiluted by questions this explanation had already settled.
-	missKeys := make([]string, len(misses))
-	for j, ki := range misses {
-		missKeys[j] = keys[ki]
-	}
-	// Memo-lookup span: how long the store took to answer (or decline)
-	// this batch of unique unseen questions.
-	sp := telemetry.StartLeaf(ctx, "memo")
-	classes, known := s.svc.flipGet(missKeys)
-	sp.AddItems(len(missKeys))
-	sp.End()
-
-	// Resolve memo-answered misses without materializing anything; the
-	// sentinel keeps a later score request for the same key honest (the
-	// view holds a class, not a score — the score still needs a fetch,
-	// charged as a view hit).
-	var fidx []int // miss indexes the memo could not answer
-	s.mu.Lock()
-	for mi, ki := range misses {
-		if known[mi] {
-			s.memoized[missKeys[mi]] = classes[mi]
-			out[ki] = classes[mi] != y
-			continue
-		}
-		fidx = append(fidx, mi)
-	}
-	s.mu.Unlock()
-
-	if len(fidx) > 0 {
-		fkeys := make([]string, len(fidx))
-		for j, mi := range fidx {
-			fkeys[j] = missKeys[mi]
-		}
-		scores, err := s.svc.fetch(ctx, fkeys, func(j int) record.Pair { return materialize(misses[fidx[j]]) })
-		if err != nil {
-			return nil, err
-		}
-		s.mu.Lock()
-		for j, mi := range fidx {
-			s.local[fkeys[j]] = scores[j]
-			out[misses[mi]] = (scores[j] > 0.5) != y
-		}
-		s.mu.Unlock()
-	}
-	for _, d := range dups {
-		out[d.slot] = out[misses[d.mi]]
 	}
 	return out, nil
 }

@@ -23,8 +23,7 @@ type ServiceOptions struct {
 	// ⌈Capacity/Shards⌉ entries and evicts its coldest, so the store
 	// holds at most Shards×⌈Capacity/Shards⌉ scores (1,024 for 1,000 over
 	// the default 32 stripes) and million-pair workloads cannot grow
-	// memory without limit. Flip answers are read from the same entries,
-	// so the bound covers them too. Eviction never changes results — an
+	// memory without limit. Eviction never changes results — an
 	// evicted key is simply re-scored on its next request. Stripes are
 	// chosen by a hash seeded per Service, so which keys share an LRU,
 	// and therefore eviction order and the Evictions count, varies from
@@ -33,14 +32,6 @@ type ServiceOptions struct {
 	// Shards is the number of lock stripes (default 32). More stripes
 	// reduce contention between concurrent explanations.
 	Shards int
-	// DisableFlipMemo turns off the flip memo, the read path that answers
-	// lattice flip questions from the classes (score > 0.5) of scores
-	// already in the store (see Scorer.ScoreFlipsKeyedContext): every
-	// lattice oracle answer is then derived from a score lookup charged
-	// to the view. Scores and explanation results are identical either
-	// way; the memo only changes how much shared work is spent producing
-	// them.
-	DisableFlipMemo bool
 }
 
 func (o ServiceOptions) withDefaults() ServiceOptions {
@@ -54,7 +45,10 @@ func (o ServiceOptions) withDefaults() ServiceOptions {
 }
 
 // ServiceStats reports the aggregate work a shared Service performed
-// across every explanation that scored through it.
+// across every explanation that scored through it. How that work splits
+// among explanations depends on scheduling (which one reaches a key
+// first), so unlike explanation Diagnostics these shared-store counters
+// are not parallelism-deterministic.
 type ServiceStats struct {
 	// Lookups counts key requests that reached the shared store.
 	Lookups int
@@ -69,26 +63,15 @@ type ServiceStats struct {
 	Batches int
 	// Evictions counts entries dropped by the capacity bound.
 	Evictions int
-	// FlipLookups counts lattice flip questions the per-explanation views
-	// put to the flip memo: one per unique question the view could not
-	// answer from its own key set (duplicates and locally-settled
-	// questions never reach the memo); FlipHits counts the ones the memo
-	// answered — pair contents whose score is ready in the store, so
-	// their class settles the question without a new score fetch, model
-	// call or even pair materialization (see
-	// Scorer.ScoreFlipsKeyedContext). The flip hit rate is therefore the
-	// cross-explanation reuse rate over the questions that needed an
-	// answer. The memo holds no second copy: it reads the store every
-	// batch the service scores is published to, so triangle-search
-	// candidates — which dominate the store and recur across explanations
-	// that share a pivot — answer the lattice questions whose perturbed
-	// content coincides with them, and a key the capacity bound evicted
-	// is a miss like any other. Both counters are 0 when the memo is
-	// disabled. Hit attribution depends on scheduling (which explanation
-	// publishes a score first), so these two counters — unlike
-	// explanation Diagnostics — are not parallelism-deterministic.
+	// FlipLookups is always 0: lattice flip questions are keyed score
+	// lookups, counted in Lookups and Hits.
+	//
+	// Deprecated: kept only so existing readers compile.
 	FlipLookups int
-	FlipHits    int
+	// FlipHits is always 0; see FlipLookups.
+	//
+	// Deprecated: kept only so existing readers compile.
+	FlipHits int
 }
 
 // entry is one key's slot in the store. A pending entry (ready not yet
@@ -108,18 +91,6 @@ type entry struct {
 
 	// LRU links; only ready entries are linked.
 	prev, next *entry
-}
-
-// published reports whether e holds its score. The caller holds e's
-// shard lock and found e in the map: publication closes ready under
-// that lock, and a failed entry leaves the map before its ready closes.
-func (e *entry) published() bool {
-	select {
-	case <-e.ready:
-		return true
-	default:
-		return false
-	}
 }
 
 // serviceShard is one lock stripe of the store.
@@ -185,37 +156,6 @@ func NewService(m explain.Model, opts ServiceOptions) *Service {
 	return s
 }
 
-// flipEnabled reports whether the flip memo is active.
-func (s *Service) flipEnabled() bool { return !s.opts.DisableFlipMemo }
-
-// flipGet is the flip memo: it answers each key's predicted class from
-// the store, returning the classes and a parallel known-mask, and
-// records the lookup statistics. A ready entry's class is score > 0.5 —
-// a pure function of the content, so every reader derives the answer
-// its own scoring would have produced — and the answer touches the LRU
-// like a score hit. A pending entry is unknown and is never waited on:
-// the caller fetches it, which joins the in-flight computation.
-func (s *Service) flipGet(keys []string) (classes, known []bool) {
-	classes = make([]bool, len(keys))
-	known = make([]bool, len(keys))
-	hits := 0
-	for i, k := range keys {
-		sh := s.shardFor(k)
-		sh.mu.Lock()
-		if e, ok := sh.entries[k]; ok && e.published() {
-			classes[i], known[i] = e.score > 0.5, true
-			sh.touch(e)
-			hits++
-		}
-		sh.mu.Unlock()
-	}
-	s.statmu.Lock()
-	s.stats.FlipLookups += len(keys)
-	s.stats.FlipHits += hits
-	s.statmu.Unlock()
-	return classes, known
-}
-
 // Name implements explain.Model.
 func (s *Service) Name() string { return s.model.Name() }
 
@@ -240,7 +180,7 @@ func (s *Service) NewScorer(opts Options) *Scorer {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 1
 	}
-	return &Scorer{svc: s, opts: opts, local: make(map[string]float64), memoized: make(map[string]bool)}
+	return &Scorer{svc: s, opts: opts, local: make(map[string]float64)}
 }
 
 // Score implements explain.Model through the shared store.
@@ -444,40 +384,13 @@ func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) recor
 	for j, i := range claimed {
 		pairs[j] = materialize(i)
 	}
-	scores := make([]float64, len(claimed))
-	shards := s.opts.Parallelism
-	if shards > len(claimed) {
-		shards = len(claimed)
-	}
 	// Span for the model evaluation of this batch's true misses; the
 	// matcher's featurize/forward spans nest under it (per shard).
 	// Telemetry is a side channel — scoring and publication are
 	// untouched by it.
 	sp, ctx := telemetry.StartSpan(ctx, "model")
 	sp.AddItems(len(claimed))
-	err = workpool.EachContext(ctx, shards, shards, func(ctx context.Context, w int) error {
-		per := (len(claimed) + shards - 1) / shards
-		lo := w * per
-		hi := lo + per
-		if hi > len(claimed) {
-			hi = len(claimed)
-		}
-		if lo >= hi {
-			return nil
-		}
-		chunk := pairs[lo:hi:hi]
-		got, err := s.cmodel.ScoreBatchContext(ctx, chunk)
-		if err != nil {
-			return err
-		}
-		if len(got) != len(chunk) {
-			// A silent mismatch would cache zeros; fail loudly instead.
-			panic(fmt.Sprintf("scorecache: model %q returned %d scores for %d pairs",
-				s.model.Name(), len(got), len(chunk)))
-		}
-		copy(scores[lo:hi], got)
-		return nil
-	})
+	scores, err := s.scoreSharded(ctx, pairs, s.opts.Parallelism)
 	sp.End()
 	if err != nil {
 		return err
@@ -514,32 +427,31 @@ func (s *Service) direct(ctx context.Context, pairs []record.Pair, parallelism i
 	s.stats.Misses += len(pairs)
 	s.stats.Batches++
 	s.statmu.Unlock()
+	return s.scoreSharded(ctx, pairs, parallelism)
+}
 
+// scoreSharded scores pairs (at least one) with the model in at most
+// parallelism (at least 1) contiguous shards, one batch call each, and
+// returns the index-aligned scores.
+func (s *Service) scoreSharded(ctx context.Context, pairs []record.Pair, parallelism int) ([]float64, error) {
 	scores := make([]float64, len(pairs))
-	shards := parallelism
-	if shards <= 0 {
-		shards = 1
-	}
-	if shards > len(pairs) {
-		shards = len(pairs)
-	}
+	shards := min(parallelism, len(pairs))
 	err := workpool.EachContext(ctx, shards, shards, func(ctx context.Context, w int) error {
 		per := (len(pairs) + shards - 1) / shards
 		lo := w * per
-		hi := lo + per
-		if hi > len(pairs) {
-			hi = len(pairs)
-		}
+		hi := min(lo+per, len(pairs))
 		if lo >= hi {
 			return nil
 		}
-		got, err := s.cmodel.ScoreBatchContext(ctx, pairs[lo:hi])
+		chunk := pairs[lo:hi:hi]
+		got, err := s.cmodel.ScoreBatchContext(ctx, chunk)
 		if err != nil {
 			return err
 		}
-		if len(got) != len(pairs[lo:hi]) {
+		if len(got) != len(chunk) {
+			// A silent mismatch would cache zeros; fail loudly instead.
 			panic(fmt.Sprintf("scorecache: model %q returned %d scores for %d pairs",
-				s.model.Name(), len(got), hi-lo))
+				s.model.Name(), len(got), len(chunk)))
 		}
 		copy(scores[lo:hi], got)
 		return nil

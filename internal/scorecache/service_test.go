@@ -274,10 +274,11 @@ func TestDisabledViewBypassesStore(t *testing.T) {
 }
 
 // TestConcurrentViewsMixFlipsAndScores runs views that interleave keyed
-// flip questions with score fetches over overlapping keys on one
-// Service (run with -race -count=10): flip lookups read the same shards
-// publication writes. Every answer must match the model, and an
-// unbounded store must reach the model once per unique key.
+// lookups — the path the lattice oracle's flip questions take — with
+// pair score calls over overlapping keys on one Service (run with -race
+// -count=10): lookups read the same shards publication writes. Every
+// answer must match the model, and an unbounded store must reach the
+// model once per unique key.
 func TestConcurrentViewsMixFlipsAndScores(t *testing.T) {
 	vals := []string{"a", "bb", "ccc", "dddd", "eeeee", strings.Repeat("f", 30), strings.Repeat("g", 45), "hh"}
 	mkBatch := func(offset int) []record.Pair {
@@ -311,29 +312,20 @@ func TestConcurrentViewsMixFlipsAndScores(t *testing.T) {
 					}
 					view := svc.NewScorer(Options{Parallelism: 2})
 					for round := 0; round < 6; round++ {
+						var got []float64
+						var err error
 						if (g+round)%2 == 0 {
-							got, err := view.ScoreBatchContext(context.Background(), batch)
-							if err != nil {
-								t.Error(err)
-								return
-							}
-							for i := range want {
-								if got[i] != want[i] {
-									t.Errorf("view %d round %d score %d = %v, want %v", g, round, i, got[i], want[i])
-									return
-								}
-							}
-							continue
+							got, err = view.ScoreBatchContext(context.Background(), batch)
+						} else {
+							got, err = view.ScoreBatchKeyedContext(context.Background(), keys, func(i int) record.Pair { return batch[i] })
 						}
-						y := round%4 == 1
-						got, err := view.ScoreFlipsKeyedContext(context.Background(), keys, y, func(i int) record.Pair { return batch[i] })
 						if err != nil {
 							t.Error(err)
 							return
 						}
 						for i := range want {
-							if got[i] != ((want[i] > 0.5) != y) {
-								t.Errorf("view %d round %d flip %d = %v for score %v, y %v", g, round, i, got[i], want[i], y)
+							if got[i] != want[i] {
+								t.Errorf("view %d round %d score %d = %v, want %v", g, round, i, got[i], want[i])
 								return
 							}
 						}

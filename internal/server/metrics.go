@@ -11,10 +11,10 @@ import (
 // server's only stats surface. The counters the serving layers own
 // (request outcomes, per-backend requests and errors) are registry
 // Counter handles, incremented in place. Numbers another package owns
-// (scorecache.ServiceStats, the flip memo, embedding.StoreStats, the
-// result memo, admission occupancy) are bridged with callback-backed
-// series (CounterFunc/GaugeFunc) read at scrape time. Either way the
-// registry holds the only copy of each number.
+// (scorecache.ServiceStats, embedding.StoreStats, the result memo,
+// admission occupancy) are bridged with callback-backed series
+// (CounterFunc/GaugeFunc) read at scrape time. Either way the registry
+// holds the only copy of each number.
 const (
 	metricUptime    = "certa_uptime_seconds"
 	metricModelInfo = "certa_model_info"
@@ -40,9 +40,6 @@ const (
 	metricCacheEvictions = "certa_score_cache_evictions_total"
 	metricCacheEntries   = "certa_score_cache_entries"
 	metricCacheRestored  = "certa_score_cache_restored_entries"
-
-	metricFlipLookups = "certa_flip_memo_lookups_total"
-	metricFlipHits    = "certa_flip_memo_hits_total"
 
 	metricMemoLookups = "certa_result_memo_lookups_total"
 	metricMemoHits    = "certa_result_memo_hits_total"
@@ -115,9 +112,8 @@ type embeddingStatser interface {
 }
 
 // registerBackendMetrics publishes one backend's series, labeled
-// {backend="name"}. Engine-side stats (score cache, flip memo,
-// embedding store) are bridged from their existing side-channel
-// structs at scrape time.
+// {backend="name"}. Engine-side stats (score cache, embedding store)
+// are bridged from their existing side-channel structs at scrape time.
 func (s *Server) registerBackendMetrics(b *backend) {
 	m := s.metrics
 	lbl := telemetry.Labels{"backend": b.name}
@@ -144,11 +140,6 @@ func (s *Server) registerBackendMetrics(b *backend) {
 		func() float64 { return float64(b.svc.Len()) })
 	m.Gauge(metricCacheRestored, "Cache entries restored from a snapshot at startup.", lbl).
 		Set(float64(b.restored))
-
-	m.CounterFunc(metricFlipLookups, "Flip-outcome memo lookups (lattice oracle questions).", lbl,
-		func() float64 { return float64(b.svc.Stats().FlipLookups) })
-	m.CounterFunc(metricFlipHits, "Lattice oracle questions answered from the cross-explanation flip memo.", lbl,
-		func() float64 { return float64(b.svc.Stats().FlipHits) })
 
 	if b.memo != nil {
 		m.Gauge(metricMemoCap, "Response bodies the result memo can hold.", lbl).

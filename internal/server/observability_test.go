@@ -60,7 +60,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		`certa_admission_in_flight 0`,
 		`certa_admission_queue_high_water 0`,
 		`certa_score_cache_lookups_total{backend="toy"}`,
-		`certa_flip_memo_lookups_total{backend="toy"}`,
 		`certa_index_records{backend="toy"}`,
 		// Stage histograms fed from the trace: the engine stages must
 		// have produced series.
@@ -125,9 +124,9 @@ func TestDebugTraceKnob(t *testing.T) {
 	}
 	walk(traced.Trace)
 	// The warm-cache stages: this is the pair's second explanation, so
-	// model-call spans may be absent — the structural stages and the
-	// memo lookups are always there.
-	for _, want := range []string{"original_score", "triangles", "counterfactuals", "memo"} {
+	// model-call spans may be absent — the structural stages are always
+	// there.
+	for _, want := range []string{"original_score", "triangles", "counterfactuals"} {
 		if !stages[want] {
 			t.Errorf("span tree has no %q span (got %v)", want, stages)
 		}

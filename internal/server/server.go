@@ -34,7 +34,7 @@
 // telemetry.Trace whose per-stage wall times feed the
 // certa_stage_duration_seconds histograms and the structured request
 // log (Options.Logger), and every number the server reports —
-// admission occupancy, coalesce hits, score-cache and flip-memo rates,
+// admission occupancy, coalesce hits, score-cache rates,
 // embedding-store hits, index build time — has its only copy in
 // Options.Metrics (internal/telemetry), served at GET /v1/metrics.
 // Timing is strictly a side channel: it never reaches core.Diagnostics

@@ -31,7 +31,7 @@
 //
 // A Trace records a tree of wall-time spans for one explanation:
 // retrieval scans, per-level lattice exploration, featurization,
-// forward passes, memo lookups. It rides the context —
+// forward passes. It rides the context —
 // WithTrace/StartSpan — and every method is nil-safe, so instrumented
 // packages call StartSpan unconditionally and pay one context lookup
 // when tracing is off. Timing lives strictly outside core.Diagnostics:

@@ -8,16 +8,18 @@
 // keeps successful outputs byte-identical at any parallelism. Failure
 // is fail-fast: the first error cancels the run's context and stops
 // dispatching new jobs, so one poisoned job does not pay for the whole
-// batch. Error reporting is deterministic when a single job fails (the
-// common case); with several concurrent failures, which one is reported
-// depends on which jobs the cancellation reached first — see
-// EachContext.
+// batch. Jobs handed out below the lowest failed index still run, so
+// Each, whose jobs ignore their context, reports the same error as a
+// sequential loop. Cooperative EachContext jobs see the cancellation
+// and may cut themselves short; which error is reported then follows
+// EachContext's rules.
 package workpool
 
 import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 )
 
 // Each runs fn(0), fn(1), ..., fn(n-1) with at most workers concurrent
@@ -27,7 +29,8 @@ import (
 // With workers <= 1 the jobs run inline on the calling goroutine and
 // Each short-circuits on the first error, exactly like a plain loop. In
 // parallel mode the first error stops dispatch, so jobs not yet handed
-// to a worker never start; jobs already in flight run to completion.
+// to a worker never start; jobs already in flight run to completion,
+// and so does every job handed out below the lowest failed index.
 func Each(n, workers int, fn func(i int) error) error {
 	return EachContext(context.Background(), n, workers, func(_ context.Context, i int) error {
 		return fn(i)
@@ -80,6 +83,11 @@ func EachContext(ctx context.Context, n, workers int, fn func(ctx context.Contex
 	// the root cause.
 	var rootOnce sync.Once
 	var rootErr error
+	// lowFail is the lowest index whose job has failed (n while none has),
+	// lowered before the fail-fast cancel so no worker can skip a job
+	// below it: that job's error may be the one to report.
+	var lowFail atomic.Int64
+	lowFail.Store(int64(n))
 	var wg sync.WaitGroup
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
@@ -88,12 +96,23 @@ func EachContext(ctx context.Context, n, workers int, fn func(ctx context.Contex
 			for i := range jobs {
 				// A job can be handed out in the same instant the batch is
 				// cancelled (the dispatch select has both cases ready);
-				// record the cancellation instead of running it.
-				if err := inner.Err(); err != nil {
+				// record the cancellation instead of running it — unless
+				// only a higher-index failure cancelled it, since its own
+				// error would then be the lowest.
+				if err := ctx.Err(); err != nil {
 					errs[i] = err
 					continue
 				}
+				if int64(i) > lowFail.Load() {
+					errs[i] = context.Canceled
+					continue
+				}
 				if errs[i] = fn(inner, i); errs[i] != nil {
+					for low := lowFail.Load(); int64(i) < low; low = lowFail.Load() {
+						if lowFail.CompareAndSwap(low, int64(i)) {
+							break
+						}
+					}
 					rootOnce.Do(func() { rootErr = errs[i]; cancel() })
 				}
 			}

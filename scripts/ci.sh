@@ -36,6 +36,12 @@ go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./intern
 echo "== race (pruned-mode determinism) =="
 go test -race -timeout 300s -run 'Prune' ./internal/lattice/ ./internal/core/ ./internal/server/
 
+# Each must report the lowest-index job error even when a higher index
+# fails first. A race there loses it in about 2% of single passes, so
+# one pass of the suite rarely shows it; 500 do.
+echo "== workpool lowest-index error (500 passes) =="
+go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
+
 echo "== bench smoke =="
 go test -timeout 600s -bench=. -benchtime=1x -run='^$' .
 
