@@ -102,7 +102,7 @@ func BenchmarkTable9AugmentationEffect(b *testing.B) { runExperiment(b, "table9"
 // saliency on BA).
 func BenchmarkFigure12CaseStudy(b *testing.B) { runExperiment(b, "figure12") }
 
-// --- ablation benchmarks (DESIGN.md §5) --------------------------------
+// --- ablation benchmarks ----------------------------------------------
 
 // benchCell builds one small trained cell outside the harness for the
 // micro/ablation benchmarks.
@@ -185,31 +185,6 @@ func sprintTau(tau int) string {
 	}
 }
 
-// BenchmarkAblationTriangleSides compares the paper's symmetric
-// left+right triangle design against a left-only ablation at the same
-// total budget.
-func BenchmarkAblationTriangleSides(b *testing.B) {
-	c := abCell()
-	p := c.bench.Test[0].Pair
-	for _, leftOnly := range []bool{false, true} {
-		e := core.New(c.bench.Left, c.bench.Right, core.Options{
-			Triangles: 20, Seed: 1, LeftTrianglesOnly: leftOnly,
-		})
-		name := "both-sides"
-		if leftOnly {
-			name = "left-only"
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := e.Explain(c.model, p); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblationParallelism measures the effect of exploring triangle
 // lattices concurrently.
 func BenchmarkAblationParallelism(b *testing.B) {
@@ -245,48 +220,6 @@ func BenchmarkMatcherScore(b *testing.B) {
 }
 
 // --- batched scoring pipeline benchmarks --------------------------------
-
-// TestBatchedPipelineModelCallReduction is the acceptance gate of the
-// batched scoring refactor: on the AB benchmark, the batched pipeline
-// (score cache + guided support search) must reach the model at least
-// 2x less often per explanation than the seed path — blind augmentation
-// scan, point lookups, no memoization — did. Both runs explain the same
-// pairs with the same τ and seed; the diagnostics expose the call
-// counts.
-func TestBatchedPipelineModelCallReduction(t *testing.T) {
-	c := abCell()
-	seedExp := certa.New(c.bench.Left, c.bench.Right, certa.Options{
-		Triangles: 100, Seed: 1, DisableCache: true, SeedSearch: true,
-	})
-	newExp := certa.New(c.bench.Left, c.bench.Right, certa.Options{Triangles: 100, Seed: 1})
-	var seedCalls, modelCalls int
-	n := len(c.bench.Test)
-	if n > 8 {
-		n = 8
-	}
-	for _, lp := range c.bench.Test[:n] {
-		seedRes, err := seedExp.Explain(c.model, lp.Pair)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// SeedPathCalls of a SeedSearch+DisableCache run is exactly what
-		// the sequential pre-refactor pipeline scored: the candidate scan
-		// up to the last accepted support plus every lattice query.
-		seedCalls += seedRes.Diag.SeedPathCalls
-
-		newRes, err := newExp.Explain(c.model, lp.Pair)
-		if err != nil {
-			t.Fatal(err)
-		}
-		modelCalls += newRes.Diag.ModelCalls
-	}
-	t.Logf("AB: seed path %d calls, batched pipeline %d unique calls (%.2fx reduction) over %d explanations",
-		seedCalls, modelCalls, float64(seedCalls)/float64(modelCalls), n)
-	if modelCalls*2 > seedCalls {
-		t.Errorf("batched pipeline made %d model calls; seed path made %d — want >=2x reduction",
-			modelCalls, seedCalls)
-	}
-}
 
 // TestSharedScorerCrossExplanationReduction is the acceptance gate of
 // the shared scoring service: a batch of 16 AB explanations through one
@@ -373,19 +306,17 @@ func BenchmarkExplainModelCalls(b *testing.B) {
 	p := c.bench.Test[0].Pair
 	b.ReportAllocs()
 	b.ResetTimer()
-	var seedCalls, modelCalls, hits, lookups float64
+	var modelCalls, hits, lookups float64
 	for i := 0; i < b.N; i++ {
 		res, err := e.Explain(c.model, p)
 		if err != nil {
 			b.Fatal(err)
 		}
-		seedCalls += float64(res.Diag.SeedPathCalls)
 		modelCalls += float64(res.Diag.ModelCalls)
 		hits += float64(res.Diag.CacheHits)
 		lookups += float64(res.Diag.CacheLookups)
 	}
 	b.ReportMetric(modelCalls/float64(b.N), "modelcalls/explanation")
-	b.ReportMetric(seedCalls/float64(b.N), "seedcalls/explanation")
 	b.ReportMetric(hits/lookups, "cachehitrate")
 }
 

@@ -218,9 +218,9 @@ func run(ds, model string, pairIdx int, wrong bool, triangles, parallel int, see
 		res.Diag.LeftTriangles, res.Diag.RightTriangles,
 		res.Diag.AugmentedLeft+res.Diag.AugmentedRight,
 		res.Diag.LatticeQueries, res.Diag.LatticePredictions, res.Diag.SavedPredictions)
-	fmt.Fprintf(out, "batched scoring: %d lookups in %d batches, %d unique model calls, cache hit rate %.1f%% (seed path: %d calls)\n",
+	fmt.Fprintf(out, "batched scoring: %d lookups in %d batches, %d unique model calls, cache hit rate %.1f%%\n",
 		res.Diag.CacheLookups, res.Diag.BatchCalls, res.Diag.ModelCalls,
-		100*res.Diag.CacheHitRate(), res.Diag.SeedPathCalls)
+		100*res.Diag.CacheHitRate())
 	if res.Diag.PrunedQueries > 0 {
 		fmt.Fprintf(out, "lattice pruning: %d questions skipped across %d unexplored levels\n",
 			res.Diag.PrunedQueries, res.Diag.PruneLevels)

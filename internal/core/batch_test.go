@@ -1,12 +1,15 @@
 package core
 
 import (
+	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"certa/internal/dataset"
 	"certa/internal/record"
 	"certa/internal/strutil"
+	"certa/internal/workpool"
 )
 
 // textModel is a deterministic functional classifier over the pair's
@@ -102,6 +105,26 @@ func TestExplainBatchPropagatesError(t *testing.T) {
 	}
 }
 
+// panicModel is a model whose every scoring batch panics.
+type panicModel struct{ textModel }
+
+func (panicModel) ScoreBatch([]record.Pair) []float64 { panic("injected model bug") }
+
+// TestExplainBatchContainsModelPanic: a panicking model fails the batch
+// with the panic as an error at any Parallelism, instead of crashing the
+// caller's process from a worker goroutine.
+func TestExplainBatchContainsModelPanic(t *testing.T) {
+	b, pairs := benchPairs(t, "AB", 3)
+	for _, parallelism := range []int{1, 4} {
+		e := New(b.Left, b.Right, Options{Triangles: 4, Seed: 1, Parallelism: parallelism})
+		_, err := e.ExplainBatch(panicModel{}, pairs)
+		var pe *workpool.PanicError
+		if !errors.As(err, &pe) || !strings.Contains(err.Error(), "panicked: injected model bug") {
+			t.Fatalf("Parallelism %d: err = %v, want the model's panic as a *workpool.PanicError", parallelism, err)
+		}
+	}
+}
+
 // TestCachedMatchesUncachedAcrossAllCodes is the score-cache property
 // test: on every one of the twelve benchmark codes, the memoized
 // pipeline must produce exactly the explanation the uncached (seed
@@ -156,32 +179,6 @@ func TestCachedMatchesUncachedAcrossAllCodes(t *testing.T) {
 				t.Errorf("%s %s: lookup accounting broken: %d != %d + %d",
 					code, p.Key(), cached.Diag.CacheLookups, cached.Diag.CacheHits, cached.Diag.ModelCalls)
 			}
-		}
-	}
-}
-
-// TestSeedPathAccounting sanity-checks the seed-path estimate the
-// speedup benchmarks divide by.
-func TestSeedPathAccounting(t *testing.T) {
-	b, pairs := benchPairs(t, "AB", 4)
-	e := New(b.Left, b.Right, Options{Triangles: 10, Seed: 2})
-	for _, p := range pairs {
-		res, err := e.Explain(textModel{}, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		d := res.Diag
-		if d.SeedPathCalls < 1+d.LatticeQueries {
-			t.Errorf("seed path %d cannot be below 1 + lattice queries %d", d.SeedPathCalls, d.LatticeQueries)
-		}
-		if d.ModelCalls <= 0 {
-			t.Error("no model calls recorded")
-		}
-		// The chunked scan may overscan, but never by more than the scan
-		// itself plus the final chunks; the seed estimate never exceeds
-		// the lookups actually issued.
-		if d.SeedPathCalls > d.CacheLookups {
-			t.Errorf("seed path %d exceeds issued lookups %d", d.SeedPathCalls, d.CacheLookups)
 		}
 	}
 }

@@ -55,29 +55,15 @@ type Options struct {
 	// the sources could supply natural ones, reproducing the Tables 9–10
 	// ablation.
 	ForceAugmentation bool
-	// LeftTrianglesOnly restricts the explanation to left open triangles
-	// (no right-side supports): an ablation of the paper's symmetric
-	// design (DESIGN.md §5). Right-record attributes then receive no
-	// saliency mass.
-	LeftTrianglesOnly bool
 	// EvaluateMonotonicity re-tests every lattice node skipped by the
 	// monotone optimization and records how many inferences were wrong
 	// (Table 7's error rate). Costly; off by default.
 	EvaluateMonotonicity bool
 	// DisableCache turns off the perturbation score cache, so every
-	// lookup reaches the model — the seed scoring path, kept as an
-	// ablation to measure what memoization saves. Results are identical
-	// either way; only Diagnostics change.
+	// lookup reaches the model — the uncached reference that measures
+	// what memoization saves. Results are identical either way; only
+	// Diagnostics change.
 	DisableCache bool
-	// SeedSearch restores the original blind augmented-support scan: a
-	// seeded shuffle of the source scanned to a fixed attempt budget. The
-	// default search orders augmentation candidates by token overlap with
-	// the triangle's fixed record (similar records are the ones whose
-	// trimmed variants can flip the prediction) and abandons streams that
-	// yield nothing — the same supports are found orders of magnitude
-	// earlier when they exist, and hopeless scans stop early. The
-	// batched-pipeline benchmarks use SeedSearch as their baseline.
-	SeedSearch bool
 	// AugmentBudget caps the augmented-support search: at most
 	// want×AugmentBudget token-drop variants are generated per scan
 	// (want being the supports still missing), so pathological models
@@ -122,9 +108,6 @@ type Options struct {
 	// concurrent explanations. Default 1; results are identical at any
 	// setting.
 	Parallelism int
-	// MaxLatticeAttrs guards against schemas too wide for power-set
-	// exploration (default 12; the paper's benchmarks have at most 8).
-	MaxLatticeAttrs int
 	// LatticePrune cuts lattice exploration early: after each fully
 	// explored level, a lattice whose level flip fraction reaches the
 	// policy threshold stops asking questions (lattice.PrunePolicy —
@@ -158,15 +141,17 @@ type Options struct {
 	Shared *scorecache.Service
 }
 
+// maxLatticeAttrs guards against schemas too wide for power-set
+// exploration: a wider free record gets no lattice work (the paper's
+// benchmarks have at most 8 attributes).
+const maxLatticeAttrs = 12
+
 func (o Options) withDefaults() Options {
 	if o.Triangles <= 0 {
 		o.Triangles = 100
 	}
 	if o.Parallelism <= 0 {
 		o.Parallelism = 1
-	}
-	if o.MaxLatticeAttrs <= 0 {
-		o.MaxLatticeAttrs = 12
 	}
 	if o.AugmentBudget <= 0 {
 		o.AugmentBudget = 200
@@ -239,10 +224,10 @@ type Diagnostics struct {
 	AugmentedLeft  int `json:"augmented_left,omitempty"`
 	AugmentedRight int `json:"augmented_right,omitempty"`
 	// LatticeQueries counts oracle questions asked during lattice
-	// exploration — the model calls the unbatched seed path would have
-	// paid. LatticePredictions counts the unique model invocations that
-	// actually reached the model for them (duplicate perturbations are
-	// answered by the score cache, so LatticePredictions <=
+	// exploration — the model calls an unbatched, uncached walk would
+	// have paid. LatticePredictions counts the unique model invocations
+	// that actually reached the model for them (duplicate perturbations
+	// are answered by the score cache, so LatticePredictions <=
 	// LatticeQueries). ExpectedPredictions is the exhaustive 2^l-2
 	// baseline summed over triangles.
 	LatticeQueries      int `json:"lattice_queries"`
@@ -272,14 +257,6 @@ type Diagnostics struct {
 	// CacheLookups = CacheHits + ModelCalls.
 	CacheLookups int `json:"cache_lookups"`
 	CacheHits    int `json:"cache_hits"`
-	// SeedPathCalls counts the model calls a sequential, uncached
-	// point-lookup pipeline would have made over the same candidate
-	// streams this explanation scanned. With Options.SeedSearch it is
-	// exactly the pre-batching pipeline's cost; in default (guided
-	// search) mode the streams themselves are shorter, so comparing
-	// against the historical seed path additionally requires a
-	// SeedSearch baseline run (see TestBatchedPipelineModelCallReduction).
-	SeedPathCalls int `json:"seed_path_calls"`
 	// Truncated marks an anytime explanation: a budget checkpoint
 	// (Options.CallBudget or Options.Deadline) stopped the pipeline
 	// before it ran to completion, and the Result is the best
@@ -409,7 +386,7 @@ func (e *Explainer) ExplainContext(ctx context.Context, m explain.Model, p recor
 	y := origScore > 0.5
 
 	spTri, tctx := telemetry.StartSpan(ctx, "triangles")
-	tri, searchCalls, seedSearchCalls, err := e.findTriangles(tctx, bud, prog, sc, p, y)
+	tri, err := e.findTriangles(tctx, bud, prog, sc, p, y)
 	spTri.End()
 	if err != nil {
 		return nil, err
@@ -419,7 +396,7 @@ func (e *Explainer) ExplainContext(ctx context.Context, m explain.Model, p recor
 		Saliency:    explain.NewSaliency(p, origScore),
 		Sufficiency: make(map[string]float64),
 	}
-	res.Diag.TriangleSearchCalls = searchCalls
+	res.Diag.TriangleSearchCalls = tri.searchCalls
 	res.Diag.LeftTriangles = len(tri.left)
 	res.Diag.RightTriangles = len(tri.right)
 	res.Diag.AugmentedLeft = tri.augLeft
@@ -501,10 +478,6 @@ func (e *Explainer) ExplainContext(ctx context.Context, m explain.Model, p recor
 	res.Diag.BatchCalls = st.Batches
 	res.Diag.CacheLookups = st.Lookups
 	res.Diag.CacheHits = st.Hits
-	// The seed pipeline scored: the original pair, the candidate scan up
-	// to the last accepted support, every lattice oracle question, and
-	// each deduplicated counterfactual.
-	res.Diag.SeedPathCalls = 1 + seedSearchCalls + res.Diag.LatticeQueries + len(res.Counterfactuals)
 	res.Diag.Truncated = bud.truncated
 	res.Diag.TruncatedBy = bud.by
 	res.Diag.BudgetSpent = st.Misses
@@ -550,7 +523,7 @@ func (e *Explainer) exploreSide(ctx context.Context, bud *runBudget, prog *progr
 		supports:    make(map[lattice.Mask][]*record.Record),
 	}
 	n := len(counts.attrs)
-	if n == 0 || n > e.opts.MaxLatticeAttrs || len(supports) == 0 {
+	if n == 0 || n > maxLatticeAttrs || len(supports) == 0 {
 		return counts, nil
 	}
 

@@ -162,28 +162,6 @@ func TestSufficiencyProbabilitiesInRange(t *testing.T) {
 	}
 }
 
-func TestLeftTrianglesOnly(t *testing.T) {
-	left, right := buildTables()
-	e := New(left, right, Options{Triangles: 10, Seed: 5, LeftTrianglesOnly: true, DisableAugmentation: true})
-	res, err := e.Explain(nameModel{}, nonMatchPair(left, right))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Diag.RightTriangles != 0 {
-		t.Errorf("right triangles = %d, want 0", res.Diag.RightTriangles)
-	}
-	// All saliency mass on the left side; φ(L_name) = 1 since every flip
-	// of the name-only model involves the left name.
-	if got := res.Saliency.Scores[record.AttrRef{Side: record.Left, Attr: "name"}]; got != 1 {
-		t.Errorf("φ(L_name) = %v, want 1 with left-only triangles", got)
-	}
-	for ref, v := range res.Saliency.Scores {
-		if ref.Side == record.Right && v != 0 {
-			t.Errorf("right attribute %v has saliency %v", ref, v)
-		}
-	}
-}
-
 func TestSeedChangesTriangleSelection(t *testing.T) {
 	left, right := buildTables()
 	p := matchPair(left, right) // many eligible supports on both sides

@@ -13,9 +13,9 @@ import (
 // candidate retrieval swap: explanations sourced from the prebuilt
 // index must be byte-identical — the full Result, Diagnostics included
 // — to explanations sourced from the historical scan path, at
-// Parallelism 1 and 8, under the default guided search, under the
-// SeedSearch ablation, under ForceAugmentation (the ranked stream's
-// heaviest consumer), and under a CallBudget that truncates mid-search.
+// Parallelism 1 and 8, under the default guided search, under
+// ForceAugmentation (the ranked stream's heaviest consumer), and under a
+// CallBudget that truncates mid-search.
 func TestIndexedScanEquivalence(t *testing.T) {
 	b, pairs := benchPairs(t, "AB", 6)
 	// A prebuilt shared index must behave exactly like the per-Explainer
@@ -27,10 +27,8 @@ func TestIndexedScanEquivalence(t *testing.T) {
 		opts Options
 	}{
 		{"guided", Options{Triangles: 10, Seed: 5}},
-		{"seed-search", Options{Triangles: 10, Seed: 5, SeedSearch: true}},
 		{"force-augmentation", Options{Triangles: 6, Seed: 5, ForceAugmentation: true}},
 		{"call-budget", Options{Triangles: 10, Seed: 5, CallBudget: 120}},
-		{"call-budget-seed-search", Options{Triangles: 10, Seed: 5, CallBudget: 120, SeedSearch: true}},
 	}
 	for _, v := range variants {
 		for _, parallelism := range []int{1, 8} {

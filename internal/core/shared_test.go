@@ -86,18 +86,28 @@ func TestExplainBatchLeftoverWorkersShardInner(t *testing.T) {
 	}
 }
 
-// neverFlips predicts Match with high confidence for every input, so no
-// candidate — natural or augmented — is ever an eligible support.
-type neverFlips struct{}
+// flipsOneRecord predicts Non-Match for the token-drop variants of one
+// source record — values "<tag>a <tag>b <tag>c" — and Match for every
+// other input, so exactly one candidate record of a stream is eligible.
+type flipsOneRecord struct{ tag string }
 
-func (neverFlips) Name() string                { return "never-flips" }
-func (neverFlips) Score(p record.Pair) float64 { return 0.9 }
+func (m flipsOneRecord) Name() string { return "flips-" + m.tag }
+func (m flipsOneRecord) Score(p record.Pair) float64 {
+	for _, tok := range strings.Fields(p.Left.Value("a")) {
+		if strings.TrimRight(tok, "abc") == m.tag {
+			return 0.1
+		}
+	}
+	return 0.9
+}
 
 // TestAugmentedPatienceCountsRecords pins the abandonment point of the
 // guided augmented-support scan: patience is spent per candidate record,
-// not per token-drop variant. With records of 3-token values (4 variants
-// each) and a model that never flips, the sequential-equivalent scan
-// cost must be exactly 20 records x 4 variants.
+// not per token-drop variant, and the scan gives up only once
+// augmentPatience consecutive records came up barren. Each record
+// carries a 3-token value (4 variants), and the model flips the variants
+// of one record only: the augmentPatience-th record of the scan's ranked
+// stream must still be found, and the one after it must not.
 func TestAugmentedPatienceCountsRecords(t *testing.T) {
 	schema := record.MustSchema("S", "a")
 	table := record.NewTable(schema)
@@ -112,24 +122,36 @@ func TestAugmentedPatienceCountsRecords(t *testing.T) {
 	p := record.Pair{Left: pivotL, Right: pivotR}
 
 	e := New(table, table, Options{Triangles: 10, Seed: 1})
-	sc := scorecache.New(neverFlips{}, scorecache.Options{})
-	calls, seedCalls := 0, 0
-	out, err := e.augmentedSupports(context.Background(), newRunBudget(sc, e.opts), &progress{}, sc, p, true, record.Left, 5, &calls, &seedCalls)
-	if err != nil {
-		t.Fatal(err)
+	var order []*record.Record
+	for stream := e.augmentedStream(context.Background(), p, record.Left, true); ; {
+		w, ok := stream.Next()
+		if !ok {
+			break
+		}
+		order = append(order, w)
 	}
-
-	if len(out) != 0 {
-		t.Fatalf("never-flipping model produced %d supports", len(out))
+	found := func(pos int) bool { // pos counts stream records from 1
+		w := order[pos-1]
+		sc := scorecache.New(flipsOneRecord{tag: strings.TrimRight(strings.Fields(w.Value("a"))[0], "a")}, scorecache.Options{})
+		calls := 0
+		out, err := e.augmentedSupports(context.Background(), newRunBudget(sc, e.opts), &progress{}, sc, p, true, record.Left, 5, &calls)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range out {
+			if !strings.HasPrefix(s.ID, w.ID+"#aug") {
+				t.Fatalf("support %s does not derive from the only flipping record %s", s.ID, w.ID)
+			}
+		}
+		return len(out) > 0
 	}
-	const variantsPerRecord = 4 // 3 tokens -> k=1,2 x {drop-first, drop-last}
-	want := augmentPatience * variantsPerRecord
-	if seedCalls != want {
-		t.Fatalf("abandonment after %d sequential-equivalent calls, want %d (= %d records x %d variants)",
-			seedCalls, want, augmentPatience, variantsPerRecord)
+	if !found(augmentPatience) {
+		t.Fatalf("record %d of the stream was not found: the scan abandoned before %d barren records",
+			augmentPatience, augmentPatience-1)
 	}
-	if calls < seedCalls {
-		t.Fatalf("scored %d < sequential-equivalent %d", calls, seedCalls)
+	if found(augmentPatience + 1) {
+		t.Fatalf("record %d of the stream was found: the scan kept going after %d barren records",
+			augmentPatience+1, augmentPatience)
 	}
 }
 
@@ -151,8 +173,8 @@ func TestAugmentedPatienceResetsOnEligibleRecord(t *testing.T) {
 
 	e := New(table, table, Options{Triangles: 10, Seed: 1})
 	sc := scorecache.New(everyTenth{}, scorecache.Options{})
-	calls, seedCalls := 0, 0
-	out, err := e.augmentedSupports(context.Background(), newRunBudget(sc, e.opts), &progress{}, sc, p, true, record.Left, 6, &calls, &seedCalls)
+	calls := 0
+	out, err := e.augmentedSupports(context.Background(), newRunBudget(sc, e.opts), &progress{}, sc, p, true, record.Left, 6, &calls)
 	if err != nil {
 		t.Fatal(err)
 	}

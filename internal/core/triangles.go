@@ -15,63 +15,56 @@ import (
 type triangles struct {
 	left, right       []*record.Record
 	augLeft, augRight int
+	// searchCalls counts the candidate score lookups the chunked batch
+	// scans issued (Diagnostics.TriangleSearchCalls).
+	searchCalls int
 }
 
 // findTriangles implements get_triangles of Algorithm 1: τ/2 left
 // supports (w ∈ U with M(⟨w,v⟩)=¬y) and τ/2 right supports (q ∈ V with
 // M(⟨u,q⟩)=¬y), topped up by data augmentation on shortage (§3.3).
 //
-// It returns the supports plus two cost counters: calls is the number of
-// candidate score lookups the chunked batch scan issued, and seedCalls
-// is what the sequential seed scan — which stopped at the last accepted
-// support — would have scored.
-//
+// The scans run natural left, natural right, then augmented left,
+// augmented right; CallBudget truncation points depend on that order.
 // Every chunk flush is an anytime checkpoint: a tripped budget abandons
 // the remaining stream (and the phases after it), keeping the supports
 // found so far.
-func (e *Explainer) findTriangles(ctx context.Context, bud *runBudget, prog *progress, sc *scorecache.Scorer, p record.Pair, y bool) (triangles, int, int, error) {
+func (e *Explainer) findTriangles(ctx context.Context, bud *runBudget, prog *progress, sc *scorecache.Scorer, p record.Pair, y bool) (triangles, error) {
 	perSide := e.opts.Triangles / 2
 	if perSide < 1 {
 		perSide = 1
 	}
 	var tri triangles
-	calls, seedCalls := 0, 0
-
-	if e.opts.LeftTrianglesOnly {
-		perSide = e.opts.Triangles
-	}
 	var err error
 	if !e.opts.ForceAugmentation {
-		tri.left, err = e.naturalSupports(ctx, bud, prog, sc, p, y, record.Left, perSide, &calls, &seedCalls)
+		tri.left, err = e.naturalSupports(ctx, bud, prog, sc, p, y, record.Left, perSide, &tri.searchCalls)
 		if err != nil {
-			return tri, calls, seedCalls, err
+			return tri, err
 		}
-		if !e.opts.LeftTrianglesOnly {
-			tri.right, err = e.naturalSupports(ctx, bud, prog, sc, p, y, record.Right, perSide, &calls, &seedCalls)
-			if err != nil {
-				return tri, calls, seedCalls, err
-			}
+		tri.right, err = e.naturalSupports(ctx, bud, prog, sc, p, y, record.Right, perSide, &tri.searchCalls)
+		if err != nil {
+			return tri, err
 		}
 	}
 	if !e.opts.DisableAugmentation || e.opts.ForceAugmentation {
 		if len(tri.left) < perSide {
-			aug, err := e.augmentedSupports(ctx, bud, prog, sc, p, y, record.Left, perSide-len(tri.left), &calls, &seedCalls)
+			aug, err := e.augmentedSupports(ctx, bud, prog, sc, p, y, record.Left, perSide-len(tri.left), &tri.searchCalls)
 			if err != nil {
-				return tri, calls, seedCalls, err
+				return tri, err
 			}
 			tri.augLeft = len(aug)
 			tri.left = append(tri.left, aug...)
 		}
-		if !e.opts.LeftTrianglesOnly && len(tri.right) < perSide {
-			aug, err := e.augmentedSupports(ctx, bud, prog, sc, p, y, record.Right, perSide-len(tri.right), &calls, &seedCalls)
+		if len(tri.right) < perSide {
+			aug, err := e.augmentedSupports(ctx, bud, prog, sc, p, y, record.Right, perSide-len(tri.right), &tri.searchCalls)
 			if err != nil {
-				return tri, calls, seedCalls, err
+				return tri, err
 			}
 			tri.augRight = len(aug)
 			tri.right = append(tri.right, aug...)
 		}
 	}
-	return tri, calls, seedCalls, nil
+	return tri, nil
 }
 
 // maxSearchChunk caps the geometric chunk growth of the candidate scan.
@@ -119,7 +112,6 @@ type supportScan struct {
 	recOrds []int // per pending candidate: ordinal of its source record
 	out     []*record.Record
 	scored  int  // candidates actually scored (chunk overscan included)
-	seed    int  // candidates the sequential seed scan would have scored
 	done    bool // want reached or stream abandoned; later candidates are ignored
 	// truncated records that a budget checkpoint (not the stream's own
 	// logic) abandoned the scan; err records a context cancellation.
@@ -197,7 +189,6 @@ func (s *supportScan) flush() {
 	// Anytime checkpoint: a tripped budget abandons the stream before the
 	// chunk is scored, keeping whatever the scan already accepted.
 	if s.bud.exhausted() {
-		s.seed = s.scored
 		s.truncated = true
 		s.done = true
 		s.pending = s.pending[:0]
@@ -227,7 +218,6 @@ func (s *supportScan) flush() {
 				if s.recEligible {
 					s.streak = 0
 				} else if s.streak++; s.patience > 0 && s.streak >= s.patience {
-					s.seed = s.scored + i
 					s.done = true
 					break
 				}
@@ -239,7 +229,6 @@ func (s *supportScan) flush() {
 			s.recEligible = true
 			s.out = append(s.out, s.pending[i].build())
 			if len(s.out) >= s.want {
-				s.seed = s.scored + i + 1
 				s.done = true
 				break
 			}
@@ -259,9 +248,6 @@ func (s *supportScan) flush() {
 // finish flushes the tail of the stream and reports the selection.
 func (s *supportScan) finish() []*record.Record {
 	s.flush()
-	if !s.done {
-		s.seed = s.scored
-	}
 	return s.out
 }
 
@@ -283,7 +269,7 @@ func (s *supportScan) finish() []*record.Record {
 // anyway, and on dense sides a relevance reordering changes which
 // supports are selected — a set divergence the pruned mode's agreement
 // gate would then have to absorb for no measured call savings.
-func (e *Explainer) naturalSupports(ctx context.Context, bud *runBudget, prog *progress, sc *scorecache.Scorer, p record.Pair, y bool, side record.Side, want int, calls, seedCalls *int) ([]*record.Record, error) {
+func (e *Explainer) naturalSupports(ctx context.Context, bud *runBudget, prog *progress, sc *scorecache.Scorer, p record.Pair, y bool, side record.Side, want int, calls *int) ([]*record.Record, error) {
 	self := p.Record(side)
 	fixed := p.Record(side.Opposite())
 	src := e.sources.Side(side)
@@ -310,7 +296,6 @@ func (e *Explainer) naturalSupports(ctx context.Context, bud *runBudget, prog *p
 	}
 	sp.AddItems(scan.scored)
 	*calls += scan.scored
-	*seedCalls += scan.seed
 	scan.notePhase(prog)
 	return out, nil
 }
@@ -322,14 +307,11 @@ func (e *Explainer) naturalSupports(ctx context.Context, bud *runBudget, prog *p
 // triangle's fixed record (like naturalSupports) so augmented supports
 // stay decorrelated across pivots while explanations sharing the fixed
 // record generate cache-aligned variant streams.
-func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog *progress, sc *scorecache.Scorer, p record.Pair, y bool, side record.Side, want int, calls, seedCalls *int) ([]*record.Record, error) {
+func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog *progress, sc *scorecache.Scorer, p record.Pair, y bool, side record.Side, want int, calls *int) ([]*record.Record, error) {
 	if want <= 0 {
 		return nil, nil
 	}
 	self := p.Record(side)
-	fixed := p.Record(side.Opposite())
-	src := e.sources.Side(side)
-	seed := e.opts.Seed*197 + 7 + int64(side) + int64(hashString(fixed.Text()))
 
 	// Attempt budget so pathological models cannot make explanation cost
 	// unbounded (Options.AugmentBudget variants per missing support).
@@ -338,28 +320,15 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 	sp, ctx := telemetry.StartSpan(ctx, "retrieval/augmented")
 	defer sp.End()
 	scan := newSupportScan(ctx, bud, sc, p, side, y, want)
-	var stream *neighborhood.Stream
-	if e.opts.SeedSearch {
-		stream = src.Shuffled(seed)
-	} else {
-		// Guided search: a support must predict opposite to y when paired
-		// with the triangle's fixed record. When the opposite prediction
-		// is Match, only records resembling the fixed record can get
-		// there by dropping noise tokens — visit those first. When it is
-		// Non-Match, dissimilar records flip fastest. The seeded shuffle
-		// remains the tie-break, so Seed still diversifies selection.
-		// RankedContext additionally records the eager ranking work
-		// (postings intersection + heap setup) as its own span.
-		stream = neighborhood.RankedContext(ctx, src, seed, fixed.Text(), y /* ascending overlap when seeking Non-Match */)
-		// Abandon streams that yield nothing: after this many consecutive
-		// candidate records' worth of ineligible variants, no support is
-		// coming from the rest of the (relevance-ranked) stream either.
-		// Pruned mode gives up sooner; see prunePatience.
-		scan.patience = augmentPatience
-		if e.opts.LatticePrune.Enabled() {
-			scan.patience = prunePatience
-		}
+	// Abandon streams that yield nothing: after this many consecutive
+	// candidate records' worth of ineligible variants, no support is
+	// coming from the rest of the (relevance-ranked) stream either.
+	// Pruned mode gives up sooner; see prunePatience.
+	scan.patience = augmentPatience
+	if e.opts.LatticePrune.Enabled() {
+		scan.patience = prunePatience
 	}
+	stream := e.augmentedStream(ctx, p, side, y)
 	generated := 0
 	augID := 0
 	for !scan.done && generated < budget {
@@ -401,9 +370,22 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 	}
 	sp.AddItems(scan.scored)
 	*calls += scan.scored
-	*seedCalls += scan.seed
 	scan.notePhase(prog)
 	return out, nil
+}
+
+// augmentedStream is the guided candidate stream of the augmented scan
+// on side. A support must predict opposite to y when paired with the
+// triangle's fixed record. When the opposite prediction is Match, only
+// records resembling the fixed record can get there by dropping noise
+// tokens — visit those first. When it is Non-Match, dissimilar records
+// flip fastest. The seeded shuffle remains the tie-break, so Seed still
+// diversifies selection. RankedContext additionally records the eager
+// ranking work (postings intersection + heap setup) as its own span.
+func (e *Explainer) augmentedStream(ctx context.Context, p record.Pair, side record.Side, y bool) *neighborhood.Stream {
+	fixed := p.Record(side.Opposite())
+	seed := e.opts.Seed*197 + 7 + int64(side) + int64(hashString(fixed.Text()))
+	return neighborhood.RankedContext(ctx, e.sources.Side(side), seed, fixed.Text(), y /* ascending overlap when seeking Non-Match */)
 }
 
 // notePhase registers the scan as one completeness phase: complete when

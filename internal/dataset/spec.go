@@ -8,8 +8,7 @@
 // names and counts), record counts per source, number of matching pairs,
 // missing-value rates, per-source formatting noise (typos, token drops,
 // abbreviations) and — for the dirty variants — the attribute-value
-// displacement that defines those datasets. See DESIGN.md §1 for the
-// substitution rationale.
+// displacement that defines those datasets.
 //
 // Generation is fully deterministic given (code, Options).
 package dataset

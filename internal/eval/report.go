@@ -66,7 +66,8 @@ func (h *Harness) WriteReport(w io.Writer) error {
 	fmt.Fprintln(w, "Generated by `certa-bench -report`. Every table and figure of the paper's")
 	fmt.Fprintln(w, "evaluation (§5) is regenerated against the synthetic benchmarks and the Go")
 	fmt.Fprintln(w, "re-implementations of the three ER systems. Absolute values are not expected")
-	fmt.Fprintln(w, "to match the paper (different substrate — see DESIGN.md §1); each section")
+	fmt.Fprintln(w, "to match the paper (different substrate — see the internal/dataset and")
+	fmt.Fprintln(w, "internal/matchers package docs); each section")
 	fmt.Fprintln(w, "states the paper's result and the shape the reproduction should show.")
 	fmt.Fprintln(w)
 	fmt.Fprintf(w, "Configuration: seed=%d, ≤%d records/source, ≤%d matches, %d explained pairs "+

@@ -11,8 +11,7 @@
 //     markers and domain knowledge (number normalization), plus
 //     train-time data augmentation — and is the strongest of the three.
 //
-// See DESIGN.md §1 for the substitution rationale. All trained models are
-// pure and safe for concurrent Score calls.
+// All trained models are pure and safe for concurrent Score calls.
 package matchers
 
 import (

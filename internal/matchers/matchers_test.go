@@ -66,26 +66,51 @@ func TestScoreRangeAndDeterminism(t *testing.T) {
 	}
 }
 
+// TestScoreConcurrentSafe drives the matcher-lifetime caches every
+// scoring shard of a service shares — the DeepMatcher attribute-block
+// memo and the embedding store — from concurrent ScoreBatch and Score
+// calls, for every trained kind. Each model under test is a
+// serialization round trip of a trained one, so its caches start empty
+// and the test pairs are misses that some goroutines fill while others
+// read; every score must still match the trained model's.
 func TestScoreConcurrentSafe(t *testing.T) {
 	b, models := testBenchmark(t)
-	m := models[Ditto]
-	want := m.Score(b.Test[0].Pair)
-	var wg sync.WaitGroup
-	var mismatches atomic.Int64
-	for g := 0; g < 16; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				if got := m.Score(b.Test[0].Pair); got != want {
-					mismatches.Add(1)
-				}
-			}
-		}()
+	pairs := make([]record.Pair, len(b.Test))
+	for i, lp := range b.Test {
+		pairs[i] = lp.Pair
 	}
-	wg.Wait()
-	if n := mismatches.Load(); n > 0 {
-		t.Errorf("concurrent Score calls produced %d mismatching results", n)
+	for _, kind := range Kinds() {
+		want := models[kind].ScoreBatch(pairs)
+		data, err := models[kind].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := new(Model)
+		if err := m.UnmarshalBinary(data); err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		var mismatches atomic.Int64
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i, got := range m.ScoreBatch(pairs) {
+					if got != want[i] {
+						mismatches.Add(1)
+					}
+				}
+				for i := g; i < len(pairs); i += 8 {
+					if m.Score(pairs[i]) != want[i] {
+						mismatches.Add(1)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if n := mismatches.Load(); n > 0 {
+			t.Errorf("%s: concurrent scoring produced %d mismatching results", kind, n)
+		}
 	}
 }
 

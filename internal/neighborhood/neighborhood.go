@@ -6,10 +6,9 @@
 //
 // CERTA's open-triangle construction scans a source table for support
 // records in two deterministic orders: a seeded shuffle (natural
-// supports, and the SeedSearch ablation of the augmented search) and an
-// overlap ranking (the guided augmented search: records ordered by
-// token-Jaccard overlap with the triangle's fixed record, with the
-// seeded shuffle as tie-break). Before this layer, the guided ranking
+// supports) and an overlap ranking (the guided augmented search: records
+// ordered by token-Jaccard overlap with the triangle's fixed record,
+// with the seeded shuffle as tie-break). Before this layer, the guided ranking
 // tokenized every record of the table and full-sorted it per
 // explanation — O(|table|·|text|) tokenization plus O(|table| log
 // |table|) sorting before a single model call.

@@ -59,8 +59,8 @@ type Options struct {
 	Parallelism int
 	// Disabled turns memoization off: every lookup reaches the model,
 	// bypassing both the view and the shared store. Batching still
-	// applies. Used by the core ablation that measures the cache against
-	// the seed scoring path.
+	// applies. Used by core.Options.DisableCache, the uncached reference
+	// that measures what the cache saves.
 	Disabled bool
 }
 

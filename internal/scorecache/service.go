@@ -432,7 +432,8 @@ func (s *Service) direct(ctx context.Context, pairs []record.Pair, parallelism i
 
 // scoreSharded scores pairs (at least one) with the model in at most
 // parallelism (at least 1) contiguous shards, one batch call each, and
-// returns the index-aligned scores.
+// returns the index-aligned scores. A shard that panics — the model, or
+// the batch-length check — fails the call with a *workpool.PanicError.
 func (s *Service) scoreSharded(ctx context.Context, pairs []record.Pair, parallelism int) ([]float64, error) {
 	scores := make([]float64, len(pairs))
 	shards := min(parallelism, len(pairs))

@@ -77,7 +77,9 @@ func (co *coalescer) do(ctx, base context.Context, key string, compute func(cont
 			// The computation goroutine is outside net/http's per-request
 			// panic recovery; contain an engine panic to a failed call (a
 			// 500 for its requesters) instead of crashing the daemon and
-			// losing the unsnapshotted cache.
+			// losing the unsnapshotted cache. A scoring shard's panic
+			// already arrives as a *workpool.PanicError; this is the
+			// backstop for a panic anywhere else in the computation.
 			if r := recover(); r != nil {
 				c.body, c.err = nil, fmt.Errorf("explanation panicked: %v", r)
 			}

@@ -546,6 +546,12 @@ func (s *Server) logExplain(reqID, backend, pairKey string, status int, joined, 
 	}
 	if err != nil {
 		attrs = append(attrs, "error", err.Error())
+		// A model or engine panic reaches the client as its message
+		// only; the stack goes to the log.
+		var pe *workpool.PanicError
+		if errors.As(err, &pe) {
+			attrs = append(attrs, "stack", string(pe.Stack))
+		}
 		s.logger.Warn("explain", attrs...)
 		return
 	}
@@ -628,10 +634,15 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			return nil
 		}
 		b.requests.Inc()
-		body, _, _, _, err := s.serveOne(ctx, b, p, item.knobs(), reqID+"."+strconv.Itoa(i))
+		itemID := reqID + "." + strconv.Itoa(i)
+		body, _, _, _, err := s.serveOne(ctx, b, p, item.knobs(), itemID)
 		if err != nil {
 			b.errors.Inc()
-			s.countServeError(err)
+			// A server-side failure (a panicking model, say) gets its own
+			// log line, stack included; overload and cancellation do not.
+			if status := s.countServeError(err); status == http.StatusInternalServerError {
+				s.logExplain(itemID, b.name, p.Key(), status, false, false, time.Since(start), nil, err)
+			}
 			itemError(i, b.name, p.Key(), err.Error())
 			return nil
 		}
@@ -696,9 +707,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // returned status separates an oversized body (413 — split the batch)
 // from malformed JSON (400 — don't retry).
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) (int, error) {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
+	if err := decodeStrict(http.MaxBytesReader(w, r.Body, s.opts.MaxBodyBytes), into); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			return http.StatusRequestEntityTooLarge,
@@ -707,6 +716,13 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, into any) (int, 
 		return http.StatusBadRequest, fmt.Errorf("decoding request: %w", err)
 	}
 	return 0, nil
+}
+
+// decodeStrict decodes one JSON value from r, rejecting unknown fields.
+func decodeStrict(r io.Reader, into any) error {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	return dec.Decode(into)
 }
 
 // countServeError classifies a serveOne failure into the outcome

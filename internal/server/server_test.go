@@ -646,15 +646,23 @@ func TestHealthzAndStats(t *testing.T) {
 	}
 }
 
+// neverFlipsModel predicts Match for every pair, so no candidate is ever
+// an eligible support.
+type neverFlipsModel struct{}
+
+func (neverFlipsModel) Name() string              { return "never-flips" }
+func (neverFlipsModel) Score(record.Pair) float64 { return 0.9 }
+
 // TestAugmentBudgetKnob checks the per-request augment_budget override
-// reaches the engine: on a forced-augmentation SeedSearch backend (the
-// blind shuffle needs many attempts, so the attempt budget genuinely
-// binds) an absurdly small budget must strictly reduce the search work.
+// reaches the engine: on a forced-augmentation backend whose model never
+// flips, the guided scan runs its full patience (20 barren records,
+// dozens of variants) by default, while an absurdly small budget stops
+// it after one variant per wanted support — strictly less search work.
 func TestAugmentBudgetKnob(t *testing.T) {
 	left, right := testSources(24)
 	s, err := New([]Backend{{
-		Name: "toy", Left: left, Right: right, Model: overlapModel{},
-		Options: core.Options{Triangles: 8, Seed: 3, ForceAugmentation: true, SeedSearch: true},
+		Name: "toy", Left: left, Right: right, Model: neverFlipsModel{},
+		Options: core.Options{Triangles: 8, Seed: 3, ForceAugmentation: true},
 	}}, Options{})
 	if err != nil {
 		t.Fatal(err)

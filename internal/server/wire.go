@@ -26,7 +26,9 @@ type WireRecord struct {
 // ExplainRequest asks for one explanation. The pair is addressed in one
 // of three ways, in precedence order: inline records (left+right),
 // record IDs resolved in the backend's tables (left_id+right_id), or an
-// index into the backend's registered pair list (pair_index).
+// index into the backend's registered pair list (pair_index). A
+// negative integer knob or a prune threshold outside [0, 1] is rejected
+// with a 400 (a per-item error in a batch).
 type ExplainRequest struct {
 	// Benchmark names the backend (dataset/model) to explain against.
 	// Optional when the server hosts exactly one.
@@ -65,7 +67,8 @@ type ExplainRequest struct {
 // (wire_golden_test.go; refresh with -update-golden).
 type WirePrunePolicy struct {
 	// Threshold is the per-level flip fraction at which a lattice
-	// counts as saturated and stops exploring; <= 0 disables pruning.
+	// counts as saturated and stops exploring, in [0, 1]; 0 disables
+	// pruning.
 	Threshold float64 `json:"threshold"`
 	// MinLevels is the number of lattice levels that must be fully
 	// explored before pruning may trigger (0 = the engine default of 2).
@@ -120,9 +123,45 @@ type HealthResponse struct {
 	Backends []string `json:"backends"`
 }
 
-// resolvePair materializes the request's pair against a backend.
+// resolvePair validates the request's knobs and materializes its pair
+// against a backend: the one admission check both explain endpoints
+// share.
 func (b *backend) resolvePair(req *ExplainRequest) (record.Pair, error) {
+	if err := req.validate(); err != nil {
+		return record.Pair{}, err
+	}
 	return ResolvePair(req, b.left, b.right, b.pairs)
+}
+
+// validate rejects out-of-range knobs: every integer knob is 0 (off, or
+// the default) or positive, and a prune threshold is a fraction in
+// [0, 1]. Read as "off" instead, a negative deadline would run unbounded
+// yet never be memoized, and a threshold above 1 would shorten the
+// augmented search's patience without ever pruning a lattice.
+func (r *ExplainRequest) validate() error {
+	ints := [...]struct {
+		field string
+		v     int
+	}{
+		{"deadline_ms", r.DeadlineMS},
+		{"call_budget", r.CallBudget},
+		{"augment_budget", r.AugmentBudget},
+		{"top_k", r.TopK},
+	}
+	for _, k := range ints {
+		if k.v < 0 {
+			return fmt.Errorf("%s %d is negative", k.field, k.v)
+		}
+	}
+	if lp := r.LatticePrune; lp != nil {
+		if !(lp.Threshold >= 0 && lp.Threshold <= 1) {
+			return fmt.Errorf("lattice_prune.threshold %v is outside [0, 1]", lp.Threshold)
+		}
+		if lp.MinLevels < 0 {
+			return fmt.Errorf("lattice_prune.min_levels %d is negative", lp.MinLevels)
+		}
+	}
+	return nil
 }
 
 // ResolvePair materializes a request's pair against a backend's source

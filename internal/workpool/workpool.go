@@ -12,19 +12,45 @@
 // Each, whose jobs ignore their context, reports the same error as a
 // sequential loop. Cooperative EachContext jobs see the cancellation
 // and may cut themselves short; which error is reported then follows
-// EachContext's rules.
+// EachContext's rules. A job that panics fails with a *PanicError
+// instead of crashing the process: on a pool goroutine, the panic would
+// escape every recover its caller set up.
 package workpool
 
 import (
 	"context"
 	"errors"
+	"fmt"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 )
 
+// PanicError is the error of a job that panicked: the job's index, the
+// value it panicked with, and the stack of the panicking goroutine. Its
+// message omits the stack, so it can reach a client verbatim; log Stack
+// where the error is reported.
+type PanicError struct {
+	Index int
+	Value any
+	Stack []byte
+}
+
+func (e *PanicError) Error() string { return fmt.Sprintf("job %d panicked: %v", e.Index, e.Value) }
+
+// run calls fn(ctx, i), turning a panic into the job's *PanicError.
+func run(ctx context.Context, i int, fn func(ctx context.Context, i int) error) (err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			err = &PanicError{Index: i, Value: v, Stack: debug.Stack()}
+		}
+	}()
+	return fn(ctx, i)
+}
+
 // Each runs fn(0), fn(1), ..., fn(n-1) with at most workers concurrent
 // goroutines and returns the lowest-index job error (nil if every call
-// succeeded).
+// succeeded). A panicking job's error is a *PanicError.
 //
 // With workers <= 1 the jobs run inline on the calling goroutine and
 // Each short-circuits on the first error, exactly like a plain loop. In
@@ -65,7 +91,7 @@ func EachContext(ctx context.Context, n, workers int, fn func(ctx context.Contex
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			if err := fn(ctx, i); err != nil {
+			if err := run(ctx, i, fn); err != nil {
 				return err
 			}
 		}
@@ -107,7 +133,7 @@ func EachContext(ctx context.Context, n, workers int, fn func(ctx context.Contex
 					errs[i] = context.Canceled
 					continue
 				}
-				if errs[i] = fn(inner, i); errs[i] != nil {
+				if errs[i] = run(inner, i, fn); errs[i] != nil {
 					for low := lowFail.Load(); int64(i) < low; low = lowFail.Load() {
 						if lowFail.CompareAndSwap(low, int64(i)) {
 							break

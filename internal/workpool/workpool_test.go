@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -188,5 +189,61 @@ func TestEachBoundsConcurrency(t *testing.T) {
 	}
 	if peak > workers {
 		t.Fatalf("observed %d concurrent jobs, bound is %d", peak, workers)
+	}
+}
+
+// A job's panic becomes that job's error — a *PanicError carrying the
+// index, the value and the stack — on the inline path and on worker
+// goroutines alike, instead of crashing the process.
+func TestEachPanicBecomesJobError(t *testing.T) {
+	for _, workers := range []int{1, 4} {
+		err := Each(8, workers, func(i int) error {
+			if i == 3 {
+				panic("boom")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) {
+			t.Fatalf("workers=%d: err = %v, want a *PanicError", workers, err)
+		}
+		if pe.Index != 3 || pe.Value != "boom" || err.Error() != "job 3 panicked: boom" {
+			t.Fatalf("workers=%d: PanicError{Index: %d, Value: %v} reads %q", workers, pe.Index, pe.Value, err)
+		}
+		if !strings.Contains(string(pe.Stack), "TestEachPanicBecomesJobError") {
+			t.Fatalf("workers=%d: stack does not show the panicking job:\n%s", workers, pe.Stack)
+		}
+	}
+}
+
+// A panic obeys the lowest-index rule like any other job error, whichever
+// of the two failing jobs panics.
+func TestEachPanicLowestIndexWins(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		err := Each(50, workers, func(i int) error {
+			switch i {
+			case 7:
+				panic("job 7 bug")
+			case 31:
+				return errors.New("job 31 failed")
+			}
+			return nil
+		})
+		var pe *PanicError
+		if !errors.As(err, &pe) || pe.Index != 7 {
+			t.Fatalf("workers=%d: err = %v, want job 7's panic", workers, err)
+		}
+		err = Each(50, workers, func(i int) error {
+			switch i {
+			case 7:
+				return errors.New("job 7 failed")
+			case 31:
+				panic("job 31 bug")
+			}
+			return nil
+		})
+		if err == nil || err.Error() != "job 7 failed" {
+			t.Fatalf("workers=%d: err = %v, want job 7 failed", workers, err)
+		}
 	}
 }

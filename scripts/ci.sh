@@ -26,8 +26,8 @@ go build ./...
 echo "== go test =="
 go test -timeout 300s ./...
 
-echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + HTTP serving + lattice + telemetry + cluster routing) =="
-go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
+echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + matcher caches + HTTP serving + lattice + telemetry + cluster routing) =="
+go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/matchers/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
 
 # The lattice-pruning paths specifically, under the race detector at
 # Parallelism 8 (TestLatticePruneDeterministic and friends run inside the

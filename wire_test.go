@@ -83,7 +83,6 @@ func wireResult(t *testing.T) certa.ExplainResponse {
 				BatchCalls:          5,
 				CacheLookups:        23,
 				CacheHits:           6,
-				SeedPathCalls:       21,
 				Truncated:           true,
 				TruncatedBy:         certa.TruncatedByCallBudget,
 				BudgetSpent:         17,
