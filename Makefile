@@ -34,9 +34,10 @@ servesmoke:
 # blocked-cluster fixture, plus the certa.test binary they symbolize
 # against: certa.pprof re-explains pairs on a warm shared service
 # (BenchmarkExplainPlain: store lookups, few model calls), and
-# certa-cold.pprof explains each pair on a fresh service at
-# Parallelism 1 (BenchmarkExplainCold: every model call and store
-# insertion paid). Inspect with `go tool pprof certa.test certa.pprof`.
+# certa-cold.pprof explains 8-pair batches, each on a fresh service at
+# Parallelism 1 (BenchmarkExplainCold, the benchmark's batch-cold call
+# shape: every model call and store insertion paid while the store
+# grows across the batch). Inspect with `go tool pprof certa.test certa.pprof`.
 profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkExplainPlain$$' -benchtime 32x -cpuprofile certa.pprof .
 	$(GO) test -run '^$$' -bench '^BenchmarkExplainCold$$' -benchtime 32x -cpuprofile certa-cold.pprof .

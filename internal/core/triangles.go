@@ -331,6 +331,7 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 	stream := e.augmentedStream(ctx, p, side, y)
 	generated := 0
 	augID := 0
+	var starts []int
 	for !scan.done && generated < budget {
 		w, ok := stream.Next()
 		if !ok {
@@ -351,13 +352,15 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 				continue
 			}
 			// Drop the first k and the last k tokens (k < n, so neither
-			// variant is empty), slicing the one token list.
+			// variant is empty): both are substrings of the joined value.
+			joined := strutil.JoinTokens(toks)
+			starts = strutil.TokenStarts(starts[:0], toks)
 			for k := 1; k < n && !scan.done && generated < budget; k++ {
-				for _, variant := range [2][]string{toks[k:], toks[:n-k]} {
+				for _, variant := range [2]string{joined[starts[k]:], joined[:starts[n-k]-1]} {
 					if scan.done || generated >= budget {
 						break
 					}
-					scan.add(candidate{src: w, attr: ai, val: strutil.JoinTokens(variant), aug: augID})
+					scan.add(candidate{src: w, attr: ai, val: variant, aug: augID})
 					augID++
 					generated++
 				}

@@ -25,6 +25,15 @@
 // Unique misses are pushed through the model's batch entry point
 // (explain.BatchModel) in parallel shards.
 //
+// A score question hashes its canonical key once, under a seed drawn
+// per Service, and carries that hash along the whole lookup path: the
+// view's key set, the in-batch duplicate check, the stripe choice, the
+// stripe's store, publication, eviction and Restore all use one small
+// open-addressing table that keeps each key's hash beside it. A lookup
+// compares the stored hash and then the key bytes, and growth moves
+// slots by their stored hash, so no key is hashed twice. The table's
+// iteration order follows the seed, so Keys and Snapshot sort.
+//
 // Callers that can compute a pair's canonical Key without building the
 // pair (PerturbKeyer for lattice subsets, SupportKeyer for triangle
 // support candidates) use the keyed entry point, ScoreBatchKeyedContext:
@@ -101,7 +110,7 @@ type Scorer struct {
 	opts Options
 
 	mu    sync.Mutex
-	local map[string]float64
+	local table[float64] // the view's key set, under svc's key hashes
 	stats Stats
 }
 
@@ -191,6 +200,16 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 		return out, ctx.Err()
 	}
 
+	// Each key is hashed once; the view, the in-batch duplicate check
+	// and the shared store all reuse that hash.
+	var hashes []uint64
+	if !s.opts.Disabled {
+		hashes = make([]uint64, len(keys))
+		for i, k := range keys {
+			hashes[i] = s.svc.hash(k)
+		}
+	}
+
 	// Resolve view hits and collect unique misses (the key index of each
 	// first occurrence) in first-occurrence order.
 	var misses []int
@@ -204,20 +223,21 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 			misses = append(misses, i)
 		}
 	} else {
-		missAt := make(map[string]int, len(keys)) // key -> index into misses
+		missAt := newTable[int](len(keys)) // key -> index into misses
 		for i, k := range keys {
-			if v, ok := s.local[k]; ok {
+			h := hashes[i]
+			if v, ok := s.local.get(h, k); ok {
 				out[i] = v
 				s.stats.Hits++
 				continue
 			}
-			if mi, ok := missAt[k]; ok {
+			if mi, ok := missAt.get(h, k); ok {
 				// Duplicate within this batch: scored once, fanned out.
 				dups = append(dups, dup{mi: mi, slot: i})
 				s.stats.Hits++
 				continue
 			}
-			missAt[k] = len(misses)
+			missAt.put(h, k, len(misses))
 			misses = append(misses, i)
 		}
 	}
@@ -231,10 +251,6 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 		return out, nil
 	}
 
-	missKeys := make([]string, len(misses))
-	for j, ki := range misses {
-		missKeys[j] = keys[ki]
-	}
 	pairAt := func(j int) record.Pair { return materialize(misses[j]) }
 	var scores []float64
 	var err error
@@ -245,7 +261,13 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 		}
 		scores, err = s.svc.direct(ctx, missPairs, s.opts.Parallelism)
 	} else {
-		scores, err = s.svc.fetch(ctx, missKeys, pairAt)
+		missKeys := make([]string, len(misses))
+		missHashes := make([]uint64, len(misses))
+		for j, ki := range misses {
+			missKeys[j] = keys[ki]
+			missHashes[j] = hashes[ki]
+		}
+		scores, err = s.svc.fetch(ctx, missKeys, missHashes, pairAt)
 	}
 	if err != nil {
 		return nil, err
@@ -254,7 +276,7 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 	s.mu.Lock()
 	for j, ki := range misses {
 		if !s.opts.Disabled {
-			s.local[missKeys[j]] = scores[j]
+			s.local.put(hashes[ki], keys[ki], scores[j])
 		}
 		out[ki] = scores[j]
 	}

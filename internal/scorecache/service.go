@@ -77,14 +77,15 @@ type ServiceStats struct {
 // entry is one key's slot in the store. A pending entry (ready not yet
 // closed) marks an in-flight computation: concurrent requesters wait on
 // ready instead of invoking the model again (singleflight). Waiters hold
-// the entry pointer directly, so eviction from the map never invalidates
-// a result someone is still waiting for.
+// the entry pointer directly, so eviction from the table never
+// invalidates a result someone is still waiting for.
 type entry struct {
 	key   string
+	h     uint64 // the key's hash (Service.hash), for stripe and table
 	score float64
 	ready chan struct{} // closed once score is valid (or failed is set)
 	// failed marks entries whose publisher was cancelled or panicked
-	// mid-batch; the publisher removed them from the map before closing
+	// mid-batch; the publisher removed them from the table before closing
 	// ready, so waiters re-claim the key themselves instead of reading a
 	// zero score or inheriting the leader's cancellation.
 	failed bool
@@ -95,8 +96,8 @@ type entry struct {
 
 // serviceShard is one lock stripe of the store.
 type serviceShard struct {
-	mu      sync.Mutex
-	entries map[string]*entry
+	mu  sync.Mutex
+	tab table[*entry]
 	// Doubly-linked LRU list of ready entries, most recent at head.
 	// Only maintained when cap > 0.
 	head, tail *entry
@@ -120,7 +121,7 @@ type Service struct {
 	model  explain.BatchModel
 	cmodel explain.ContextModel
 	opts   ServiceOptions
-	seed   maphash.Seed // stripe placement (shardFor)
+	seed   maphash.Seed // key hashes (hash): stripe and slot placement
 	shards []serviceShard
 
 	statmu sync.Mutex
@@ -138,9 +139,9 @@ func NewService(m explain.Model, opts ServiceOptions) *Service {
 		cmodel: explain.AsContext(m),
 		opts:   opts,
 		// maphash seeds are random per process. The seed decides lock
-		// placement (and, under Capacity, which LRU holds a key), never
-		// a score, Result or Diagnostics.
-		seed:   maphash.MakeSeed(), //lint:allow nodrift stripe placement only; no score, Result or Diagnostics depends on it
+		// and slot placement (and, under Capacity, which LRU holds a
+		// key), never a score, Result or Diagnostics.
+		seed:   maphash.MakeSeed(), //lint:allow nodrift stripe and slot placement only; no score, Result or Diagnostics depends on it
 		shards: make([]serviceShard, opts.Shards),
 	}
 	perShard := 0
@@ -151,7 +152,7 @@ func NewService(m explain.Model, opts ServiceOptions) *Service {
 		}
 	}
 	for i := range s.shards {
-		s.shards[i] = serviceShard{entries: make(map[string]*entry), cap: perShard}
+		s.shards[i].cap = perShard
 	}
 	return s
 }
@@ -180,7 +181,7 @@ func (s *Service) NewScorer(opts Options) *Scorer {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 1
 	}
-	return &Scorer{svc: s, opts: opts, local: make(map[string]float64)}
+	return &Scorer{svc: s, opts: opts}
 }
 
 // Score implements explain.Model through the shared store.
@@ -216,15 +217,22 @@ func (s *Service) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([
 		return out, ctx.Err()
 	}
 	var keys []string
+	var hashes []uint64
 	var unique []record.Pair
-	slots := make(map[string][]int, len(pairs))
+	at := make([]int, len(pairs)) // pair index -> index into keys
+	first := newTable[int](len(pairs))
 	for i, p := range pairs {
 		k := Key(p)
-		if _, ok := slots[k]; !ok {
+		h := s.hash(k)
+		u, ok := first.get(h, k)
+		if !ok {
+			u = len(keys)
+			first.put(h, k, u)
 			keys = append(keys, k)
+			hashes = append(hashes, h)
 			unique = append(unique, p)
 		}
-		slots[k] = append(slots[k], i)
+		at[i] = u
 	}
 	if dupes := len(pairs) - len(keys); dupes > 0 {
 		s.statmu.Lock()
@@ -232,21 +240,24 @@ func (s *Service) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([
 		s.stats.Hits += dupes
 		s.statmu.Unlock()
 	}
-	scores, err := s.fetch(ctx, keys, func(i int) record.Pair { return unique[i] })
+	scores, err := s.fetch(ctx, keys, hashes, func(i int) record.Pair { return unique[i] })
 	if err != nil {
 		return nil, err
 	}
-	for i, k := range keys {
-		for _, slot := range slots[k] {
-			out[slot] = scores[i]
-		}
+	for i, u := range at {
+		out[i] = scores[u]
 	}
 	return out, nil
 }
 
-// shardFor stripes a key across the locks.
-func (s *Service) shardFor(key string) *serviceShard {
-	return &s.shards[maphash.String(s.seed, key)%uint64(len(s.shards))]
+// hash is the one hash of a canonical key, computed once per score
+// question and reused by the view's key set, the in-batch duplicate
+// check, the stripe choice and the stripe's table.
+func (s *Service) hash(key string) uint64 { return maphash.String(s.seed, key) }
+
+// stripe returns the lock stripe of a key with hash h.
+func (s *Service) stripe(h uint64) *serviceShard {
+	return &s.shards[h%uint64(len(s.shards))]
 }
 
 // waiter records an output slot blocked on another goroutine's in-flight
@@ -262,14 +273,14 @@ type waiter struct {
 // (materialize(i) is the pair of keys[i], called only for claimed keys,
 // on the calling goroutine), scored in one logical batch (sharded
 // across ServiceOptions.Parallelism workers) and published. Keys must be
-// unique within one call.
+// unique within one call; hashes[i] is hash(keys[i]).
 //
 // ctx governs the waits: a caller whose context is cancelled while
 // another caller computes its keys returns ctx.Err() immediately instead
 // of blocking on work it no longer wants. A leader that fails mid-batch
 // (cancellation or model panic) unpublishes its claims, so surviving
 // waiters re-claim the keys and score them under their own contexts.
-func (s *Service) fetch(ctx context.Context, keys []string, materialize func(i int) record.Pair) ([]float64, error) {
+func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, materialize func(i int) record.Pair) ([]float64, error) {
 	out := make([]float64, len(keys))
 	var claimed []int    // indexes this call must score
 	var claims []*entry  // their store entries, index-aligned with claimed
@@ -277,9 +288,10 @@ func (s *Service) fetch(ctx context.Context, keys []string, materialize func(i i
 	hits := 0
 
 	for i, k := range keys {
-		sh := s.shardFor(k)
+		h := hashes[i]
+		sh := s.stripe(h)
 		sh.mu.Lock()
-		if e, ok := sh.entries[k]; ok {
+		if e, ok := sh.tab.get(h, k); ok {
 			select {
 			case <-e.ready:
 				out[i] = e.score
@@ -292,8 +304,8 @@ func (s *Service) fetch(ctx context.Context, keys []string, materialize func(i i
 			sh.mu.Unlock()
 			continue
 		}
-		e := &entry{key: k, ready: make(chan struct{})}
-		sh.entries[k] = e
+		e := &entry{key: k, h: h, ready: make(chan struct{})}
+		sh.tab.put(h, k, e)
 		sh.mu.Unlock()
 		claimed = append(claimed, i)
 		claims = append(claims, e)
@@ -343,10 +355,12 @@ func (s *Service) fetch(ctx context.Context, keys []string, materialize func(i i
 		s.statmu.Unlock()
 
 		rkeys := make([]string, len(retry))
+		rhashes := make([]uint64, len(retry))
 		for i, w := range retry {
 			rkeys[i] = keys[w.slot]
+			rhashes[i] = hashes[w.slot]
 		}
-		scores, err := s.fetch(ctx, rkeys, func(i int) record.Pair { return materialize(retry[i].slot) })
+		scores, err := s.fetch(ctx, rkeys, rhashes, func(i int) record.Pair { return materialize(retry[i].slot) })
 		if err != nil {
 			return nil, err
 		}
@@ -371,9 +385,9 @@ func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) recor
 			return
 		}
 		for _, e := range claims {
-			sh := s.shardFor(e.key)
+			sh := s.stripe(e.h)
 			sh.mu.Lock()
-			delete(sh.entries, e.key)
+			sh.tab.delete(e.h, e.key)
 			e.failed = true
 			close(e.ready)
 			sh.mu.Unlock()
@@ -399,7 +413,7 @@ func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) recor
 	evictions := 0
 	for i, e := range claims {
 		out[claimed[i]] = scores[i]
-		sh := s.shardFor(e.key)
+		sh := s.stripe(e.h)
 		sh.mu.Lock()
 		e.score = scores[i]
 		close(e.ready)
@@ -484,7 +498,7 @@ func (sh *serviceShard) link(e *entry) int {
 	for sh.linked > sh.cap {
 		cold := sh.tail
 		sh.unlink(cold)
-		delete(sh.entries, cold.key)
+		sh.tab.delete(cold.h, cold.key)
 		evicted++
 	}
 	return evicted

@@ -39,7 +39,7 @@ func (s *Service) Keys() []string {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
+		for _, e := range sh.tab.all {
 			select {
 			case <-e.ready:
 				if !e.failed {
@@ -60,7 +60,7 @@ func (s *Service) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
+		for _, e := range sh.tab.all {
 			select {
 			case <-e.ready:
 				if !e.failed {
@@ -89,7 +89,7 @@ func (s *Service) Snapshot(w io.Writer) (int, error) {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.entries {
+		for _, e := range sh.tab.all {
 			select {
 			case <-e.ready:
 				if !e.failed {
@@ -211,15 +211,16 @@ func (s *Service) RestoreFunc(r io.Reader, keep func(key string) bool) (int, err
 		if keep != nil && !keep(en.key) {
 			continue
 		}
-		sh := s.shardFor(en.key)
+		h := s.hash(en.key)
+		sh := s.stripe(h)
 		sh.mu.Lock()
-		if _, ok := sh.entries[en.key]; ok {
+		if _, ok := sh.tab.get(h, en.key); ok {
 			sh.mu.Unlock()
 			continue
 		}
-		e := &entry{key: en.key, score: en.score, ready: make(chan struct{})}
+		e := &entry{key: en.key, h: h, score: en.score, ready: make(chan struct{})}
 		close(e.ready)
-		sh.entries[en.key] = e
+		sh.tab.put(h, en.key, e)
 		evictions += sh.link(e)
 		sh.mu.Unlock()
 		installed++

@@ -2,7 +2,10 @@ package scorecache
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"testing"
 
 	"certa/internal/record"
@@ -10,7 +13,7 @@ import (
 
 // warmService scores n distinct pairs through a fresh service and
 // returns it with its model.
-func warmService(t *testing.T, n int) (*Service, *countingModel) {
+func warmService(t testing.TB, n int) (*Service, *countingModel) {
 	t.Helper()
 	m := &countingModel{}
 	svc := NewService(m, ServiceOptions{})
@@ -290,4 +293,167 @@ func TestRestoreRejectsHugeKeyLength(t *testing.T) {
 	if _, err := target.Restore(bytes.NewReader(buf.Bytes())); err == nil {
 		t.Fatal("Restore accepted a 4 GiB key length frame")
 	}
+}
+
+// FuzzRestore feeds Restore two kinds of input. Raw bytes (framed
+// false) probe the parser and the checksum. Fuzz-chosen keys and scores
+// (framed true) are framed into a valid snapshot by fuzzSnapshot, which
+// computes magic, count and CRC itself, so they pass the checksum and
+// reach the install and evict path. Every input is restored into an
+// unbounded service and a Capacity 2, one-stripe service.
+// TestRestoreRejectsCorruption and TestRestoreRejectsTruncation remain
+// the exhaustive sweeps over one snapshot's flips and cuts.
+func FuzzRestore(f *testing.F) {
+	svc, _ := warmService(f, 6)
+	var buf bytes.Buffer
+	if _, err := svc.Snapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	snap := buf.Bytes()
+	f.Add(false, snap)
+	for _, i := range []int{0, 8, 16, len(snap) / 2, len(snap) - 1} {
+		flipped := append([]byte(nil), snap...)
+		flipped[i] ^= 0xFF
+		f.Add(false, flipped)
+	}
+	for _, n := range []int{0, 12, len(snap) / 2, len(snap) - 1} {
+		f.Add(false, snap[:n])
+	}
+	f.Add(true, fuzzEntry(fuzzEntry(fuzzEntry(nil, "dup", 0.1), "x", 0.2), "dup", 0.9))
+	f.Add(true, fuzzEntry(fuzzEntry(nil, "", 0.5), "a", math.NaN()))
+	f.Add(true, fuzzEntry(fuzzEntry(fuzzEntry(nil, "a", 0.3), "b", 0.6), "c", 0.7))
+
+	f.Fuzz(func(t *testing.T, framed bool, data []byte) {
+		input := data
+		if framed {
+			input = fuzzSnapshot(data)
+		}
+		for _, opts := range []ServiceOptions{{}, {Capacity: 2, Shards: 1}} {
+			checkRestore(t, input, opts)
+		}
+	})
+}
+
+// checkRestore restores input into a fresh service and checks the
+// outcome: a rejected input installs nothing and leaves a working
+// service; an accepted one leaves sorted, duplicate-free keys within
+// the capacity bound, keeps each key's first score when unbounded, and
+// snapshots to bytes that restore and snapshot again unchanged.
+func checkRestore(t *testing.T, input []byte, opts ServiceOptions) {
+	m := &countingModel{}
+	svc := NewService(m, opts)
+	n, err := svc.Restore(bytes.NewReader(input))
+	if err != nil {
+		if n != 0 || svc.Len() != 0 {
+			t.Fatalf("%+v: rejected input (%v) installed %d entries, Len %d", opts, err, n, svc.Len())
+		}
+		svc.Score(pairOf("after-reject", "x"))
+		if m.calls != 1 {
+			t.Fatalf("%+v: service made %d model calls after a rejected restore, want 1", opts, m.calls)
+		}
+		return
+	}
+
+	keys := svc.Keys()
+	for i := 1; i < len(keys); i++ {
+		if keys[i-1] >= keys[i] {
+			t.Fatalf("%+v: Keys() not sorted and duplicate-free at %d: %q, %q", opts, i, keys[i-1], keys[i])
+		}
+	}
+	if svc.Len() != len(keys) {
+		t.Fatalf("%+v: Len() = %d, Keys() has %d", opts, svc.Len(), len(keys))
+	}
+	if opts.Capacity > 0 {
+		perShard := (opts.Capacity + opts.Shards - 1) / opts.Shards
+		if bound := opts.Shards * perShard; svc.Len() > bound {
+			t.Fatalf("%+v: Len() = %d past the bound %d", opts, svc.Len(), bound)
+		}
+	}
+
+	var out bytes.Buffer
+	if _, err := svc.Snapshot(&out); err != nil {
+		t.Fatal(err)
+	}
+	if opts.Capacity == 0 {
+		first := map[string]uint64{}
+		for _, e := range snapshotEntries(input) {
+			if _, ok := first[e.key]; !ok {
+				first[e.key] = e.bits
+			}
+		}
+		stored := snapshotEntries(out.Bytes())
+		if n != len(first) || len(stored) != len(first) {
+			t.Fatalf("installed %d, stored %d, input holds %d distinct keys", n, len(stored), len(first))
+		}
+		for _, e := range stored {
+			if want, ok := first[e.key]; !ok || e.bits != want {
+				t.Fatalf("key %q stored score bits %x, first occurrence %x (present %v)", e.key, e.bits, want, ok)
+			}
+		}
+	}
+	again := NewService(&countingModel{}, opts)
+	if _, err := again.Restore(bytes.NewReader(out.Bytes())); err != nil {
+		t.Fatalf("%+v: restoring a snapshot of an accepted input: %v", opts, err)
+	}
+	var out2 bytes.Buffer
+	if _, err := again.Snapshot(&out2); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), out2.Bytes()) {
+		t.Fatalf("%+v: Snapshot -> Restore -> Snapshot changed the bytes", opts)
+	}
+}
+
+// fuzzEntry appends one framed-fuzz entry: a length byte, the key and
+// the score's 8 bytes (keys are at most 255 bytes).
+func fuzzEntry(data []byte, key string, score float64) []byte {
+	data = append(data, byte(len(key)))
+	data = append(data, key...)
+	return binary.LittleEndian.AppendUint64(data, math.Float64bits(score))
+}
+
+// fuzzSnapshot frames data, read as fuzzEntry records (the last one cut
+// short where data ends, its score zero-padded), into a snapshot that
+// passes the checksum: keys may repeat, be empty or come unsorted.
+func fuzzSnapshot(data []byte) []byte {
+	var body []byte
+	count := uint64(0)
+	for len(data) > 0 {
+		n := min(int(data[0]), len(data)-1)
+		key := data[1 : 1+n]
+		data = data[1+n:]
+		var score [8]byte
+		data = data[copy(score[:], data):]
+		body = binary.LittleEndian.AppendUint32(body, uint32(len(key)))
+		body = append(body, key...)
+		body = append(body, score[:]...)
+		count++
+	}
+	counted := binary.LittleEndian.AppendUint64(nil, count)
+	out := append(append([]byte(nil), snapshotMagic[:]...), counted...)
+	out = append(out, body...)
+	crc := crc32.Update(crc32.ChecksumIEEE(counted), crc32.IEEETable, body)
+	return binary.LittleEndian.AppendUint32(out, crc)
+}
+
+type snapshotEntry struct {
+	key  string
+	bits uint64
+}
+
+// snapshotEntries lists the entries of a snapshot Restore accepted, in
+// file order.
+func snapshotEntries(b []byte) []snapshotEntry {
+	b = b[len(snapshotMagic):]
+	count := binary.LittleEndian.Uint64(b)
+	b = b[8:]
+	var out []snapshotEntry
+	for i := uint64(0); i < count; i++ {
+		n := binary.LittleEndian.Uint32(b)
+		key := string(b[4 : 4+n])
+		b = b[4+n:]
+		out = append(out, snapshotEntry{key: key, bits: binary.LittleEndian.Uint64(b)})
+		b = b[8:]
+	}
+	return out
 }

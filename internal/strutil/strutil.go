@@ -111,6 +111,21 @@ func JoinTokens(tokens []string) string {
 	return strings.Join(tokens, " ")
 }
 
+// TokenStarts appends to dst the byte offset at which each token starts
+// in JoinTokens(tokens) and returns the extended slice. For Tokenize's
+// output (non-empty tokens without spaces, joined by single spaces) and
+// 0 < k < len(tokens), JoinTokens(tokens[k:]) is joined[starts[k]:] and
+// JoinTokens(tokens[:k]) is joined[:starts[k]-1], so every token-drop
+// variant of a value is a substring of one joined string.
+func TokenStarts(dst []int, tokens []string) []int {
+	off := 0
+	for _, t := range tokens {
+		dst = append(dst, off)
+		off += len(t) + 1
+	}
+	return dst
+}
+
 // TokenSet returns the set of distinct tokens of s.
 func TokenSet(s string) map[string]struct{} {
 	toks := Tokenize(s)

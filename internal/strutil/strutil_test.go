@@ -263,7 +263,8 @@ func DropLastTokens(s string, k int) string {
 
 // TestDropTokensSliceTokenList gates the augmentation scan's
 // tokenize-once form: for 1 <= k < n, slicing one Tokenize result and
-// joining equals the drop operators, which re-tokenize per k.
+// joining equals the drop operators, which re-tokenize per k, and so
+// does cutting one joined value at the TokenStarts offsets.
 func TestDropTokensSliceTokenList(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	words := []string{"NaN", "nan", "Sony", "DSC-W55", "é", "ÉTÉ", "日本", "a", "4000", "x\ty", "  ", "\u00a0"}
@@ -276,12 +277,20 @@ func TestDropTokensSliceTokenList(t *testing.T) {
 		v := b.String()
 		toks := Tokenize(v)
 		n := len(toks)
+		joined := JoinTokens(toks)
+		starts := TokenStarts(nil, toks)
 		for k := 1; k < n; k++ {
 			if got, want := JoinTokens(toks[k:]), DropFirstTokens(v, k); got != want {
 				t.Fatalf("%q first k=%d: sliced %q, DropFirstTokens %q", v, k, got, want)
 			}
 			if got, want := JoinTokens(toks[:n-k]), DropLastTokens(v, k); got != want {
 				t.Fatalf("%q last k=%d: sliced %q, DropLastTokens %q", v, k, got, want)
+			}
+			if got, want := joined[starts[k]:], DropFirstTokens(v, k); got != want {
+				t.Fatalf("%q first k=%d: cut from joined %q, DropFirstTokens %q", v, k, got, want)
+			}
+			if got, want := joined[:starts[n-k]-1], DropLastTokens(v, k); got != want {
+				t.Fatalf("%q last k=%d: cut from joined %q, DropLastTokens %q", v, k, got, want)
 			}
 		}
 	}

@@ -1,7 +1,7 @@
 #!/bin/sh
-# CI gate: vet, certa-lint, build, full test suite, race passes, a
-# one-iteration benchmark smoke pass, the serve and ring smokes, and the
-# nested benchmark module's vet and tests.
+# CI gate: vet, certa-lint, build, full test suite, race passes, short
+# fuzzing bursts, a one-iteration benchmark smoke pass, the serve and
+# ring smokes, and the nested benchmark module's vet and tests.
 #
 # Every test invocation carries a per-package -timeout so a cancellation
 # deadlock in the context paths fails CI instead of hanging it.
@@ -41,6 +41,12 @@ go test -race -timeout 300s -run 'Prune' ./internal/lattice/ ./internal/core/ ./
 # one pass of the suite rarely shows it; 500 do.
 echo "== workpool lowest-index error (500 passes) =="
 go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
+
+# Short native-fuzzing bursts past each target's seed corpus (which
+# plain go test already runs): snapshot decode and request decoding.
+echo "== fuzz bursts (FuzzRestore, FuzzExplainRequest; 10 s each) =="
+go test -timeout 120s -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s ./internal/scorecache/
+go test -timeout 120s -run '^$' -fuzz '^FuzzExplainRequest$' -fuzztime 10s ./internal/server/
 
 echo "== bench smoke =="
 go test -timeout 600s -bench=. -benchtime=1x -run='^$' .
