@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"certa/internal/scorecache"
@@ -178,4 +179,74 @@ func TestParseMembers(t *testing.T) {
 	if _, err := ParseMembers("name="); err == nil {
 		t.Fatal("URL-less entry accepted")
 	}
+}
+
+// FuzzRing checks the placement invariants on arbitrary -workers
+// strings, virtual-node counts and keys: the preference list is a
+// permutation of the members that starts at the owner, exactly one
+// member owns the key and KeepOwned agrees, and placement does not
+// depend on the order the members are listed in. Input ParseMembers or
+// NewRing rejects must come back as an error, never a panic.
+func FuzzRing(f *testing.F) {
+	f.Add("w0=http://127.0.0.1:8081,w1=http://127.0.0.1:8082", 64, "alpha") // README
+	f.Add("w0=http://127.0.0.1:41001,w1=http://127.0.0.1:41002", 0, "l7|r7") // ringsmoke
+	f.Add("http://a:1, w9=http://b:2/ ,http://c:3", 8, "key-0001")
+	f.Add("w=http://a,w=http://b", 4, "duplicate name")
+	f.Add("=http://a,w1=http://b", 4, "empty name")
+	f.Add("w0=http://a,", 4, "trailing comma")
+	f.Fuzz(func(t *testing.T, workers string, vnodes int, key string) {
+		members, err := ParseMembers(workers)
+		if err != nil {
+			return
+		}
+		vnodes = int(uint(vnodes) % 33) // at most 32 per member; 0 means the default
+		r, err := NewRing(members, vnodes)
+		if err != nil {
+			return
+		}
+		h := scorecache.ShardHash(key)
+		idx := r.ReplicaIndexes(h)
+		seen := make([]bool, r.Size())
+		for _, i := range idx {
+			if i < 0 || i >= r.Size() || seen[i] {
+				t.Fatalf("replica indexes %v are not a permutation of 0..%d", idx, r.Size()-1)
+			}
+			seen[i] = true
+		}
+		if len(idx) != r.Size() {
+			t.Fatalf("replica indexes %v miss members of a %d-member ring", idx, r.Size())
+		}
+		if owner := r.Owner(h); owner != r.Members()[idx[0]] {
+			t.Fatalf("owner %v is not the first replica %v", owner, r.Members()[idx[0]])
+		}
+		owners := 0
+		for _, m := range r.Members() {
+			owns := r.OwnsKey(m.Name, key)
+			if KeepOwned(r, m.Name)(key) != owns {
+				t.Fatalf("KeepOwned and OwnsKey disagree for %s", m.Name)
+			}
+			if owns {
+				owners++
+			}
+		}
+		if owners != 1 {
+			t.Fatalf("%d members own key %q", owners, key)
+		}
+		reversed := append([]Member(nil), members...)
+		slices.Reverse(reversed)
+		rr, err := NewRing(reversed, vnodes)
+		if err != nil {
+			t.Fatalf("reversed membership rejected: %v", err)
+		}
+		var names, reversedNames []string
+		for _, m := range r.Replicas(h) {
+			names = append(names, m.Name)
+		}
+		for _, m := range rr.Replicas(h) {
+			reversedNames = append(reversedNames, m.Name)
+		}
+		if !slices.Equal(names, reversedNames) {
+			t.Fatalf("replicas %v, over the reversed member list %v", names, reversedNames)
+		}
+	})
 }

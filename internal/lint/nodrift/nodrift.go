@@ -58,6 +58,7 @@ var deterministicPackages = map[string]bool{
 	"certa/internal/lime":         true,
 	"certa/internal/linmodel":     true,
 	"certa/internal/matchers":     true,
+	"certa/internal/memo":         true,
 	"certa/internal/metrics":      true,
 	"certa/internal/neighborhood": true,
 	"certa/internal/nn":           true,

@@ -2,13 +2,13 @@ package matchers
 
 import (
 	"fmt"
-	"hash/maphash"
 	"sort"
 	"strings"
 	"sync"
 
 	"certa/internal/dataset"
 	"certa/internal/embedding"
+	"certa/internal/memo"
 	"certa/internal/record"
 	"certa/internal/strutil"
 )
@@ -26,8 +26,8 @@ type featurizer interface {
 	embedder() *embedding.Embedder
 }
 
-// textFunc embeds a text: either embedding.Embedder.Text directly or the
-// matcher's persistent embedding.Store. Returned vectors are read-only.
+// textFunc embeds a text, through the matcher's embedding memo
+// (Model.text) or directly. Returned vectors are read-only.
 type textFunc func(s string) []float64
 
 // newFeaturizer builds the featurizer and network architecture for a
@@ -105,16 +105,16 @@ func (f *deepERFeat) appendFeatures(dst []float64, p record.Pair, text textFunc)
 
 // deepMatcherFeat computes a block of similarity features per aligned
 // attribute (the "attribute summarization" of the Hybrid model): the
-// model sees exactly which attribute agrees or disagrees. When a memo is
-// attached (Model.initCaches), each distinct value pair's block —
-// embedding cosine plus four string similarities, including an O(n²)
-// edit distance — is computed once per matcher lifetime: perturbed pairs
+// model sees exactly which attribute agrees or disagrees. Each distinct
+// value pair's block — embedding cosine plus four string similarities,
+// including an O(n²) edit distance — is computed once per matcher
+// lifetime (blocks, attached by Model.initCaches): perturbed pairs
 // recombine a small set of attribute values, so lattice workloads hit
 // the memo almost every time.
 type deepMatcherFeat struct {
-	emb   *embedding.Embedder
-	attrs []string
-	memo  *blockMemo
+	emb    *embedding.Embedder
+	attrs  []string
+	blocks *memo.Memo[[2]string, [dmBlock]float64]
 }
 
 const dmBlock = 7
@@ -124,59 +124,15 @@ func (f *deepMatcherFeat) dim() int { return dmBlock * len(f.attrs) }
 func (f *deepMatcherFeat) embedder() *embedding.Embedder { return f.emb }
 
 func (f *deepMatcherFeat) appendFeatures(dst []float64, p record.Pair, text textFunc) []float64 {
+	block := func(k [2]string) (out [dmBlock]float64) {
+		appendAttrBlock(out[:0], text, k[0], k[1])
+		return out
+	}
 	for _, a := range f.attrs {
-		lv, rv := p.Left.Value(a), p.Right.Value(a)
-		if f.memo != nil {
-			blk := f.memo.get(lv, rv, text)
-			dst = append(dst, blk[:]...)
-		} else {
-			dst = appendAttrBlock(dst, text, lv, rv)
-		}
+		blk := f.blocks.Get([2]string{p.Left.Value(a), p.Right.Value(a)}, block)
+		dst = append(dst, blk[:]...)
 	}
 	return dst
-}
-
-// blockMemo caches DeepMatcher attribute blocks by value pair. attrBlock
-// is a pure function of (lv, rv) — text embeds deterministically — so
-// memoized blocks are bit-identical to recomputed ones. Striped locks
-// keep concurrent explanations out of each other's way.
-type blockMemo struct {
-	seed   maphash.Seed // stripe placement
-	shards [16]blockShard
-}
-
-type blockShard struct {
-	mu sync.RWMutex
-	m  map[[2]string][dmBlock]float64
-}
-
-func newBlockMemo() *blockMemo {
-	// maphash seeds are random per process; the seed decides lock
-	// placement only, never a feature value.
-	bm := &blockMemo{seed: maphash.MakeSeed()} //lint:allow nodrift stripe placement only; blocks are pure functions of their value pair
-	for i := range bm.shards {
-		bm.shards[i].m = make(map[[2]string][dmBlock]float64)
-	}
-	return bm
-}
-
-func (bm *blockMemo) get(lv, rv string, text textFunc) [dmBlock]float64 {
-	key := [2]string{lv, rv}
-	sh := &bm.shards[maphash.Comparable(bm.seed, key)&15]
-	sh.mu.RLock()
-	blk, ok := sh.m[key]
-	sh.mu.RUnlock()
-	if ok {
-		return blk
-	}
-	// Compute outside the lock; racing duplicates produce identical
-	// bytes, so last-writer-wins is benign.
-	var out [dmBlock]float64
-	appendAttrBlock(out[:0], text, lv, rv)
-	sh.mu.Lock()
-	sh.m[key] = out
-	sh.mu.Unlock()
-	return out
 }
 
 // appendAttrBlock appends the per-attribute feature block shared by

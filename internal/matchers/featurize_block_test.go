@@ -12,9 +12,9 @@ import (
 
 // blockTestText is a deterministic stand-in embedder for the block
 // tests: hash-seeded vectors, like the real one, without a corpus fit.
-// Embeddings are memoized, mirroring the production path where text()
-// is the persistent embedding store, so the benchmark isolates the
-// similarity computations rather than re-embedding per call.
+// Embeddings are memoized, mirroring the production path where
+// Model.text goes through the embedding memo, so the benchmark isolates
+// the similarity computations rather than re-embedding per call.
 func blockTestText() textFunc {
 	emb := embedding.New(16)
 	emb.Fit([]string{"sony dcr trv27 minidv handycam", "canon zr60 digital camcorder 3.99"})

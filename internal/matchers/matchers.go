@@ -21,7 +21,7 @@ import (
 	"sync"
 
 	"certa/internal/dataset"
-	"certa/internal/embedding"
+	"certa/internal/memo"
 	"certa/internal/nn"
 	"certa/internal/record"
 	"certa/internal/telemetry"
@@ -57,7 +57,7 @@ type Model struct {
 	kind  Kind
 	feat  featurizer
 	net   *nn.Network
-	store *embedding.Store // persistent text-embedding cache; nil only mid-construction
+	texts *memo.Memo[string, []float64] // text embeddings, kept for the model's lifetime
 }
 
 // Name implements Matcher.
@@ -66,36 +66,26 @@ func (m *Model) Name() string { return string(m.kind) }
 // Kind returns which system this model implements.
 func (m *Model) Kind() Kind { return m.kind }
 
-// initCaches attaches the matcher-lifetime caches: the persistent
-// embedding store (every distinct attribute/record text embeds once per
-// model lifetime instead of once per batch) and, for DeepMatcher-style
-// featurizers, the attribute-block memo. Both cache pure functions, so
-// scores are bit-identical with or without them. cacheSize bounds the
-// embedding store's entry count (0 = unbounded).
-func (m *Model) initCaches(cacheSize int) {
-	m.store = embedding.NewStore(m.feat.embedder(), embedding.StoreOptions{Capacity: cacheSize})
+// initCaches attaches the matcher-lifetime memos: text embeddings
+// (every distinct attribute or record text embeds once per model
+// lifetime instead of once per batch) and, for DeepMatcher-style
+// featurizers, attribute blocks. Both memoize pure functions, so scores
+// are bit-identical with or without them. Train and UnmarshalBinary
+// call it before any scoring.
+func (m *Model) initCaches() {
+	m.texts = memo.New[string, []float64]()
 	if dm, ok := m.feat.(*deepMatcherFeat); ok {
-		dm.memo = newBlockMemo()
+		dm.blocks = memo.New[[2]string, [dmBlock]float64]()
 	}
 }
 
-// text returns the embedding function scoring should use: the persistent
-// store when attached, the bare embedder otherwise.
-func (m *Model) text() textFunc {
-	if m.store != nil {
-		return m.store.Text
-	}
-	return m.feat.embedder().Text
+// text embeds s through the model's embedding memo.
+func (m *Model) text(s string) []float64 {
+	return m.texts.Get(s, m.feat.embedder().Text)
 }
 
-// EmbeddingStats reports the persistent embedding store's activity
-// (zero-valued when the store is absent).
-func (m *Model) EmbeddingStats() embedding.StoreStats {
-	if m.store == nil {
-		return embedding.StoreStats{}
-	}
-	return m.store.Stats()
-}
+// EmbeddingStats reports the embedding memo's activity.
+func (m *Model) EmbeddingStats() memo.Stats { return m.texts.Stats() }
 
 // featBufPool recycles the flat featurization planes of Score and
 // ScoreBatch so steady-state scoring allocates nothing but the result.
@@ -106,7 +96,7 @@ var featBufPool = sync.Pool{New: func() any { return new([]float64) }}
 // forward pass runs through the nn package's pooled batch engine.
 func (m *Model) Score(p record.Pair) float64 {
 	bp := featBufPool.Get().(*[]float64)
-	buf := m.feat.appendFeatures((*bp)[:0], p, m.text())
+	buf := m.feat.appendFeatures((*bp)[:0], p, m.text)
 	s := m.net.Predict(buf)
 	*bp = buf[:0]
 	featBufPool.Put(bp)
@@ -115,8 +105,8 @@ func (m *Model) Score(p record.Pair) float64 {
 
 // ScoreBatch scores many pairs in one call (the explain.BatchModel
 // capability): the batch is featurized straight into one pooled flat
-// plane — each distinct text resolved through the persistent embedding
-// store — and a single blocked forward pass produces the scores.
+// plane — each distinct text resolved through the embedding memo — and
+// a single blocked forward pass produces the scores.
 // Index-aligned with pairs and bit-identical to per-pair Score calls.
 func (m *Model) ScoreBatch(pairs []record.Pair) []float64 {
 	out, _ := m.ScoreBatchContext(context.Background(), pairs) // background ctx: never errs
@@ -138,7 +128,7 @@ func (m *Model) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]f
 	}
 	bp := featBufPool.Get().(*[]float64)
 	flat := (*bp)[:0]
-	text := m.text()
+	text := m.text
 	sp := telemetry.StartLeaf(ctx, "featurize")
 	for _, p := range pairs {
 		flat = m.feat.appendFeatures(flat, p, text)
@@ -162,11 +152,6 @@ type Config struct {
 	EmbeddingDim int
 	// Epochs caps training passes (default per-kind).
 	Epochs int
-	// EmbeddingCacheSize bounds the trained model's persistent
-	// text-embedding store (0 = unbounded). Embeddings are cheap to
-	// recompute, so a bound only matters for very-high-cardinality
-	// deployments.
-	EmbeddingCacheSize int
 }
 
 func (c Config) withDefaults() Config {
@@ -185,11 +170,11 @@ func Train(kind Kind, b *dataset.Benchmark, cfg Config) (*Model, error) {
 		return nil, err
 	}
 
-	// The model owns its caches from the start, so featurizing the
-	// training data warms the embedding store with the corpus texts.
+	// The model owns its memos from the start, so featurizing the
+	// training data warms them with the corpus texts.
 	m := &Model{kind: kind, feat: feat}
-	m.initCaches(cfg.EmbeddingCacheSize)
-	text := m.text()
+	m.initCaches()
+	text := m.text
 
 	train := b.Train
 	// Ditto's data augmentation: extra copies of training pairs with one

@@ -81,11 +81,14 @@ func (m *Model) UnmarshalBinary(data []byte) error {
 	default:
 		return fmt.Errorf("matchers: decoded unknown kind %q", st.Kind)
 	}
+	if w := net.InputWidth(); w != feat.dim() {
+		return fmt.Errorf("matchers: %s network reads %d features, its featurizer writes %d", kind, w, feat.dim())
+	}
 	m.kind = kind
 	m.feat = feat
 	m.net = &net
-	// Restored models get fresh matcher-lifetime caches (the store holds
+	// Restored models get fresh matcher-lifetime memos (they hold
 	// derived data only, so nothing is serialized).
-	m.initCaches(0)
+	m.initCaches()
 	return nil
 }

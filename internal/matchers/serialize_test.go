@@ -1,6 +1,8 @@
 package matchers
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"testing"
 )
@@ -34,5 +36,30 @@ func TestModelUnmarshalGarbage(t *testing.T) {
 	var m Model
 	if err := m.UnmarshalBinary([]byte("not a model")); err == nil {
 		t.Error("garbage should fail to decode")
+	}
+}
+
+// TestModelUnmarshalRejectsWidthMismatch: a network whose input width
+// differs from its featurizer's (here one aligned attribute is dropped
+// from the state) fails to load instead of panicking at its first
+// Score.
+func TestModelUnmarshalRejectsWidthMismatch(t *testing.T) {
+	_, models := testBenchmark(t)
+	data, err := models[DeepMatcher].MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st modelState
+	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	st.Attrs = st.Attrs[1:]
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+		t.Fatal(err)
+	}
+	var m Model
+	if err := m.UnmarshalBinary(buf.Bytes()); err == nil {
+		t.Fatal("a network one attribute block wider than its featurizer loaded")
 	}
 }

@@ -1,0 +1,94 @@
+// Package memo caches pure functions for the lifetime of their owner.
+// The matcher keeps two memos: text embeddings and DeepMatcher
+// attribute blocks. Both functions depend on their key alone, so a
+// cached value is the value a fresh call would return, and scores are
+// bit-identical with or without the memo.
+package memo
+
+import (
+	"hash/maphash"
+	"sync"
+	"sync/atomic"
+)
+
+// stripes is the number of lock stripes: enough that concurrent
+// explanations scoring through one matcher rarely share a lock.
+const stripes = 32
+
+// Memo is a concurrency-safe cache in front of a pure function of K,
+// created by New. It has no bound: an entry lives as long as the Memo.
+// Values are stored inline in the stripe maps, so a V without pointers
+// costs the map no pointer per entry.
+type Memo[K comparable, V any] struct {
+	seed    maphash.Seed
+	stripes [stripes]stripe[K, V]
+}
+
+type stripe[K comparable, V any] struct {
+	mu      sync.RWMutex
+	m       map[K]V
+	lookups atomic.Int64
+	misses  int64 // guarded by mu; one per stored entry
+}
+
+// New returns an empty memo.
+func New[K comparable, V any]() *Memo[K, V] {
+	m := &Memo[K, V]{
+		seed: maphash.MakeSeed(), //lint:allow nodrift stripe placement only; every value is a pure function of its key
+	}
+	for i := range m.stripes {
+		m.stripes[i].m = make(map[K]V)
+	}
+	return m
+}
+
+// Get returns the value for k, computing f(k) outside any lock on a
+// miss. f must be pure: two Gets that race on one key both compute it,
+// and the later one returns the value the earlier one stored. Returned
+// values are shared; treat any memory they reference as read-only.
+func (m *Memo[K, V]) Get(k K, f func(K) V) V {
+	s := &m.stripes[maphash.Comparable(m.seed, k)&(stripes-1)]
+	s.lookups.Add(1)
+	s.mu.RLock()
+	v, ok := s.m[k]
+	s.mu.RUnlock()
+	if ok {
+		return v
+	}
+	v = f(k)
+	s.mu.Lock()
+	if prev, ok := s.m[k]; ok {
+		v = prev
+	} else {
+		s.m[k] = v
+		s.misses++
+	}
+	s.mu.Unlock()
+	return v
+}
+
+// Stats is a snapshot of a memo's activity. Misses counts stored
+// entries, and a Get that lost a race to store its key counts as a
+// hit, so Lookups = Hits + Misses and Misses = Entries.
+type Stats struct {
+	Lookups int
+	Hits    int
+	Misses  int
+	Entries int
+}
+
+// Stats snapshots the memo's counters. Each stripe's misses are read
+// before its lookups, so a concurrent Get can never make Hits negative.
+func (m *Memo[K, V]) Stats() Stats {
+	var st Stats
+	for i := range m.stripes {
+		s := &m.stripes[i]
+		s.mu.RLock()
+		st.Misses += int(s.misses)
+		st.Entries += len(s.m)
+		s.mu.RUnlock()
+		st.Lookups += int(s.lookups.Load())
+	}
+	st.Hits = st.Lookups - st.Misses
+	return st
+}

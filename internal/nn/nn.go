@@ -693,47 +693,71 @@ func (n *Network) MarshalBinary() ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// UnmarshalBinary restores a network serialized by MarshalBinary.
+// UnmarshalBinary restores a network serialized by MarshalBinary. A
+// state that could not have come from MarshalBinary — per-layer lists
+// of different lengths, missing, extra or misshapen tensors, dense
+// widths that do not chain, or an output wider than one logit — is an
+// error, never a network that panics at its first prediction.
 func (n *Network) UnmarshalBinary(data []byte) error {
 	var st netState
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("nn: decoding network: %w", err)
 	}
-	n.Layers = nil
-	ti := 0
+	if len(st.Ins) != len(st.Kinds) || len(st.Outs) != len(st.Kinds) || len(st.Rates) != len(st.Kinds) {
+		return fmt.Errorf("nn: %d layer kinds but %d/%d/%d widths and rates",
+			len(st.Kinds), len(st.Ins), len(st.Outs), len(st.Rates))
+	}
+	var layers []Layer
+	ti, width := 0, 0 // width: the last dense layer's output, 0 before the first
 	for i, kind := range st.Kinds {
 		switch kind {
 		case "dense":
-			if ti+1 >= len(st.Tensor)+1 && ti+1 > len(st.Tensor) {
-				return fmt.Errorf("nn: truncated tensor data")
+			in, out := st.Ins[i], st.Outs[i]
+			if in <= 0 || out <= 0 || (width > 0 && in != width) {
+				return fmt.Errorf("nn: dense layer %d is %d→%d after width %d", i, in, out, width)
 			}
-			d := &Dense{
-				In:  st.Ins[i],
-				Out: st.Outs[i],
-				w:   &param{shape2: st.Ins[i]},
-				b:   &param{},
-			}
-			if ti+1 >= len(st.Tensor)+1 {
+			if ti+2 > len(st.Tensor) {
 				return fmt.Errorf("nn: missing tensors for dense layer %d", i)
 			}
-			d.w.w = append([]float64(nil), st.Tensor[ti]...)
-			d.b.w = append([]float64(nil), st.Tensor[ti+1]...)
-			d.w.g = make([]float64, len(d.w.w))
-			d.b.g = make([]float64, len(d.b.w))
-			if len(d.w.w) != d.In*d.Out || len(d.b.w) != d.Out {
+			w, b := st.Tensor[ti], st.Tensor[ti+1]
+			if len(w)%out != 0 || len(w)/out != in || len(b) != out { // in*out could overflow
 				return fmt.Errorf("nn: tensor shape mismatch for dense layer %d", i)
 			}
+			layers = append(layers, &Dense{
+				In:  in,
+				Out: out,
+				w:   &param{w: append([]float64(nil), w...), g: make([]float64, len(w)), shape2: in},
+				b:   &param{w: append([]float64(nil), b...), g: make([]float64, len(b))},
+			})
 			ti += 2
-			n.Layers = append(n.Layers, d)
+			width = out
 		case "relu":
-			n.Layers = append(n.Layers, ReLU{})
+			layers = append(layers, ReLU{})
 		case "tanh":
-			n.Layers = append(n.Layers, Tanh{})
+			layers = append(layers, Tanh{})
 		case "dropout":
-			n.Layers = append(n.Layers, &Dropout{Rate: st.Rates[i]})
+			layers = append(layers, &Dropout{Rate: st.Rates[i]})
 		default:
 			return fmt.Errorf("nn: unknown layer kind %q", kind)
 		}
 	}
+	if width != 1 {
+		return fmt.Errorf("nn: network output width %d, want 1", width)
+	}
+	if ti != len(st.Tensor) {
+		return fmt.Errorf("nn: %d tensors for %d dense layers", len(st.Tensor), ti/2)
+	}
+	n.Layers = layers
 	return nil
+}
+
+// InputWidth reports how many features the network reads: the input
+// width of its first dense layer, or 0 for a network without one.
+func (n *Network) InputWidth() int {
+	for _, l := range n.Layers {
+		if d, ok := l.(*Dense); ok {
+			return d.In
+		}
+	}
+	return 0
 }

@@ -1,6 +1,8 @@
 package nn
 
 import (
+	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
 	"testing"
@@ -295,5 +297,75 @@ func BenchmarkTrainEpoch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		net := NewMLP(16, []int{32}, 0, rand.New(rand.NewSource(2)))
 		_, _ = net.Train(x, y, nil, nil, TrainConfig{Epochs: 1, BatchSize: 32, LearningRate: 0.01, Seed: 3})
+	}
+}
+
+// TestUnmarshalRejectsMalformedState: gob-valid states that
+// MarshalBinary never writes fail to decode with an error instead of
+// panicking in UnmarshalBinary or at the restored network's first
+// prediction.
+func TestUnmarshalRejectsMalformedState(t *testing.T) {
+	// valid is a 2→3→1 network: dense, relu, dropout, dense.
+	valid := func() netState {
+		return netState{
+			Kinds:  []string{"dense", "relu", "dropout", "dense"},
+			Ins:    []int{2, 0, 0, 3},
+			Outs:   []int{3, 0, 0, 1},
+			Rates:  []float64{0, 0, 0.1, 0},
+			Tensor: [][]float64{make([]float64, 6), make([]float64, 3), make([]float64, 3), make([]float64, 1)},
+		}
+	}
+	cases := []struct {
+		name   string
+		mutate func(*netState)
+	}{
+		{"missing bias tensor", func(st *netState) { st.Tensor = st.Tensor[:3] }},
+		{"missing dense tensors", func(st *netState) { st.Tensor = st.Tensor[:2] }},
+		{"extra tensor", func(st *netState) { st.Tensor = append(st.Tensor, []float64{0}) }},
+		{"ins shorter than kinds", func(st *netState) { st.Ins = st.Ins[:1] }},
+		{"outs shorter than kinds", func(st *netState) { st.Outs = st.Outs[:3] }},
+		{"dropout without a rate", func(st *netState) { st.Rates = st.Rates[:2] }},
+		{"weights misshapen", func(st *netState) { st.Tensor[0] = make([]float64, 5) }},
+		{"bias misshapen", func(st *netState) { st.Tensor[1] = make([]float64, 2) }},
+		{"widths do not chain", func(st *netState) {
+			st.Ins[3] = 4
+			st.Tensor[2] = make([]float64, 4)
+		}},
+		{"output wider than one", func(st *netState) {
+			st.Outs[3] = 2
+			st.Tensor[2], st.Tensor[3] = make([]float64, 6), make([]float64, 2)
+		}},
+		{"no dense layer", func(st *netState) {
+			*st = netState{Kinds: []string{"relu"}, Ins: []int{0}, Outs: []int{0}, Rates: []float64{0}}
+		}},
+		{"zero width", func(st *netState) {
+			st.Ins[0], st.Outs[0] = 0, 3
+			st.Tensor[0] = nil
+		}},
+		{"width product overflows", func(st *netState) {
+			st.Ins[0] = 1 << 62
+			st.Outs[0], st.Ins[3] = 4, 4
+			st.Tensor[0], st.Tensor[1], st.Tensor[2] = nil, make([]float64, 4), make([]float64, 4)
+		}},
+		{"unknown kind", func(st *netState) { st.Kinds[1] = "gelu" }},
+	}
+	encode := func(st netState) []byte {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	var net Network
+	if err := net.UnmarshalBinary(encode(valid())); err != nil {
+		t.Fatalf("valid state rejected: %v", err)
+	}
+	for _, c := range cases {
+		st := valid()
+		c.mutate(&st)
+		var net Network
+		if err := net.UnmarshalBinary(encode(st)); err == nil {
+			t.Errorf("%s: accepted", c.name)
+		}
 	}
 }

@@ -92,11 +92,12 @@ func TestClientDisconnectCancelsExplanation(t *testing.T) {
 		inflight, queued, _, _ := s.adm.snapshot()
 		return inflight == 0 && queued == 0
 	})
-	// ...the coalescing table empties...
-	waitFor(t, "coalescer drain", func() bool {
-		s.coal.mu.Lock()
-		defer s.coal.mu.Unlock()
-		return len(s.coal.calls) == 0
+	// ...the request table empties...
+	waitFor(t, "request table drain", func() bool {
+		tbl := s.backends["toy"].calls
+		tbl.mu.Lock()
+		defer tbl.mu.Unlock()
+		return len(tbl.calls) == 0
 	})
 	// ...and no goroutine leaks.
 	client.CloseIdleConnections()

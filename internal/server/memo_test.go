@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -149,50 +150,82 @@ func TestResultMemoDisabledByDefault(t *testing.T) {
 	}
 }
 
-// TestResultMemoLRUBound: the memo never holds more than capacity
-// bodies and evicts in least-recently-used order, recency refreshed by
-// both hits and re-puts.
+// TestResultMemoLRUBound: the request table keeps at most capacity
+// settled calls and evicts in least-recently-used order, with recency
+// set by replays.
 func TestResultMemoLRUBound(t *testing.T) {
-	m := newResultMemo(2)
-	m.put("a", []byte("A"))
-	m.put("b", []byte("B"))
-	if _, ok := m.get("a"); !ok { // a is now most recent
-		t.Fatal("a missing before capacity was reached")
+	tbl := newRequestTable(2)
+	ctx := context.Background()
+	computed := map[string]int{}
+	get := func(key string) (body string, replayed bool) {
+		t.Helper()
+		b, joined, replayed, err := tbl.do(ctx, ctx, key, true, func(context.Context) ([]byte, error) {
+			computed[key]++
+			return []byte(fmt.Sprintf("%s#%d", key, computed[key])), nil
+		})
+		if err != nil || joined {
+			t.Fatalf("do(%q): joined %v, err %v", key, joined, err)
+		}
+		if _, _, kept := tbl.stats(); kept > 2 {
+			t.Fatalf("after %q the table keeps %d calls, capacity 2", key, kept)
+		}
+		return string(b), replayed
 	}
-	m.put("c", []byte("C")) // evicts b, the coldest
-	if _, ok := m.get("b"); ok {
-		t.Fatal("b survived past capacity")
+	steps := []struct {
+		key      string
+		body     string
+		replayed bool
+	}{
+		{"a", "a#1", false},
+		{"b", "b#1", false},
+		{"a", "a#1", true},  // a is now the most recent
+		{"c", "c#1", false}, // evicts b, the coldest
+		{"a", "a#1", true},  // a survived because its replay refreshed it
+		{"b", "b#2", false}, // b was evicted: computed again, evicting c
+		{"c", "c#2", false}, // c went before a, which was replayed later
 	}
-	if body, ok := m.get("a"); !ok || string(body) != "A" {
-		t.Fatalf("a = %q, %v after eviction of b", body, ok)
+	for i, st := range steps {
+		if body, replayed := get(st.key); body != st.body || replayed != st.replayed {
+			t.Fatalf("step %d (%s): body %q, replayed %v; want %q, %v", i, st.key, body, replayed, st.body, st.replayed)
+		}
 	}
-	m.put("a", []byte("ignored")) // re-put refreshes recency, keeps bytes
-	m.put("d", []byte("D"))       // evicts c
-	if _, ok := m.get("c"); ok {
-		t.Fatal("c survived though a was refreshed ahead of it")
-	}
-	if body, ok := m.get("a"); !ok || string(body) != "A" {
-		t.Fatalf("re-put replaced a's body: %q, %v", body, ok)
-	}
-	lookups, hits, entries := m.stats()
-	if entries != 2 {
-		t.Fatalf("entries = %d, want 2", entries)
-	}
-	if lookups != 5 || hits != 3 {
-		t.Fatalf("lookups, hits = %d, %d, want 5, 3", lookups, hits)
+	if lookups, hits, kept := tbl.stats(); lookups != 7 || hits != 2 || kept != 2 {
+		t.Fatalf("lookups, hits, kept = %d, %d, %d, want 7, 2, 2", lookups, hits, kept)
 	}
 }
 
-// TestResultMemoNilSafe: a disabled memo is a nil pointer; every method
-// must tolerate it.
-func TestResultMemoNilSafe(t *testing.T) {
-	var m *resultMemo
-	if _, ok := m.get("k"); ok {
-		t.Fatal("nil memo reported a hit")
+// TestResultMemoNeverKeepsErrors: a failed computation leaves the
+// request table when it settles, so the repeat after the fault is
+// computed afresh and answers exactly as a fresh server does, and only
+// the success is kept.
+func TestResultMemoNeverKeepsErrors(t *testing.T) {
+	m := &armedPanicModel{}
+	m.armed.Store(true)
+	s := newTestServer(t, m, Options{ResultMemo: 8}, nil)
+	ts := httptest.NewServer(s)
+	defer ts.Close()
+
+	req := ExplainRequest{LeftID: "l0", RightID: "r0"}
+	resp, body := postJSON(t, ts.URL+"/v1/explain", req)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("armed model: status %d, want 500: %s", resp.StatusCode, body)
 	}
-	m.put("k", []byte("v"))
-	if lookups, hits, entries := m.stats(); lookups != 0 || hits != 0 || entries != 0 {
-		t.Fatal("nil memo reported nonzero stats")
+
+	m.armed.Store(false)
+	resp, got := postJSON(t, ts.URL+"/v1/explain", req)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("disarmed model: status %d: %s", resp.StatusCode, got)
+	}
+	if h := resp.Header.Get("X-Certa-Memoized"); h != "false" {
+		t.Fatalf("X-Certa-Memoized = %q after a failed computation", h)
+	}
+	fresh := httptest.NewServer(newTestServer(t, &armedPanicModel{}, Options{ResultMemo: 8}, nil))
+	defer fresh.Close()
+	if _, want := postJSON(t, fresh.URL+"/v1/explain", req); !bytes.Equal(got, want) {
+		t.Fatalf("after the fault the server answers\n%s\nwant the fresh server's\n%s", got, want)
+	}
+	if entries := s.metrics.Exposition().Sum("certa_result_memo_entries", toy); entries != 1 {
+		t.Fatalf("certa_result_memo_entries = %v, want 1 (the success only)", entries)
 	}
 }
 

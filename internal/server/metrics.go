@@ -3,7 +3,7 @@ package server
 import (
 	"time"
 
-	"certa/internal/embedding"
+	"certa/internal/memo"
 	"certa/internal/telemetry"
 )
 
@@ -11,8 +11,8 @@ import (
 // server's only stats surface. The counters the serving layers own
 // (request outcomes, per-backend requests and errors) are registry
 // Counter handles, incremented in place. Numbers another package owns
-// (scorecache.ServiceStats, embedding.StoreStats, the result memo,
-// admission occupancy) are bridged with callback-backed series
+// (scorecache.ServiceStats, the matcher's memo.Stats, the request
+// table, admission occupancy) are bridged with callback-backed series
 // (CounterFunc/GaugeFunc) read at scrape time. Either way the registry
 // holds the only copy of each number.
 const (
@@ -46,11 +46,10 @@ const (
 	metricMemoEntries = "certa_result_memo_entries"
 	metricMemoCap     = "certa_result_memo_capacity"
 
-	metricEmbedLookups   = "certa_embedding_lookups_total"
-	metricEmbedHits      = "certa_embedding_hits_total"
-	metricEmbedMisses    = "certa_embedding_misses_total"
-	metricEmbedEvictions = "certa_embedding_evictions_total"
-	metricEmbedEntries   = "certa_embedding_entries"
+	metricEmbedLookups = "certa_embedding_lookups_total"
+	metricEmbedHits    = "certa_embedding_hits_total"
+	metricEmbedMisses  = "certa_embedding_misses_total"
+	metricEmbedEntries = "certa_embedding_entries"
 
 	metricIndexRecords = "certa_index_records"
 	metricIndexTokens  = "certa_index_distinct_tokens"
@@ -106,13 +105,13 @@ func (s *Server) registerMetrics() {
 }
 
 // embeddingStatser is implemented by backend models that keep a
-// matcher-lifetime embedding store (see embedding.Store).
+// matcher-lifetime embedding memo (see matchers.Model.EmbeddingStats).
 type embeddingStatser interface {
-	EmbeddingStats() embedding.StoreStats
+	EmbeddingStats() memo.Stats
 }
 
 // registerBackendMetrics publishes one backend's series, labeled
-// {backend="name"}. Engine-side stats (score cache, embedding store)
+// {backend="name"}. Engine-side stats (score cache, embedding memo)
 // are bridged from their existing side-channel structs at scrape time.
 func (s *Server) registerBackendMetrics(b *backend) {
 	m := s.metrics
@@ -141,27 +140,25 @@ func (s *Server) registerBackendMetrics(b *backend) {
 	m.Gauge(metricCacheRestored, "Cache entries restored from a snapshot at startup.", lbl).
 		Set(float64(b.restored))
 
-	if b.memo != nil {
+	if b.calls.capacity > 0 {
 		m.Gauge(metricMemoCap, "Response bodies the result memo can hold.", lbl).
-			Set(float64(b.memo.capacity))
+			Set(float64(b.calls.capacity))
 		m.CounterFunc(metricMemoLookups, "Result memo lookups (deterministic explanation requests).", lbl,
-			func() float64 { lookups, _, _ := b.memo.stats(); return float64(lookups) })
+			func() float64 { lookups, _, _ := b.calls.stats(); return float64(lookups) })
 		m.CounterFunc(metricMemoHits, "Requests answered by replaying a memoized response body.", lbl,
-			func() float64 { _, hits, _ := b.memo.stats(); return float64(hits) })
+			func() float64 { _, hits, _ := b.calls.stats(); return float64(hits) })
 		m.GaugeFunc(metricMemoEntries, "Response bodies currently memoized.", lbl,
-			func() float64 { _, _, entries := b.memo.stats(); return float64(entries) })
+			func() float64 { _, _, kept := b.calls.stats(); return float64(kept) })
 	}
 
 	if es, ok := b.model.(embeddingStatser); ok {
-		m.CounterFunc(metricEmbedLookups, "Embedding store lookups.", lbl,
+		m.CounterFunc(metricEmbedLookups, "Embedding memo lookups.", lbl,
 			func() float64 { return float64(es.EmbeddingStats().Lookups) })
 		m.CounterFunc(metricEmbedHits, "Texts served without re-embedding.", lbl,
 			func() float64 { return float64(es.EmbeddingStats().Hits) })
-		m.CounterFunc(metricEmbedMisses, "Embedding store misses.", lbl,
+		m.CounterFunc(metricEmbedMisses, "Embedding memo misses.", lbl,
 			func() float64 { return float64(es.EmbeddingStats().Misses) })
-		m.CounterFunc(metricEmbedEvictions, "Embedding store evictions.", lbl,
-			func() float64 { return float64(es.EmbeddingStats().Evictions) })
-		m.GaugeFunc(metricEmbedEntries, "Vectors currently held by the embedding store.", lbl,
+		m.GaugeFunc(metricEmbedEntries, "Vectors currently held by the embedding memo.", lbl,
 			func() float64 { return float64(es.EmbeddingStats().Entries) })
 	}
 

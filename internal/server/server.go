@@ -19,11 +19,13 @@
 //     FIFO queue; beyond that requests are rejected with 429 and a
 //     Retry-After priced from observed latency, so overload degrades
 //     into fast rejections instead of unbounded queueing.
-//   - Request coalescing: identical in-flight requests — same backend,
-//     same canonical pair content, same anytime options — attach to one
-//     computation and receive byte-identical response bodies
-//     (singleflight one layer above the score cache, which already
-//     deduplicates individual model calls).
+//   - One request table per backend, keyed by canonical pair content and
+//     anytime options. One lookup answers a request: identical in-flight
+//     requests attach to one computation and receive byte-identical
+//     response bodies (singleflight one layer above the score cache,
+//     which already deduplicates individual model calls), and with
+//     Options.ResultMemo a settled deterministic computation stays in
+//     the table so repeats replay its bytes (the result memo).
 //   - Cancellation propagation: a dropped client connection detaches
 //     the request; when the last request interested in a computation
 //     detaches, its context is cancelled and the explanation aborts at
@@ -35,7 +37,7 @@
 // certa_stage_duration_seconds histograms and the structured request
 // log (Options.Logger), and every number the server reports —
 // admission occupancy, coalesce hits, score-cache rates,
-// embedding-store hits, index build time — has its only copy in
+// embedding-memo hits, index build time — has its only copy in
 // Options.Metrics (internal/telemetry), served at GET /v1/metrics.
 // Timing is strictly a side channel: it never reaches core.Diagnostics
 // or any Result, so the byte-identity contracts hold with tracing on.
@@ -93,16 +95,16 @@ type Options struct {
 	// collide; the daemons pass telemetry.Default to share one scrape
 	// surface with their other instrumentation.
 	Metrics *telemetry.Registry
-	// ResultMemo bounds the per-backend memo of rendered response
-	// bodies (entries; 0 disables). A repeat of an already-answered
-	// deterministic request is served its byte-identical body from the
-	// memo — coalescing extended across time — without an admission
-	// slot or any engine work. Requests carrying deadline_ms are never
-	// memoized (their truncation point is wall-clock dependent), and
-	// ?debug=trace requests bypass the memo like they bypass
-	// coalescing. In a sharded ring every worker holds the memo slice
-	// for its shard of the keyspace, so aggregate memo capacity grows
-	// with the worker count.
+	// ResultMemo bounds how many settled computations each backend's
+	// request table keeps for replay (the result memo; 0 keeps none). A
+	// repeat of an already-answered deterministic request is served its
+	// byte-identical body from the table — coalescing extended across
+	// time — without an admission slot or any engine work. Only
+	// successful computations are kept; requests carrying deadline_ms
+	// never are (their truncation point is wall-clock dependent), and
+	// ?debug=trace requests bypass the table entirely. In a sharded
+	// ring every worker holds the memo slice for its shard of the
+	// keyspace, so aggregate memo capacity grows with the worker count.
 	ResultMemo int
 }
 
@@ -162,9 +164,9 @@ type backend struct {
 	pairs       []record.Pair
 	svc         *scorecache.Service
 	restored    int
-	// memo replays rendered response bodies for repeat deterministic
-	// requests (nil when Options.ResultMemo is 0).
-	memo *resultMemo
+	// calls coalesces identical requests and replays the settled ones
+	// it keeps (Options.ResultMemo).
+	calls *requestTable
 
 	// requests counts explanation requests routed to this backend
 	// (coalesced joiners included); errors the ones that failed after
@@ -183,7 +185,6 @@ type Server struct {
 	backends map[string]*backend
 	order    []string
 	adm      *admission
-	coal     *coalescer
 	mux      *http.ServeMux
 	start    time.Time
 	metrics  *telemetry.Registry
@@ -224,7 +225,6 @@ func New(backends []Backend, opts Options) (*Server, error) {
 		opts:     opts,
 		backends: make(map[string]*backend, len(backends)),
 		adm:      newAdmission(opts.MaxInFlight, opts.MaxQueue),
-		coal:     newCoalescer(),
 		mux:      http.NewServeMux(),
 		start:    time.Now(),
 		metrics:  opts.Metrics,
@@ -259,14 +259,10 @@ func New(backends []Backend, opts Options) (*Server, error) {
 		if bopts.Retrieval == nil {
 			bopts.Retrieval = neighborhood.NewSources(b.Left, b.Right)
 		}
-		var memo *resultMemo
-		if opts.ResultMemo > 0 {
-			memo = newResultMemo(opts.ResultMemo)
-		}
 		s.backends[b.Name] = &backend{
 			name: b.Name, left: b.Left, right: b.Right, model: b.Model,
 			opts: bopts, pairs: b.Pairs, svc: svc, restored: b.RestoredEntries,
-			memo: memo,
+			calls: newRequestTable(opts.ResultMemo),
 		}
 		s.order = append(s.order, b.Name)
 	}
@@ -326,53 +322,33 @@ func (s *Server) resolveBackend(name string) (*backend, int, error) {
 	return b, 0, nil
 }
 
-// serveOne runs one explanation request through the result memo,
-// coalescing and admission, and returns the shared response bytes. tr
-// is the computation's trace when this request led it (nil for memo
-// hits and joiners, whose bytes were computed under another request's
-// trace, and on error) — the handler folds it into the request log
-// line. Deadline-bearing requests skip the memo in both directions:
-// their truncation point depends on the wall clock, so neither may a
-// stale body answer them nor may their body be replayed later.
+// serveOne answers one explanation request through its backend's
+// request table and admission, and returns the shared response bytes.
+// tr is the computation's trace when this request led it (nil for
+// replays and joiners, whose bytes were computed under another
+// request's trace, and on error) — the handler folds it into the
+// request log line.
 func (s *Server) serveOne(ctx context.Context, b *backend, p record.Pair, k knobs, reqID string) (body []byte, joined, memoized bool, tr *telemetry.Trace, err error) {
-	key := coalesceKey(b.name, k, p)
-	deterministic := k.deadlineMS == 0
-	if deterministic {
-		if body, ok := b.memo.get(key); ok {
-			s.memoized.Inc()
-			return body, false, true, nil, nil
-		}
-	}
-	for {
-		var led *telemetry.Trace
-		body, joined, err = s.coal.do(ctx, s.lifetime, key, func(compCtx context.Context) ([]byte, error) {
+	var led *telemetry.Trace
+	body, joined, memoized, err = b.calls.do(ctx, s.lifetime, coalesceKey(b.name, k, p), k.deadlineMS == 0,
+		func(compCtx context.Context) ([]byte, error) {
 			out, t, cerr := s.compute(compCtx, b, p, k, reqID, false)
 			led = t
 			return out, cerr
 		})
-		if joined && errors.Is(err, context.Canceled) && ctx.Err() == nil && s.lifetime.Err() == nil {
-			// We attached to a computation whose every requester had
-			// disconnected just before we arrived; its cancellation is not
-			// ours. Re-issue — the key has been cleared, so this caller
-			// leads a fresh computation. joined deliberately resets: what
-			// this request reports is how its final attempt was answered.
-			continue
-		}
-		if joined {
-			s.coalesced.Inc()
-		}
-		if err == nil {
-			// Reading led is safe only once the computation has delivered a
-			// result (happens-before via the coalescer's result channel). On
-			// a cancelled wait the closure may still be running — leave tr
-			// nil rather than race.
-			tr = led
-			if deterministic {
-				b.memo.put(key, body)
-			}
-		}
-		return body, joined, false, tr, err
+	switch {
+	case joined:
+		s.coalesced.Inc()
+	case memoized:
+		s.memoized.Inc()
+	case err == nil:
+		// Reading led is safe only once the computation has delivered a
+		// result (happens-before via the call's done channel). On a
+		// cancelled wait the closure may still be running — leave tr nil
+		// rather than race.
+		tr = led
 	}
+	return body, joined, memoized, tr, err
 }
 
 // compute runs the explanation under an admission slot and marshals the

@@ -297,16 +297,17 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 	// Wait until all n requests have attached to the single in-flight
 	// call, then open the gate.
 	deadline := time.Now().Add(10 * time.Second)
+	tbl := s.backends["toy"].calls
 	for {
-		s.coal.mu.Lock()
+		tbl.mu.Lock()
 		refs := 0
-		for _, c := range s.coal.calls {
+		for _, c := range tbl.calls {
 			c.mu.Lock()
 			refs += c.refs
 			c.mu.Unlock()
 		}
-		calls := len(s.coal.calls)
-		s.coal.mu.Unlock()
+		calls := len(tbl.calls)
+		tbl.mu.Unlock()
 		if calls == 1 && refs == n {
 			break
 		}

@@ -26,8 +26,8 @@ go build ./...
 echo "== go test =="
 go test -timeout 300s ./...
 
-echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + matcher caches + HTTP serving + lattice + telemetry + cluster routing) =="
-go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/matchers/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
+echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + matcher memos + HTTP serving + lattice + telemetry + cluster routing) =="
+go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/memo/ ./internal/matchers/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
 
 # The lattice-pruning paths specifically, under the race detector at
 # Parallelism 8 (TestLatticePruneDeterministic and friends run inside the
@@ -43,10 +43,12 @@ echo "== workpool lowest-index error (500 passes) =="
 go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
 
 # Short native-fuzzing bursts past each target's seed corpus (which
-# plain go test already runs): snapshot decode and request decoding.
-echo "== fuzz bursts (FuzzRestore, FuzzExplainRequest; 10 s each) =="
+# plain go test already runs): snapshot decode, request decoding and
+# ring placement.
+echo "== fuzz bursts (FuzzRestore, FuzzExplainRequest, FuzzRing; 10 s each) =="
 go test -timeout 120s -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s ./internal/scorecache/
 go test -timeout 120s -run '^$' -fuzz '^FuzzExplainRequest$' -fuzztime 10s ./internal/server/
+go test -timeout 120s -run '^$' -fuzz '^FuzzRing$' -fuzztime 10s ./internal/cluster/
 
 echo "== bench smoke =="
 go test -timeout 600s -bench=. -benchtime=1x -run='^$' .
