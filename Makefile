@@ -30,23 +30,27 @@ bench:
 servesmoke:
 	$(GO) run ./scripts/servesmoke
 
-# profile captures two CPU profiles of untraced explanations over the AB
-# blocked-cluster fixture, plus the certa.test binary they symbolize
+# profile captures three CPU profiles of untraced explanations over the
+# AB blocked-cluster fixture, plus the certa.test binary they symbolize
 # against: certa.pprof re-explains pairs on a warm shared service
-# (BenchmarkExplainPlain: store lookups, few model calls), and
+# (BenchmarkExplainPlain: store lookups, few model calls),
 # certa-cold.pprof explains 8-pair batches, each on a fresh service at
 # Parallelism 1 (BenchmarkExplainCold, the benchmark's batch-cold call
 # shape: every model call and store insertion paid while the store
-# grows across the batch). Inspect with `go tool pprof certa.test certa.pprof`.
+# grows across the batch), and certa-unseen.pprof explains the same
+# batches with a freshly restored model whose matcher memos start empty
+# (BenchmarkExplainNeverSeen: every value pair featurized from scratch).
+# Inspect with `go tool pprof certa.test certa.pprof`.
 profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkExplainPlain$$' -benchtime 32x -cpuprofile certa.pprof .
 	$(GO) test -run '^$$' -bench '^BenchmarkExplainCold$$' -benchtime 32x -cpuprofile certa-cold.pprof .
-	@echo "CPU profiles written to certa.pprof (warm) and certa-cold.pprof (cold)"
+	$(GO) test -run '^$$' -bench '^BenchmarkExplainNeverSeen$$' -benchtime 32x -cpuprofile certa-unseen.pprof .
+	@echo "CPU profiles written to certa.pprof (warm), certa-cold.pprof (cold) and certa-unseen.pprof (never-seen)"
 
 # ci runs the full gate: every stage of scripts/ci.sh, races and smokes included.
 ci:
 	sh scripts/ci.sh
 
 clean:
-	rm -f certa.pprof certa-cold.pprof certa.test
+	rm -f certa.pprof certa-cold.pprof certa-unseen.pprof certa.test
 	rm -rf bin

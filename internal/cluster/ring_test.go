@@ -188,7 +188,7 @@ func TestParseMembers(t *testing.T) {
 // depend on the order the members are listed in. Input ParseMembers or
 // NewRing rejects must come back as an error, never a panic.
 func FuzzRing(f *testing.F) {
-	f.Add("w0=http://127.0.0.1:8081,w1=http://127.0.0.1:8082", 64, "alpha") // README
+	f.Add("w0=http://127.0.0.1:8081,w1=http://127.0.0.1:8082", 64, "alpha")  // README
 	f.Add("w0=http://127.0.0.1:41001,w1=http://127.0.0.1:41002", 0, "l7|r7") // ringsmoke
 	f.Add("http://a:1, w9=http://b:2/ ,http://c:3", 8, "key-0001")
 	f.Add("w=http://a,w=http://b", 4, "duplicate name")

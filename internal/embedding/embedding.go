@@ -13,6 +13,7 @@
 package embedding
 
 import (
+	"fmt"
 	"math"
 
 	"certa/internal/strutil"
@@ -28,10 +29,16 @@ type Embedder struct {
 	defaultIDF float64
 }
 
-// New creates an embedder with the given dimensionality.
+// maxDim bounds an embedder's dimensionality. The matchers use 24; the
+// bound keeps a corrupt or hostile model file from sizing every vector
+// past memory.
+const maxDim = 4096
+
+// New creates an embedder with the given dimensionality, which must lie
+// in 1..4096.
 func New(dim int) *Embedder {
-	if dim <= 0 {
-		panic("embedding: dimension must be positive")
+	if dim <= 0 || dim > maxDim {
+		panic(fmt.Sprintf("embedding: dimension %d is outside 1..%d", dim, maxDim))
 	}
 	return &Embedder{Dim: dim, defaultIDF: 1}
 }
@@ -82,7 +89,13 @@ func (e *Embedder) Token(tok string) []float64 {
 
 // Text embeds a whole text as the IDF-weighted mean of its token
 // embeddings, L2-normalized. Missing values embed to the zero vector.
-func (e *Embedder) Text(s string) []float64 {
+func (e *Embedder) Text(s string) []float64 { return e.TextWith(s, e.Token) }
+
+// TextWith is Text with the token vectors supplied by token, which must
+// return what Token returns (a memo in front of Token, say) and whose
+// vectors are only read. The vectors are summed in token order with the
+// same IDF weights, so the result is bit-identical to Text's.
+func (e *Embedder) TextWith(s string, token func(string) []float64) []float64 {
 	v := make([]float64, e.Dim)
 	toks := strutil.Tokenize(s)
 	if len(toks) == 0 {
@@ -90,7 +103,7 @@ func (e *Embedder) Text(s string) []float64 {
 	}
 	for _, tok := range toks {
 		w := e.IDF(tok)
-		tv := e.Token(tok)
+		tv := token(tok)
 		for i := range v {
 			v[i] += w * tv[i]
 		}

@@ -2,6 +2,7 @@ package embedding
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -110,12 +111,42 @@ func TestFitEmptyCorpus(t *testing.T) {
 }
 
 func TestNewPanicsOnBadDim(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(0) should panic")
+	for _, dim := range []int{0, maxDim + 1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%d) should panic", dim)
+				}
+			}()
+			New(dim)
+		}()
+	}
+}
+
+// TestTextWithMatchesText: TextWith over a memo of Token is Text bit
+// for bit, and asks the memo once per token occurrence.
+func TestTextWithMatchesText(t *testing.T) {
+	e := New(24)
+	e.Fit([]string{"apple pie with cream", "apple tart", "cream soda"})
+	memo := map[string][]float64{}
+	calls := 0
+	token := func(tok string) []float64 {
+		calls++
+		if v, ok := memo[tok]; ok {
+			return v
 		}
-	}()
-	New(0)
+		v := e.Token(tok)
+		memo[tok] = v
+		return v
+	}
+	for _, s := range []string{"apple pie", "Apple  PIE with cream", "", "NaN", "zebra 42 apple"} {
+		if got, want := e.TextWith(s, token), e.Text(s); !reflect.DeepEqual(got, want) {
+			t.Fatalf("TextWith(%q) = %v, want %v", s, got, want)
+		}
+	}
+	if calls != 2+4+3 {
+		t.Fatalf("token called %d times, want one per token occurrence (9)", calls)
+	}
 }
 
 func TestCosineProperties(t *testing.T) {

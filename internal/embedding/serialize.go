@@ -30,8 +30,8 @@ func (e *Embedder) UnmarshalBinary(data []byte) error {
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
 		return fmt.Errorf("embedding: decoding embedder: %w", err)
 	}
-	if st.Dim <= 0 {
-		return fmt.Errorf("embedding: decoded dimension %d is invalid", st.Dim)
+	if st.Dim <= 0 || st.Dim > maxDim {
+		return fmt.Errorf("embedding: decoded dimension %d is outside 1..%d", st.Dim, maxDim)
 	}
 	e.Dim = st.Dim
 	e.idf = st.IDF

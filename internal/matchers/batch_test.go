@@ -45,11 +45,11 @@ func min(a, b int) int {
 	return b
 }
 
-// TestEmbeddingStorePersistsAcrossBatches: the matcher-owned embedding
-// store must keep serving texts seen in earlier batches (the per-batch
+// TestEmbeddingMemoPersistsAcrossBatches: the matcher-owned embedding
+// memo must keep serving texts seen in earlier batches (the per-batch
 // memo it replaced forgot everything between calls), so a repeated batch
 // is all hits and adds no entries.
-func TestEmbeddingStorePersistsAcrossBatches(t *testing.T) {
+func TestEmbeddingMemoPersistsAcrossBatches(t *testing.T) {
 	b := dataset.MustGenerate("AB", dataset.Options{Seed: 5, MaxRecords: 40, MaxMatches: 20})
 	m, err := Train(DeepMatcher, b, Config{Seed: 5, Epochs: 3})
 	if err != nil {
@@ -62,12 +62,12 @@ func TestEmbeddingStorePersistsAcrossBatches(t *testing.T) {
 	first := m.ScoreBatch(pairs)
 	st1 := m.EmbeddingStats()
 	if st1.Entries == 0 {
-		t.Fatal("embedding store empty after scoring; store not wired into ScoreBatch")
+		t.Fatal("embedding memo empty after scoring; memo not wired into ScoreBatch")
 	}
 	second := m.ScoreBatch(pairs)
 	st2 := m.EmbeddingStats()
 	if st2.Entries != st1.Entries {
-		t.Fatalf("repeat batch grew the store: %d -> %d entries", st1.Entries, st2.Entries)
+		t.Fatalf("repeat batch grew the memo: %d -> %d entries", st1.Entries, st2.Entries)
 	}
 	if st2.Misses != st1.Misses {
 		t.Fatalf("repeat batch recomputed embeddings: misses %d -> %d", st1.Misses, st2.Misses)

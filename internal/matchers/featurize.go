@@ -107,10 +107,10 @@ func (f *deepERFeat) appendFeatures(dst []float64, p record.Pair, text textFunc)
 // attribute (the "attribute summarization" of the Hybrid model): the
 // model sees exactly which attribute agrees or disagrees. Each distinct
 // value pair's block — embedding cosine plus four string similarities,
-// including an O(n²) edit distance — is computed once per matcher
-// lifetime (blocks, attached by Model.initCaches): perturbed pairs
-// recombine a small set of attribute values, so lattice workloads hit
-// the memo almost every time.
+// including a bit-vector edit distance over the first 64 bytes — is
+// computed once per matcher lifetime (blocks, attached by
+// Model.initCaches): perturbed pairs recombine a small set of attribute
+// values, so lattice workloads hit the memo almost every time.
 type deepMatcherFeat struct {
 	emb    *embedding.Embedder
 	attrs  []string
@@ -182,7 +182,8 @@ type tokScratch struct{ a, b []string }
 var tokScratchPool = sync.Pool{New: func() any { return &tokScratch{} }}
 
 // truncateForLev caps value length so edit distance stays cheap on long
-// descriptions.
+// descriptions: 64 ASCII bytes is one machine word for Myers' kernel
+// in strutil.LevenshteinDistance.
 func truncateForLev(s string) string {
 	const maxLen = 64
 	if len(s) <= maxLen {

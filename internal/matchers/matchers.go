@@ -54,10 +54,11 @@ func Kinds() []Kind { return []Kind{DeepER, DeepMatcher, Ditto} }
 
 // Model is a trained ER matcher.
 type Model struct {
-	kind  Kind
-	feat  featurizer
-	net   *nn.Network
-	texts *memo.Memo[string, []float64] // text embeddings, kept for the model's lifetime
+	kind   Kind
+	feat   featurizer
+	net    *nn.Network
+	texts  *memo.Memo[string, []float64] // text embeddings, kept for the model's lifetime
+	tokens *memo.Memo[string, []float64] // token vectors, kept for the model's lifetime
 }
 
 // Name implements Matcher.
@@ -68,20 +69,32 @@ func (m *Model) Kind() Kind { return m.kind }
 
 // initCaches attaches the matcher-lifetime memos: text embeddings
 // (every distinct attribute or record text embeds once per model
-// lifetime instead of once per batch) and, for DeepMatcher-style
-// featurizers, attribute blocks. Both memoize pure functions, so scores
-// are bit-identical with or without them. Train and UnmarshalBinary
-// call it before any scoring.
+// lifetime instead of once per batch), token vectors (a text never seen
+// before still reuses the vectors of the tokens it shares with earlier
+// texts, as every token-drop variant does) and, for DeepMatcher-style
+// featurizers, attribute blocks. All three memoize pure functions, so
+// scores are bit-identical with or without them. Train and
+// UnmarshalBinary call it before any scoring.
 func (m *Model) initCaches() {
 	m.texts = memo.New[string, []float64]()
+	m.tokens = memo.New[string, []float64]()
 	if dm, ok := m.feat.(*deepMatcherFeat); ok {
 		dm.blocks = memo.New[[2]string, [dmBlock]float64]()
 	}
 }
 
-// text embeds s through the model's embedding memo.
+// text embeds s through the model's embedding memo, and a text it has
+// not seen from token vectors through the token memo.
 func (m *Model) text(s string) []float64 {
-	return m.texts.Get(s, m.feat.embedder().Text)
+	return m.texts.Get(s, m.embedText)
+}
+
+func (m *Model) embedText(s string) []float64 {
+	return m.feat.embedder().TextWith(s, m.token)
+}
+
+func (m *Model) token(tok string) []float64 {
+	return m.tokens.Get(tok, m.feat.embedder().Token)
 }
 
 // EmbeddingStats reports the embedding memo's activity.

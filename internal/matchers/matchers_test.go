@@ -68,11 +68,11 @@ func TestScoreRangeAndDeterminism(t *testing.T) {
 
 // TestScoreConcurrentSafe drives the matcher-lifetime caches every
 // scoring shard of a service shares — the DeepMatcher attribute-block
-// memo and the embedding store — from concurrent ScoreBatch and Score
-// calls, for every trained kind. Each model under test is a
-// serialization round trip of a trained one, so its caches start empty
-// and the test pairs are misses that some goroutines fill while others
-// read; every score must still match the trained model's.
+// memo, the embedding memo and the token memo — from concurrent
+// ScoreBatch and Score calls, for every trained kind. Each model under
+// test is a serialization round trip of a trained one, so its caches
+// start empty and the test pairs are misses that some goroutines fill
+// while others read; every score must still match the trained model's.
 func TestScoreConcurrentSafe(t *testing.T) {
 	b, models := testBenchmark(t)
 	pairs := make([]record.Pair, len(b.Test))

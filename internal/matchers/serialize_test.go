@@ -63,3 +63,46 @@ func TestModelUnmarshalRejectsWidthMismatch(t *testing.T) {
 		t.Fatal("a network one attribute block wider than its featurizer loaded")
 	}
 }
+
+// TestModelUnmarshalRejectsOversizedEmbedder: the DeepMatcher, SVM and
+// Ditto networks read a width that does not depend on the embedding
+// dimension, so the width check cannot catch a corrupt one. A state
+// whose embedder claims 1<<40 dimensions must fail to load rather than
+// load and die at its first Score with an unrecoverable out-of-memory
+// error.
+func TestModelUnmarshalRejectsOversizedEmbedder(t *testing.T) {
+	_, models := testBenchmark(t)
+	for _, kind := range []Kind{DeepMatcher, Ditto} {
+		data, err := models[kind].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st modelState
+		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		// Field names are what gob matches, so this struct re-encodes
+		// the embedder's state with a new Dim.
+		var emb struct {
+			Dim        int
+			IDF        map[string]float64
+			DefaultIDF float64
+		}
+		if err := gob.NewDecoder(bytes.NewReader(st.Embedder)).Decode(&emb); err != nil {
+			t.Fatal(err)
+		}
+		emb.Dim = 1 << 40
+		var eb, buf bytes.Buffer
+		if err := gob.NewEncoder(&eb).Encode(emb); err != nil {
+			t.Fatal(err)
+		}
+		st.Embedder = eb.Bytes()
+		if err := gob.NewEncoder(&buf).Encode(st); err != nil {
+			t.Fatal(err)
+		}
+		var m Model
+		if err := m.UnmarshalBinary(buf.Bytes()); err == nil {
+			t.Fatalf("%s: a model whose embedder has 1<<40 dimensions loaded", kind)
+		}
+	}
+}

@@ -1,8 +1,8 @@
 // Package memo caches pure functions for the lifetime of their owner.
-// The matcher keeps two memos: text embeddings and DeepMatcher
-// attribute blocks. Both functions depend on their key alone, so a
-// cached value is the value a fresh call would return, and scores are
-// bit-identical with or without the memo.
+// The matcher keeps three memos: text embeddings, token vectors and
+// DeepMatcher attribute blocks. Each function depends on its key alone,
+// so a cached value is the value a fresh call would return, and scores
+// are bit-identical with or without the memo.
 package memo
 
 import (

@@ -50,23 +50,45 @@ func TestNormalizeFastPathMatchesReference(t *testing.T) {
 	}
 }
 
-// TestLevenshteinASCIIMatchesReference: the byte-indexed DP must equal
-// the rune DP on all-ASCII inputs of any length (stack and heap rows).
+// TestLevenshteinASCIIMatchesReference: the ASCII path must equal the
+// rune DP on all-ASCII inputs on both sides of Myers' 64-byte bound,
+// which applies to the shorter side after the common prefix and suffix
+// are stripped. Cores of 56-71 bytes under a shared prefix and suffix
+// put the stripped shorter side on either side of it, over a binary, a
+// small and the printable alphabet.
 func TestLevenshteinASCIIMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	alphabet := "ab 1-x."
-	randASCII := func(n int) string {
-		var b strings.Builder
-		for i := 0; i < n; i++ {
-			b.WriteByte(alphabet[rng.Intn(len(alphabet))])
-		}
-		return b.String()
+	var printable strings.Builder
+	for c := byte(' '); c < 0x7f; c++ {
+		printable.WriteByte(c)
 	}
-	for trial := 0; trial < 500; trial++ {
-		a := randASCII(rng.Intn(90)) // crosses the 72-entry stack-row bound
-		b := randASCII(rng.Intn(90))
-		if got, want := levenshteinASCII(a, b), levenshteinRunes(a, b); got != want {
-			t.Fatalf("levenshteinASCII(%q, %q) = %d, want %d", a, b, got, want)
+	for _, alphabet := range []string{"ab", "ab 1-x.", printable.String()} {
+		randASCII := func(n int) string {
+			var b strings.Builder
+			for i := 0; i < n; i++ {
+				b.WriteByte(alphabet[rng.Intn(len(alphabet))])
+			}
+			return b.String()
+		}
+		var kernel, dp int
+		for trial := 0; trial < 1000; trial++ {
+			pre, suf := randASCII(rng.Intn(5)), randASCII(rng.Intn(5))
+			a := pre + randASCII(56+rng.Intn(16)) + suf
+			b := pre + randASCII(56+rng.Intn(16)) + suf
+			if trial%4 == 0 {
+				b = randASCII(rng.Intn(90))
+			}
+			if sa, sb := stripCommon(a, b); min(len(sa), len(sb)) > 64 {
+				dp++
+			} else {
+				kernel++
+			}
+			if got, want := levenshteinASCII(a, b), levenshteinRunes(a, b); got != want {
+				t.Fatalf("levenshteinASCII(%q, %q) = %d, want %d", a, b, got, want)
+			}
+		}
+		if kernel < 100 || dp < 100 {
+			t.Fatalf("alphabet %q: %d pairs ran Myers' kernel and %d the DP; want 100 of each", alphabet, kernel, dp)
 		}
 	}
 	// Unicode inputs must still route through the rune DP: "é" is one
@@ -74,6 +96,44 @@ func TestLevenshteinASCIIMatchesReference(t *testing.T) {
 	if got := LevenshteinDistance("é", "e"); got != 1 {
 		t.Fatalf("LevenshteinDistance(é, e) = %d, want 1", got)
 	}
+}
+
+// FuzzLevenshteinDistance checks LevenshteinDistance against the rune
+// DP on arbitrary strings. The seeds sit on the kernel's edges: cores of
+// 63, 64 and 65 bytes once the common prefix and suffix are stripped,
+// empty strings, pairs that differ only in a prefix or a suffix, and
+// non-ASCII input.
+func FuzzLevenshteinDistance(f *testing.F) {
+	for _, n := range []int{63, 64, 65} {
+		f.Add("pre-"+strings.Repeat("a", n)+"-suf", "pre-"+strings.Repeat("b", n)+"-suf")
+		f.Add("pre-"+strings.Repeat("ab", n/2+1)[:n]+"-suf", "pre-"+strings.Repeat("ba", n)+"-suf")
+		f.Add(strings.Repeat("a", n), strings.Repeat("b", 2*n))
+	}
+	f.Add("", "")
+	f.Add("", "abc")
+	f.Add("abc", "")
+	f.Add("xabcdef", "yabcdef")
+	f.Add("abcdefx", "abcdefy")
+	f.Add("abc", "abcdef")
+	f.Add("é", "e")
+	f.Add("naïve café", "naive cafe")
+	f.Add("日本語", "日本")
+	f.Fuzz(func(t *testing.T, a, b string) {
+		// The reference DP is quadratic, and the fuzzer minimizes every
+		// new input by rerunning it many times; 160 bytes a side keeps
+		// both sides of the kernel's 64-byte bound at a fraction of the
+		// cost.
+		if len(a) > 160 || len(b) > 160 {
+			t.Skip()
+		}
+		want := levenshteinRunes(a, b)
+		if got := LevenshteinDistance(a, b); got != want {
+			t.Fatalf("LevenshteinDistance(%q, %q) = %d, want %d", a, b, got, want)
+		}
+		if got := LevenshteinDistance(b, a); got != want {
+			t.Fatalf("LevenshteinDistance(%q, %q) = %d, want %d", b, a, got, want)
+		}
+	})
 }
 
 // TestSortedSimsMatchStringSims: the sorted-token similarity functions

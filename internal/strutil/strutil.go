@@ -235,11 +235,14 @@ func OverlapCoefficient(a, b string) float64 {
 }
 
 // LevenshteinDistance returns the edit distance between a and b with unit
-// costs. It runs in O(len(a)*len(b)) time and O(min) space. All-ASCII
-// inputs take a byte-indexed path with stack-allocated DP rows (the
-// featurize hot path truncates values to 64 bytes, so that path never
-// allocates); the distance is identical because ASCII bytes and runes
-// correspond one to one (TestLevenshteinASCIIMatchesReference).
+// costs. All-ASCII inputs whose shorter side is at most 64 bytes once
+// their common prefix and suffix are stripped run Myers' bit-vector
+// algorithm: a few word operations per byte of the longer side, no
+// allocation. The featurize hot path truncates values to 64 bytes, so
+// its ASCII values always take that path. Every other input runs the
+// rune DP in O(len(a)*len(b)) time. Both return the same integer,
+// because ASCII bytes and runes correspond one to one
+// (FuzzLevenshteinDistance).
 func LevenshteinDistance(a, b string) int {
 	if asciiOnly(a) && asciiOnly(b) {
 		return levenshteinASCII(a, b)
@@ -256,51 +259,73 @@ func asciiOnly(s string) bool {
 	return true
 }
 
+// levenshteinASCII is the distance between two all-ASCII strings: Myers'
+// kernel when the shorter side fits one word, the rune DP otherwise.
 func levenshteinASCII(a, b string) int {
-	// A shared prefix or suffix never participates in an optimal unit-cost
-	// edit script; stripping it is exact and collapses the DP for the
-	// near-identical strings perturbation workloads compare.
-	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
-		a, b = a[1:], b[1:]
-	}
-	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
-		a, b = a[:len(a)-1], b[:len(b)-1]
-	}
+	a, b = stripCommon(a, b)
 	if len(a) < len(b) {
 		a, b = b, a
 	}
 	if len(b) == 0 {
 		return len(a)
 	}
-	var stack [2][72]int
-	var prev, cur []int
-	if len(b)+1 <= len(stack[0]) {
-		prev, cur = stack[0][:len(b)+1], stack[1][:len(b)+1]
-	} else {
-		prev, cur = make([]int, len(b)+1), make([]int, len(b)+1)
+	if len(b) > 64 {
+		return levenshteinRunes(a, b)
 	}
-	for j := range prev {
-		prev[j] = j
+	return myers64(b, a)
+}
+
+// stripCommon cuts the longest common prefix and then the longest
+// common suffix of a and b. A shared prefix or suffix never participates
+// in an optimal unit-cost edit script, so stripping it is exact and
+// shortens the work for the near-identical strings perturbation
+// workloads compare.
+func stripCommon(a, b string) (string, string) {
+	for len(a) > 0 && len(b) > 0 && a[0] == b[0] {
+		a, b = a[1:], b[1:]
 	}
-	for i := 1; i <= len(a); i++ {
-		cur[0] = i
-		for j := 1; j <= len(b); j++ {
-			cost := 1
-			if a[i-1] == b[j-1] {
-				cost = 0
-			}
-			m := prev[j] + 1 // deletion
-			if v := cur[j-1] + 1; v < m {
-				m = v // insertion
-			}
-			if v := prev[j-1] + cost; v < m {
-				m = v // substitution
-			}
-			cur[j] = m
+	for len(a) > 0 && len(b) > 0 && a[len(a)-1] == b[len(b)-1] {
+		a, b = a[:len(a)-1], b[:len(b)-1]
+	}
+	return a, b
+}
+
+// myers64 is the edit distance between pattern p (1 to 64 ASCII bytes)
+// and text t, by Myers' bit-vector algorithm in Hyyrö's form for global
+// edit distance (Myers 1999; Hyyrö 2003). Bit i of the column vectors
+// holds the vertical delta D[i+1][j] - D[i][j] of the DP over p's rows
+// and t's columns: Pv marks +1, Mv marks -1, and 0 is neither. Each text
+// byte advances a whole column in a few word operations, and score
+// follows the last row, D[len(p)][j]. Bits above len(p) carry garbage
+// that only moves upward (additions and left shifts), so it never
+// reaches the row that is read.
+func myers64(p, t string) int {
+	var peq [128]uint64 // peq[c] has bit i set where p[i] == c
+	for i := 0; i < len(p); i++ {
+		peq[p[i]&0x7f] |= 1 << i
+	}
+	last := uint64(1) << (len(p) - 1)
+	pv, mv := ^uint64(0), uint64(0) // column 0: D[i][0] = i
+	score := len(p)
+	for j := 0; j < len(t); j++ {
+		eq := peq[t[j]&0x7f]
+		xv := eq | mv
+		xh := (((eq & pv) + pv) ^ pv) | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
 		}
-		prev, cur = cur, prev
+		// Row 0 is D[0][j] = j, so every horizontal delta entering the
+		// column from above is +1: that is the shifted-in 1 of ph.
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
 	}
-	return prev[len(b)]
+	return score
 }
 
 // levenshteinRunes is the rune-correct reference implementation.

@@ -1,5 +1,5 @@
 #!/bin/sh
-# CI gate: vet, certa-lint, build, full test suite, race passes, short
+# CI gate: gofmt, vet, certa-lint, build, full test suite, race passes, short
 # fuzzing bursts, a one-iteration benchmark smoke pass, the serve and
 # ring smokes, and the nested benchmark module's vet and tests.
 #
@@ -8,6 +8,17 @@
 set -eu
 
 cd "$(dirname "$0")/.."
+
+# gofmt -l lists every file whose formatting differs from gofmt's; any
+# listed file fails the gate. .bench_build/ holds benchmark/run.sh's Go
+# caches, not sources.
+echo "== gofmt =="
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+	echo "gofmt would reformat:" >&2
+	echo "$unformatted" >&2
+	exit 1
+fi
 
 echo "== go vet =="
 go vet ./...
@@ -43,12 +54,13 @@ echo "== workpool lowest-index error (500 passes) =="
 go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
 
 # Short native-fuzzing bursts past each target's seed corpus (which
-# plain go test already runs): snapshot decode, request decoding and
-# ring placement.
-echo "== fuzz bursts (FuzzRestore, FuzzExplainRequest, FuzzRing; 10 s each) =="
+# plain go test already runs): snapshot decode, request decoding, ring
+# placement and the bit-vector edit distance against the rune DP.
+echo "== fuzz bursts (FuzzRestore, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance; 10 s each) =="
 go test -timeout 120s -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s ./internal/scorecache/
 go test -timeout 120s -run '^$' -fuzz '^FuzzExplainRequest$' -fuzztime 10s ./internal/server/
 go test -timeout 120s -run '^$' -fuzz '^FuzzRing$' -fuzztime 10s ./internal/cluster/
+go test -timeout 120s -run '^$' -fuzz '^FuzzLevenshteinDistance$' -fuzztime 10s ./internal/strutil/
 
 echo "== bench smoke =="
 go test -timeout 600s -bench=. -benchtime=1x -run='^$' .

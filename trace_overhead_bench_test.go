@@ -101,6 +101,37 @@ func BenchmarkExplainCold(b *testing.B) {
 	b.ReportMetric(float64(len(batch)), "pairs/op")
 }
 
+// BenchmarkExplainNeverSeen profiles what BenchmarkExplainCold's
+// long-lived model hides: featurizing value pairs the matcher has never
+// seen. Each iteration restores the fixture model from its serialized
+// bytes outside the timer, so its text, token and block memos start
+// empty, then explains BenchmarkExplainCold's 8-pair batch on a fresh
+// service at Parallelism 1. Every attribute block is computed from
+// scratch, as in a deployment's first pass over new records.
+func BenchmarkExplainNeverSeen(b *testing.B) {
+	f := loadTraceBenchFixture(b)
+	batch := f.pairs[:min(8, len(f.pairs))]
+	state, err := f.model.MarshalBinary()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		model := new(certa.Matcher)
+		if err := model.UnmarshalBinary(state); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		svc := certa.NewScoringService(model, certa.ScoringServiceOptions{Parallelism: 1})
+		opts := certa.Options{Triangles: 100, Seed: 7, Parallelism: 1, Shared: svc, Retrieval: f.idx}
+		if _, err := certa.ExplainBatchContext(context.Background(), model, f.bench.Left, f.bench.Right, batch, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(batch)), "pairs/op")
+}
+
 // TestWarmReexplainAllocs bounds the allocations of one warm
 // re-explanation on the fixture (a shared service already holding every
 // score, Parallelism 1), where the triangle scan and the lattice are
