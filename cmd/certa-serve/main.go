@@ -37,6 +37,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"syscall"
 	"time"
 
@@ -266,22 +267,39 @@ func run(addr, addrFile, ds, model string, records, matches int, seed int64, tri
 	return nil
 }
 
-// writeSnapshot persists the cache atomically: write aside, then rename,
-// so a crash mid-write cannot corrupt the previous snapshot.
+// writeSnapshot persists the cache atomically and durably: write aside,
+// sync the file, rename it over path, then sync the directory. A crash
+// at any point leaves either the previous snapshot or the complete new
+// one under path; without the file sync, a crash after the rename could
+// leave a truncated file there, which Restore rejects, costing a cold
+// start.
 func writeSnapshot(svc *certa.ScoringService, path string) error {
 	tmp := path + ".tmp"
 	f, err := os.Create(tmp)
 	if err != nil {
 		return err
 	}
-	if _, err := svc.Snapshot(f); err != nil {
-		f.Close()
+	_, err = svc.Snapshot(f)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
 		os.Remove(tmp)
 		return err
 	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
+	if err := os.Rename(tmp, path); err != nil {
 		return err
 	}
-	return os.Rename(tmp, path)
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

@@ -536,13 +536,13 @@ func (e *Explainer) exploreSide(ctx context.Context, bud *runBudget, prog *progr
 	// Each oracle question is a keyed score lookup, answered by the
 	// class of the score (score > 0.5 against y, as the support scan
 	// decides). Most questions repeat perturbations some lattice already
-	// asked: the keyers assemble each question's canonical cache key
-	// without cloning a record, so the view and the shared store answer
+	// asked: the keyers assemble each question's store key without
+	// cloning a record, so the view and the shared store answer
 	// known subsets with zero materialization — pairs are built only for
 	// true misses.
 	keyers := make([]*scorecache.PerturbKeyer, len(supports))
 	for i, w := range supports {
-		keyers[i] = scorecache.NewPerturbKeyer(p, side, w)
+		keyers[i] = sc.PerturbKeyer(p, side, w)
 	}
 	oracle := func(qs []lattice.Query) ([]bool, error) {
 		keys := make([]string, len(qs))

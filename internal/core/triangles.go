@@ -163,7 +163,7 @@ func newSupportScan(ctx context.Context, bud *runBudget, sc *scorecache.Scorer, 
 	if chunk > maxSearchChunk {
 		chunk = maxSearchChunk
 	}
-	return &supportScan{ctx: ctx, bud: bud, sc: sc, keyer: scorecache.NewSupportKeyer(p, side), p: p, side: side, y: y, want: want, chunk: chunk}
+	return &supportScan{ctx: ctx, bud: bud, sc: sc, keyer: sc.SupportKeyer(p, side), p: p, side: side, y: y, want: want, chunk: chunk}
 }
 
 // beginRecord marks the start of a new source record's candidates; the

@@ -12,26 +12,29 @@ import (
 // Record IDs are deliberately excluded — augmentation mints synthetic
 // IDs for otherwise identical perturbations, and models score values,
 // not identifiers.
+//
+// Key is the form outside the store: the server coalesces requests by
+// it, the ring places pairs by ShardHash(Key(p)), and snapshot format
+// v1 stores it. Inside a Service the same content is keyed by interned
+// ids (Scorer.Key), which Snapshot and Keys render back to this form.
 func Key(p record.Pair) string {
 	var b strings.Builder
-	b.Grow(recordLen(p.Left, -1, "") + 1 + recordLen(p.Right, -1, ""))
-	writeRecord(&b, p.Left, -1, "")
+	b.Grow(recordLen(p.Left) + 1 + recordLen(p.Right))
+	writeRecord(&b, p.Left)
 	b.WriteByte('|')
-	writeRecord(&b, p.Right, -1, "")
+	writeRecord(&b, p.Right)
 	return b.String()
 }
 
-// The canonical key format is defined by the writers below and nowhere
-// else: a record is its length-framed schema name ("3#Abt") followed by
-// one length-framed fragment per value (";4:ipod"), a nil record is
-// "<nil>", and a pair joins its two records with '|'. Every key builder
-// sizes its output exactly from the matching *Len function, so a stored
-// key holds no spare capacity.
+// The canonical key format is defined by the writers below and read
+// back by parseRecord (intern.go): a record is its length-framed schema
+// name ("3#Abt") followed by one length-framed fragment per value
+// (";4:ipod"), a nil record is "<nil>", and a pair joins its two
+// records with '|'.
 
 const nilRecord = "<nil>"
 
-// writeRecord serializes r; when at >= 0, v stands in for r.Values[at].
-func writeRecord(b *strings.Builder, r *record.Record, at int, v string) {
+func writeRecord(b *strings.Builder, r *record.Record) {
 	if r == nil {
 		b.WriteString(nilRecord)
 		return
@@ -40,24 +43,18 @@ func writeRecord(b *strings.Builder, r *record.Record, at int, v string) {
 	// schema named "S;1:x" would collide with a schema "S" holding the
 	// value "x".
 	writeHeader(b, r.Schema.Name)
-	for i, val := range r.Values {
-		if i == at {
-			val = v
-		}
+	for _, val := range r.Values {
 		writeValue(b, val)
 	}
 }
 
-// recordLen is the exact length writeRecord(b, r, at, v) writes.
-func recordLen(r *record.Record, at int, v string) int {
+// recordLen is the exact length writeRecord(b, r) writes.
+func recordLen(r *record.Record) int {
 	if r == nil {
 		return len(nilRecord)
 	}
 	n := headerLen(r.Schema.Name)
-	for i, val := range r.Values {
-		if i == at {
-			val = v
-		}
+	for _, val := range r.Values {
 		n += valueLen(val)
 	}
 	return n
@@ -96,120 +93,108 @@ func decLen(n int) int {
 	return d
 }
 
-// valueFragment returns v's framed fragment as a string.
-func valueFragment(v string) string {
-	var b strings.Builder
-	b.Grow(valueLen(v))
-	writeValue(&b, v)
-	return b.String()
-}
-
-// PerturbKeyer assembles the canonical cache Key of a mask-perturbed
-// pair without materializing the perturbed record. CERTA's lattice
-// oracle asks thousands of subset questions per explanation, and before
-// this existed every question paid for a full record clone plus a map of
-// copied values just to discover the answer was already memoized.
+// PerturbKeyer assembles the store key of a mask-perturbed pair
+// without materializing the perturbed record. CERTA's lattice oracle
+// asks thousands of subset questions per explanation, and most of them
+// are already memoized, so a question must not pay for a record clone.
 //
-// The keyer precomputes, once per (pair, side, support record):
-//
-//   - the serialized bytes before and after the perturbed record's value
-//     fragments (the other side's whole record and the schema header),
-//   - two ";len:value" fragments per attribute — the free record's value
-//     and the support record's value.
-//
-// Key(mask) then concatenates head + the mask-selected fragment per
-// attribute + tail, byte-for-byte identical to
-// Key(perturb(pair, side, support, attrs, mask)) — the property test
-// TestPerturbKeyerMatchesMaterializedKey gates this. The mask is a plain
-// uint32 in lattice bit order (bit i selects the support's value for
-// Schema.Attrs[i]), kept untyped here so the cache layer stays
-// independent of the lattice package.
+// The keyer resolves, once per (pair, side, support record), the words
+// before and after the perturbed record's value ids (the other side's
+// record and the schema header) and two value ids per attribute: the
+// free record's value and the support record's value. Key(mask) then
+// concatenates head + the mask-selected id per attribute + tail, equal
+// to the view's Key of perturb(pair, side, support, attrs, mask) — the
+// property test TestPerturbKeyerMatchesMaterializedKey gates this. The
+// mask is a plain uint32 in lattice bit order (bit i selects the
+// support's value for Schema.Attrs[i]), kept untyped here so the cache
+// layer stays independent of the lattice package.
 type PerturbKeyer struct {
-	head  string
-	tail  string
-	frags [][2]string // per attr: [0] free value fragment, [1] support value fragment
+	head string
+	tail string
+	ids  [][2]uint32 // per attr: [0] free value id, [1] support value id
 }
 
-// NewPerturbKeyer prepares mask→key assembly for perturbations of the
-// given side's record with values copied from support w. The free record
-// on that side must be non-nil (a nil fixed record is tolerated, exactly
-// like Key).
-func NewPerturbKeyer(p record.Pair, side record.Side, w *record.Record) *PerturbKeyer {
+// PerturbKeyer prepares mask→key assembly for perturbations of the
+// given side's record with values copied from support w. The free
+// record on that side must be non-nil (a nil fixed record is tolerated,
+// exactly like Key).
+func (s *Scorer) PerturbKeyer(p record.Pair, side record.Side, w *record.Record) *PerturbKeyer {
+	svc := s.svc
 	free := p.Record(side)
-	var head strings.Builder
+	var head []byte
 	if side == record.Right {
-		writeRecord(&head, p.Left, -1, "")
-		head.WriteByte('|')
+		head = svc.appendRecord(head, p.Left)
 	}
-	writeHeader(&head, free.Schema.Name)
+	head = appendWord(head, svc.strs.id(free.Schema.Name))
+	head = appendWord(head, uint32(len(free.Schema.Attrs)))
 
-	var tail strings.Builder
+	var tail []byte
 	if side == record.Left {
-		tail.WriteByte('|')
-		writeRecord(&tail, p.Right, -1, "")
+		tail = svc.appendRecord(tail, p.Right)
 	}
 
-	frags := make([][2]string, len(free.Schema.Attrs))
+	ids := make([][2]uint32, len(free.Schema.Attrs))
 	for i, a := range free.Schema.Attrs {
-		frags[i][0] = valueFragment(free.Values[i])
-		frags[i][1] = valueFragment(w.Value(a))
+		ids[i] = [2]uint32{svc.strs.id(free.Values[i]), svc.strs.id(w.Value(a))}
 	}
-	return &PerturbKeyer{head: head.String(), tail: tail.String(), frags: frags}
+	return &PerturbKeyer{head: string(head), tail: string(tail), ids: ids}
 }
 
-// Key assembles the canonical key for the subset mask: bit i selects the
+// Key assembles the store key for the subset mask: bit i selects the
 // support record's value for attribute i, a zero bit keeps the free
 // record's own value.
 func (k *PerturbKeyer) Key(mask uint32) string {
-	n := len(k.head) + len(k.tail)
-	for i := range k.frags {
-		n += len(k.frags[i][(mask>>uint(i))&1])
-	}
 	var b strings.Builder
-	b.Grow(n)
+	b.Grow(len(k.head) + 4*len(k.ids) + len(k.tail))
 	b.WriteString(k.head)
-	for i := range k.frags {
-		b.WriteString(k.frags[i][(mask>>uint(i))&1])
+	for i := range k.ids {
+		writeWord(&b, k.ids[i][(mask>>uint(i))&1])
 	}
 	b.WriteString(k.tail)
 	return b.String()
 }
 
-// SupportKeyer assembles the canonical Key of a triangle support
-// candidate paired with the scan's fixed record, without building the
-// pair or, for a token-drop variant, the candidate record. The support
-// scan asks one score question per candidate and the store answers most
-// of them, so the scan serializes the fixed record once (NewSupportKeyer)
-// and each candidate straight from its source record's values, and
-// builds a record only for the model and for accepted supports.
+// SupportKeyer assembles the store key of a triangle support candidate
+// paired with the scan's fixed record, without building the pair or,
+// for a token-drop variant, the candidate record. The support scan asks
+// one score question per candidate and the store answers most of them,
+// so the keyer resolves the fixed record's ids once and takes each
+// candidate's from the Service's cache of table records, which hashes
+// no value bytes: only a token-drop variant's new value is interned.
+// Records are built only for the model and for accepted supports.
 type SupportKeyer struct {
+	svc   *Service
 	side  record.Side // the side candidates take
-	fixed string      // the opposite side's serialized record
+	fixed string      // the opposite side's record words
 }
 
-// NewSupportKeyer prepares keys for candidates replacing p's record on
+// SupportKeyer prepares keys for candidates replacing p's record on
 // side. The fixed (opposite) record may be nil, exactly like Key.
-func NewSupportKeyer(p record.Pair, side record.Side) *SupportKeyer {
-	fixed := p.Record(side.Opposite())
-	var b strings.Builder
-	b.Grow(recordLen(fixed, -1, ""))
-	writeRecord(&b, fixed, -1, "")
-	return &SupportKeyer{side: side, fixed: b.String()}
+func (s *Scorer) SupportKeyer(p record.Pair, side record.Side) *SupportKeyer {
+	fixed := s.svc.appendRecord(nil, p.Record(side.Opposite()))
+	return &SupportKeyer{svc: s.svc, side: side, fixed: string(fixed)}
 }
 
-// Key returns Key(p.WithRecord(side, c)), where c is w with the value at
-// index at replaced by v; at < 0 keys w itself.
+// Key returns the view's Key of p.WithRecord(side, c), where c is the
+// table record w with the value at index at replaced by v; at < 0 keys
+// w itself.
 func (k *SupportKeyer) Key(w *record.Record, at int, v string) string {
+	rec := k.svc.recordWords(w)
 	var b strings.Builder
-	b.Grow(recordLen(w, at, v) + 1 + len(k.fixed))
-	if k.side == record.Left {
-		writeRecord(&b, w, at, v)
-		b.WriteByte('|')
+	b.Grow(len(rec) + len(k.fixed))
+	if k.side == record.Right {
 		b.WriteString(k.fixed)
+	}
+	if at < 0 {
+		b.WriteString(rec)
 	} else {
+		off := 8 + 4*at // past the name id and the value count
+		b.WriteString(rec[:off])
+		writeWord(&b, k.svc.strs.id(v))
+		b.WriteString(rec[off+4:])
+	}
+	if k.side == record.Left {
 		b.WriteString(k.fixed)
-		b.WriteByte('|')
-		writeRecord(&b, w, at, v)
 	}
 	return b.String()
 }

@@ -12,7 +12,7 @@ import (
 // perturbMirror is the reference implementation the keyer must match:
 // materialize the perturbed record exactly like core's perturb (copy the
 // mask-selected attribute values from the support record into the free
-// record) and take the canonical Key of the resulting pair.
+// record); the keyer's key must be the view's Key of the resulting pair.
 func perturbMirror(p record.Pair, side record.Side, w *record.Record, mask uint32) record.Pair {
 	free := p.Record(side)
 	vals := make(map[string]string)
@@ -28,9 +28,11 @@ func perturbMirror(p record.Pair, side record.Side, w *record.Record, mask uint3
 // promised by PerturbKeyer's doc comment: for random schemas, values
 // (empty, unicode, and delimiter-colliding strings included), sides,
 // support schemas with missing attributes and every mask, Key(mask)
-// equals Key(perturb(...)) of the materialized record.
+// equals the view's Key of the materialized perturb(...) pair and
+// renders to its canonical Key.
 func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
+	view := NewService(&countingModel{}, ServiceOptions{}).NewScorer(Options{})
 	alphabet := []string{
 		"", "x", "value with spaces", "é", "日本語",
 		";", ":", "|", "<nil>", "3#S", ";1:x", strings.Repeat("z", 50),
@@ -90,12 +92,15 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 		}
 		w := record.MustNew("w", wSchema, vals(len(wAttrs))...)
 
-		keyer := NewPerturbKeyer(p, side, w)
+		keyer := view.PerturbKeyer(p, side, w)
 		for mask := uint32(0); mask < 1<<uint(n); mask++ {
 			got := keyer.Key(mask)
-			want := Key(perturbMirror(p, side, w, mask))
-			if got != want {
+			mat := perturbMirror(p, side, w, mask)
+			if want := view.Key(mat); got != want {
 				t.Fatalf("trial %d side %v mask %b:\nkeyer %q\nwant  %q", trial, side, mask, got, want)
+			}
+			if got, want := render(view, got), Key(mat); got != want {
+				t.Fatalf("trial %d side %v mask %b renders\n%q\nwant %q", trial, side, mask, got, want)
 			}
 		}
 	}
@@ -105,9 +110,11 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 // gate: for random schemas and values (multi-digit lengths, the
 // framing bytes ;:#| and non-ASCII included), both sides, natural and
 // value-overridden candidates and nil fixed records, the keyer's key
-// equals Key of the materialized pair.
+// equals the view's Key of the materialized pair and renders to its
+// canonical Key.
 func TestSupportKeyerMatchesMaterializedKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
+	view := NewService(&countingModel{}, ServiceOptions{}).NewScorer(Options{})
 	alphabet := []string{
 		"", "x", "3#S", ";1:x", "a|b", "<nil>", "é", "日本語", "\xff\xfe",
 		strings.Repeat("z", 9), strings.Repeat("y", 10), strings.Repeat("w;", 60),
@@ -140,7 +147,7 @@ func TestSupportKeyerMatchesMaterializedKey(t *testing.T) {
 				p.Left = nil
 			}
 		}
-		keyer := NewSupportKeyer(p, side)
+		keyer := view.SupportKeyer(p, side)
 		for c := 0; c < 8; c++ {
 			w := record.MustNew("w", schema, vals(n)...)
 			at, v := -1, ""
@@ -151,9 +158,12 @@ func TestSupportKeyerMatchesMaterializedKey(t *testing.T) {
 				cand.Values[at] = v
 			}
 			got := keyer.Key(w, at, v)
-			want := Key(p.WithRecord(side, cand))
-			if got != want {
+			mat := p.WithRecord(side, cand)
+			if want := view.Key(mat); got != want {
 				t.Fatalf("trial %d side %v at %d:\nkeyer %q\nwant  %q", trial, side, at, got, want)
+			}
+			if got, want := render(view, got), Key(mat); got != want {
+				t.Fatalf("trial %d side %v at %d renders\n%q\nwant %q", trial, side, at, got, want)
 			}
 		}
 	}
@@ -174,12 +184,12 @@ func TestScoreKeyedMaterializesOnlyMisses(t *testing.T) {
 	}
 
 	batch := []record.Pair{known, miss, miss, other}
+	keyed := svc.NewScorer(Options{})
 	keys := make([]string, len(batch))
 	for i, p := range batch {
-		keys[i] = Key(p)
+		keys[i] = keyed.Key(p)
 	}
 	materialized := make(map[int]int)
-	keyed := svc.NewScorer(Options{})
 	got, err := keyed.ScoreBatchKeyedContext(context.Background(), keys, func(i int) record.Pair {
 		materialized[i]++
 		return batch[i]

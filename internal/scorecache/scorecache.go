@@ -10,11 +10,11 @@
 // The layer is split in two:
 //
 //   - Service is the shared, concurrency-safe store: one sharded score
-//     cache (striped locks keyed by Key) with in-flight deduplication,
-//     meant to live for a whole ExplainBatch or harness run. Every
-//     distinct pair content is scored exactly once per run, and two
-//     concurrent explanations that miss on the same content trigger
-//     exactly one model call.
+//     cache (striped locks keyed by store keys, below) with in-flight
+//     deduplication, meant to live for a whole ExplainBatch or harness
+//     run. Every distinct pair content is scored exactly once per run,
+//     and two concurrent explanations that miss on the same content
+//     trigger exactly one model call.
 //   - Scorer is a per-explanation view over a Service. Its statistics
 //     are computed against the view's own key set, so an explanation's
 //     Diagnostics are exactly what a private cache would have reported —
@@ -25,8 +25,22 @@
 // Unique misses are pushed through the model's batch entry point
 // (explain.BatchModel) in parallel shards.
 //
-// A score question hashes its canonical key once, under a seed drawn
-// per Service, and carries that hash along the whole lookup path: the
+// Two key forms exist. The canonical Key spells a pair's content out
+// (about 365 bytes for an Abt-Buy pair); it is the form outside the
+// store — request coalescing, ring placement and the snapshot format.
+// Inside a Service a pair's store key is its records' interned ids:
+// each Service interns every schema name and attribute value it keys,
+// and a record becomes its name id, value count and value ids, 40
+// bytes for an Abt-Buy pair (intern.go). Two store keys are equal
+// exactly when the canonical keys are; Snapshot and Keys render the
+// canonical form from the ids, and Restore parses it back. A stored
+// score costs about 230 bytes of live heap with its key, entry, table
+// slot and share of interned strings, against about 600 with canonical
+// keys. The interner lives as long as the Service and grows with the
+// distinct strings keyed, Capacity or not (Service.InternedValues).
+//
+// A score question hashes its store key once, under a seed drawn per
+// Service, and carries that hash along the whole lookup path: the
 // view's key set, the in-batch duplicate check, the stripe choice, the
 // stripe's store, publication, eviction and Restore all use one small
 // open-addressing table that keeps each key's hash beside it. A lookup
@@ -34,14 +48,15 @@
 // slots by their stored hash, so no key is hashed twice. The table's
 // iteration order follows the seed, so Keys and Snapshot sort.
 //
-// Callers that can compute a pair's canonical Key without building the
-// pair (PerturbKeyer for lattice subsets, SupportKeyer for triangle
-// support candidates) use the keyed entry point, ScoreBatchKeyedContext:
-// a record.Pair is then materialized only for the store misses the model
-// must score. The lattice oracle's flip questions are keyed score
-// lookups too — a question's answer is the class (score > 0.5) of the
-// score the store returns — so there is one read path into the store,
-// and the capacity bound covers every entry the service holds.
+// Callers that can compute a pair's store key without building the pair
+// (the view's PerturbKeyer for lattice subsets and SupportKeyer for
+// triangle support candidates) use the keyed entry point,
+// ScoreBatchKeyedContext: a record.Pair is then materialized only for
+// the store misses the model must score. The lattice oracle's flip
+// questions are keyed score lookups too — a question's answer is the
+// class (score > 0.5) of the score the store returns — so there is one
+// read path into the store, and the capacity bound covers every entry
+// the service holds.
 //
 // Both layers are cancellation-aware (explain.ContextModel): waits on
 // another explanation's in-flight computation return ctx.Err() as soon
@@ -178,22 +193,28 @@ func (s *Scorer) ScoreBatch(pairs []record.Pair) []float64 {
 func (s *Scorer) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]float64, error) {
 	keys := make([]string, len(pairs))
 	for i, p := range pairs {
-		keys[i] = Key(p)
+		keys[i] = s.Key(p)
 	}
 	return s.ScoreBatchKeyedContext(ctx, keys, func(i int) record.Pair { return pairs[i] })
 }
+
+// Key returns p's store key in this view's Service: the interned ids
+// of its schema names and values (see the package doc). It is the key
+// ScoreBatchKeyedContext takes; two pairs get equal keys exactly when
+// their canonical Keys are equal.
+func (s *Scorer) Key(p record.Pair) string { return s.svc.key(p) }
 
 // dup is an in-batch duplicate: output slot answered by unique miss mi.
 type dup struct{ mi, slot int }
 
 // ScoreBatchKeyedContext is ScoreBatchContext with caller-supplied
-// canonical keys (see Key, PerturbKeyer and SupportKeyer) and a
-// materialize callback invoked only for the pairs the model must score:
-// view hits, in-batch duplicates and keys the shared store already
-// holds never build a record.Pair. keys[i] must equal
-// Key(materialize(i)); materialize is called at most once per index, on
-// the calling goroutine. Stats are identical to ScoreBatchContext's on
-// the same input.
+// store keys (from the view's Key, PerturbKeyer or SupportKeyer, never
+// the canonical Key) and a materialize callback invoked only for the
+// pairs the model must score: view hits, in-batch duplicates and keys
+// the shared store already holds never build a record.Pair. keys[i]
+// must equal s.Key(materialize(i)); materialize is called at most once
+// per index, on the calling goroutine. Stats are identical to
+// ScoreBatchContext's on the same input.
 func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, materialize func(i int) record.Pair) ([]float64, error) {
 	out := make([]float64, len(keys))
 	if len(keys) == 0 {

@@ -74,24 +74,31 @@ type ServiceStats struct {
 	FlipHits int
 }
 
-// entry is one key's slot in the store. A pending entry (ready not yet
-// closed) marks an in-flight computation: concurrent requesters wait on
-// ready instead of invoking the model again (singleflight). Waiters hold
-// the entry pointer directly, so eviction from the table never
-// invalidates a result someone is still waiting for.
+// entry is one store key's slot in the store. A pending entry (claim
+// non-nil) marks an in-flight computation: concurrent requesters wait
+// on its claim instead of invoking the model again (singleflight).
+// Publication sets score and clears claim under the stripe lock.
+// Waiters hold the entry and its claim directly, so eviction from the
+// table never invalidates a result someone is still waiting for.
 type entry struct {
-	key   string
+	key   string // the store key (see intern.go)
 	h     uint64 // the key's hash (Service.hash), for stripe and table
 	score float64
-	ready chan struct{} // closed once score is valid (or failed is set)
-	// failed marks entries whose publisher was cancelled or panicked
-	// mid-batch; the publisher removed them from the table before closing
-	// ready, so waiters re-claim the key themselves instead of reading a
-	// zero score or inheriting the leader's cancellation.
-	failed bool
+	claim *claim // the batch computing score; nil once it is published
 
 	// LRU links; only ready entries are linked.
 	prev, next *entry
+}
+
+// claim is one fetch's batch of store misses in flight; all of its
+// entries share it. done is closed once every entry is published, or,
+// with failed set, once every entry is removed from the table because
+// the leader was cancelled or panicked mid-batch — waiters then
+// re-claim the keys themselves instead of reading a zero score or
+// inheriting the leader's cancellation.
+type claim struct {
+	done   chan struct{}
+	failed bool
 }
 
 // serviceShard is one lock stripe of the store.
@@ -106,11 +113,11 @@ type serviceShard struct {
 }
 
 // Service is a shared, concurrency-safe scoring service: one store of
-// memoized scores (striped locks keyed by Key) with in-flight
-// deduplication, intended to live for a whole ExplainBatch or harness
-// run. Two concurrent explanations that miss on the same pair content
-// trigger exactly one model call; everything else is answered from the
-// store.
+// memoized scores (striped locks keyed by store keys of interned ids)
+// with in-flight deduplication, intended to live for a whole
+// ExplainBatch or harness run. Two concurrent explanations that miss on
+// the same pair content trigger exactly one model call; everything else
+// is answered from the store.
 //
 // Service implements explain.Model and explain.BatchModel, so it can be
 // handed directly to the baseline explainers. CERTA explanations layer a
@@ -123,6 +130,9 @@ type Service struct {
 	opts   ServiceOptions
 	seed   maphash.Seed // key hashes (hash): stripe and slot placement
 	shards []serviceShard
+
+	strs    interner // schema names and values of every store key
+	records sync.Map // *record.Record -> *tableRecord (SupportKeyer)
 
 	statmu sync.Mutex
 	stats  ServiceStats
@@ -171,6 +181,12 @@ func (s *Service) Stats() ServiceStats {
 	defer s.statmu.Unlock()
 	return s.stats
 }
+
+// InternedValues reports how many distinct schema names and attribute
+// values the Service has interned for its store keys. The interner
+// lives as long as the Service: it grows with the distinct strings
+// keyed and does not shrink when Capacity evicts scores.
+func (s *Service) InternedValues() int { return len(s.strs.table()) }
 
 // NewScorer opens a per-explanation view over the shared store. The
 // view's Stats are computed against its own private key set, so they are
@@ -222,7 +238,7 @@ func (s *Service) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([
 	at := make([]int, len(pairs)) // pair index -> index into keys
 	first := newTable[int](len(pairs))
 	for i, p := range pairs {
-		k := Key(p)
+		k := s.key(p)
 		h := s.hash(k)
 		u, ok := first.get(h, k)
 		if !ok {
@@ -250,7 +266,7 @@ func (s *Service) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([
 	return out, nil
 }
 
-// hash is the one hash of a canonical key, computed once per score
+// hash is the one hash of a store key, computed once per score
 // question and reused by the view's key set, the in-batch duplicate
 // check, the stripe choice and the stripe's table.
 func (s *Service) hash(key string) uint64 { return maphash.String(s.seed, key) }
@@ -265,9 +281,10 @@ func (s *Service) stripe(h uint64) *serviceShard {
 type waiter struct {
 	slot int
 	e    *entry
+	c    *claim // e's claim when the waiter enlisted
 }
 
-// fetch resolves unique keys against the store: stored scores are
+// fetch resolves unique store keys against the store: stored scores are
 // returned immediately, keys being computed by another goroutine are
 // waited on, and the remaining misses are claimed, materialized
 // (materialize(i) is the pair of keys[i], called only for claimed keys,
@@ -285,6 +302,7 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 	var claimed []int    // indexes this call must score
 	var claims []*entry  // their store entries, index-aligned with claimed
 	var waiters []waiter // indexes computed by concurrent callers
+	var mine *claim      // the claim of this call's entries
 	hits := 0
 
 	for i, k := range keys {
@@ -292,19 +310,20 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 		sh := s.stripe(h)
 		sh.mu.Lock()
 		if e, ok := sh.tab.get(h, k); ok {
-			select {
-			case <-e.ready:
+			if e.claim == nil {
 				out[i] = e.score
 				sh.touch(e)
-				hits++
-			default:
-				waiters = append(waiters, waiter{slot: i, e: e})
-				hits++ // in-flight dedup: answered without a new model call
+			} else {
+				waiters = append(waiters, waiter{slot: i, e: e, c: e.claim})
 			}
+			hits++ // a pending entry is in-flight dedup: no new model call
 			sh.mu.Unlock()
 			continue
 		}
-		e := &entry{key: k, h: h, ready: make(chan struct{})}
+		if mine == nil {
+			mine = &claim{done: make(chan struct{})}
+		}
+		e := &entry{key: k, h: h, claim: mine}
 		sh.tab.put(h, k, e)
 		sh.mu.Unlock()
 		claimed = append(claimed, i)
@@ -321,7 +340,7 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 	s.statmu.Unlock()
 
 	if len(claimed) > 0 {
-		if err := s.scoreClaims(ctx, materialize, out, claimed, claims); err != nil {
+		if err := s.scoreClaims(ctx, materialize, out, claimed, claims, mine); err != nil {
 			return nil, err
 		}
 	}
@@ -331,11 +350,11 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 	var retry []waiter
 	for _, w := range waiters {
 		select {
-		case <-w.e.ready:
+		case <-w.c.done:
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
-		if w.e.failed {
+		if w.c.failed {
 			// The leader was cancelled or crashed after we enlisted; its
 			// defer removed the entry from the map, so the key is ours to
 			// claim on a second pass.
@@ -375,10 +394,10 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 // and publishes the results. Publication is all-or-nothing: if the
 // context is cancelled mid-batch or the model panics (for example on a
 // batch-length contract violation), every claimed entry is unpublished
-// and marked failed before the error or panic propagates — the shared
-// store never holds a partial batch, and waiters are never left blocked
-// on a leader that gave up.
-func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) record.Pair, out []float64, claimed []int, claims []*entry) (err error) {
+// and the claim marked failed before the error or panic propagates —
+// the shared store never holds a partial batch, and waiters are never
+// left blocked on a leader that gave up.
+func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) record.Pair, out []float64, claimed []int, claims []*entry, c *claim) (err error) {
 	published := false
 	defer func() {
 		if published {
@@ -388,10 +407,10 @@ func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) recor
 			sh := s.stripe(e.h)
 			sh.mu.Lock()
 			sh.tab.delete(e.h, e.key)
-			e.failed = true
-			close(e.ready)
 			sh.mu.Unlock()
 		}
+		c.failed = true
+		close(c.done)
 	}()
 
 	pairs := make([]record.Pair, len(claimed))
@@ -416,11 +435,12 @@ func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) recor
 		sh := s.stripe(e.h)
 		sh.mu.Lock()
 		e.score = scores[i]
-		close(e.ready)
+		e.claim = nil
 		evictions += sh.link(e)
 		sh.mu.Unlock()
 	}
 	published = true
+	close(c.done)
 	if evictions > 0 {
 		s.statmu.Lock()
 		s.stats.Evictions += evictions

@@ -306,11 +306,11 @@ func TestConcurrentViewsMixFlipsAndScores(t *testing.T) {
 					defer wg.Done()
 					batch := mkBatch(g % 3)
 					want := ref.ScoreBatch(batch)
+					view := svc.NewScorer(Options{Parallelism: 2})
 					keys := make([]string, len(batch))
 					for i, p := range batch {
-						keys[i] = Key(p)
+						keys[i] = view.Key(p)
 					}
-					view := svc.NewScorer(Options{Parallelism: 2})
 					for round := 0; round < 6; round++ {
 						var got []float64
 						var err error

@@ -17,11 +17,12 @@ import (
 //	entry*  keyLen uint32 LE | key bytes | score float64 bits uint64 LE
 //	crc     uint32 LE (IEEE CRC-32 of count + entries)
 //
-// Keys are the canonical pair-content strings of Key, so a snapshot
-// written by one process warms any service wrapping a model with the
-// same scoring behavior — record IDs, shard counts and capacity bounds
-// do not participate. Entries are sorted by key, making snapshots of
-// identical stores byte-identical.
+// Keys are the canonical pair-content strings of Key, rendered from the
+// store's interned ids, so a snapshot written by one process warms any
+// service wrapping a model with the same scoring behavior — record
+// IDs, interned ids, shard counts and capacity bounds do not
+// participate. Entries are sorted by key, making snapshots of identical
+// stores byte-identical.
 var snapshotMagic = [8]byte{'C', 'E', 'R', 'T', 'A', 'S', 'C', 1}
 
 // maxSnapshotKeyLen bounds a single key's length so a corrupted length
@@ -29,28 +30,48 @@ var snapshotMagic = [8]byte{'C', 'E', 'R', 'T', 'A', 'S', 'C', 1}
 // gets a chance to reject the file.
 const maxSnapshotKeyLen = 1 << 24
 
-// Keys returns the canonical pair-content keys of every ready entry,
-// sorted. It exists for cluster placement: a router (or a capacity
-// planner) maps each key through ShardHash onto the ring to see how
-// the store's working set distributes across workers. Like Snapshot it
-// skips in-flight computations and may run concurrently with scoring.
-func (s *Service) Keys() []string {
-	var keys []string
+type snap struct {
+	key   string
+	score float64
+}
+
+// ready returns every ready entry with its canonical key, sorted by it.
+// In-flight (pending) computations are skipped; concurrent scoring may
+// proceed while the store is read, shard by shard.
+func (s *Service) ready() []snap {
+	var entries []snap
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.tab.all {
-			select {
-			case <-e.ready:
-				if !e.failed {
-					keys = append(keys, e.key)
-				}
-			default:
+			if e.claim == nil {
+				entries = append(entries, snap{key: e.key, score: e.score})
 			}
 		}
 		sh.mu.Unlock()
 	}
-	sort.Strings(keys)
+	// Every id in the collected keys was interned before its key was
+	// stored, so the table read now holds them all.
+	strs := s.strs.table()
+	for i := range entries {
+		entries[i].key = canonical(entries[i].key, strs)
+	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	return entries
+}
+
+// Keys returns the canonical pair-content keys (Key) of every ready
+// entry, sorted. It exists for cluster placement: a router (or a
+// capacity planner) maps each key through ShardHash onto the ring to
+// see how the store's working set distributes across workers. Like
+// Snapshot it skips in-flight computations and may run concurrently
+// with scoring.
+func (s *Service) Keys() []string {
+	entries := s.ready()
+	keys := make([]string, len(entries))
+	for i, e := range entries {
+		keys[i] = e.key
+	}
 	return keys
 }
 
@@ -61,12 +82,8 @@ func (s *Service) Len() int {
 		sh := &s.shards[i]
 		sh.mu.Lock()
 		for _, e := range sh.tab.all {
-			select {
-			case <-e.ready:
-				if !e.failed {
-					n++
-				}
-			default:
+			if e.claim == nil {
+				n++
 			}
 		}
 		sh.mu.Unlock()
@@ -75,32 +92,15 @@ func (s *Service) Len() int {
 }
 
 // Snapshot writes every ready score to w in the versioned, length-framed
-// binary format above and returns the number of entries written.
-// In-flight (pending) computations are skipped; concurrent scoring may
-// proceed while the snapshot is taken, shard by shard. A server writes
-// the snapshot on graceful shutdown so its replacement restarts warm
-// (Restore).
+// binary format above and returns the number of entries written. Each
+// entry's key is the canonical Key, rendered from the store key's
+// interned ids, so the bytes do not depend on the ids this process
+// happened to assign. In-flight (pending) computations are skipped;
+// concurrent scoring may proceed while the snapshot is taken, shard by
+// shard. A server writes the snapshot on graceful shutdown so its
+// replacement restarts warm (Restore).
 func (s *Service) Snapshot(w io.Writer) (int, error) {
-	type snap struct {
-		key   string
-		score float64
-	}
-	var entries []snap
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for _, e := range sh.tab.all {
-			select {
-			case <-e.ready:
-				if !e.failed {
-					entries = append(entries, snap{key: e.key, score: e.score})
-				}
-			default: // pending: another caller is still computing it
-			}
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(entries, func(i, j int) bool { return entries[i].key < entries[j].key })
+	entries := s.ready()
 
 	bw := bufio.NewWriter(w)
 	if _, err := bw.Write(snapshotMagic[:]); err != nil {
@@ -155,6 +155,11 @@ func (s *Service) Restore(r io.Reader) (int, error) {
 // runs only after the whole stream has been parsed and
 // checksum-verified — a corrupt snapshot is rejected identically with
 // and without a filter, and never consults keep.
+//
+// Each kept canonical key is parsed back into a store key of interned
+// ids. A key that is not exactly what Key writes (a non-canonical
+// length such as "03#S", say) keeps an opaque store key that no pair
+// shares, and Snapshot writes it back unchanged.
 func (s *Service) RestoreFunc(r io.Reader, keep func(key string) bool) (int, error) {
 	br := bufio.NewReader(r)
 	var magic [8]byte
@@ -172,10 +177,6 @@ func (s *Service) RestoreFunc(r io.Reader, keep func(key string) bool) (int, err
 	}
 	count := binary.LittleEndian.Uint64(buf[:])
 
-	type snap struct {
-		key   string
-		score float64
-	}
 	var entries []snap
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(body, buf[:4]); err != nil {
@@ -211,16 +212,16 @@ func (s *Service) RestoreFunc(r io.Reader, keep func(key string) bool) (int, err
 		if keep != nil && !keep(en.key) {
 			continue
 		}
-		h := s.hash(en.key)
+		k := s.parseKey(en.key)
+		h := s.hash(k)
 		sh := s.stripe(h)
 		sh.mu.Lock()
-		if _, ok := sh.tab.get(h, en.key); ok {
+		if _, ok := sh.tab.get(h, k); ok {
 			sh.mu.Unlock()
 			continue
 		}
-		e := &entry{key: en.key, h: h, score: en.score, ready: make(chan struct{})}
-		close(e.ready)
-		sh.tab.put(h, en.key, e)
+		e := &entry{key: k, h: h, score: en.score}
+		sh.tab.put(h, k, e)
 		evictions += sh.link(e)
 		sh.mu.Unlock()
 		installed++

@@ -40,6 +40,7 @@ const (
 	metricCacheEvictions = "certa_score_cache_evictions_total"
 	metricCacheEntries   = "certa_score_cache_entries"
 	metricCacheRestored  = "certa_score_cache_restored_entries"
+	metricCacheInterned  = "certa_score_cache_interned_values"
 
 	metricMemoLookups = "certa_result_memo_lookups_total"
 	metricMemoHits    = "certa_result_memo_hits_total"
@@ -139,6 +140,8 @@ func (s *Server) registerBackendMetrics(b *backend) {
 		func() float64 { return float64(b.svc.Len()) })
 	m.Gauge(metricCacheRestored, "Cache entries restored from a snapshot at startup.", lbl).
 		Set(float64(b.restored))
+	m.GaugeFunc(metricCacheInterned, "Distinct schema names and values interned for score cache keys; grows with distinct strings, not bounded by the cache capacity.", lbl,
+		func() float64 { return float64(b.svc.InternedValues()) })
 
 	if b.calls.capacity > 0 {
 		m.Gauge(metricMemoCap, "Response bodies the result memo can hold.", lbl).

@@ -60,6 +60,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`certa_admission_in_flight 0`,
 		`certa_admission_queue_high_water 0`,
 		`certa_score_cache_lookups_total{backend="toy"}`,
+		`certa_score_cache_interned_values{backend="toy"}`,
 		`certa_index_records{backend="toy"}`,
 		// Stage histograms fed from the trace: the engine stages must
 		// have produced series.
@@ -75,6 +76,14 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if t.Failed() {
 		t.Logf("scrape:\n%s", text)
+	}
+
+	// The interner gauge reads the backend service's count, which the
+	// explanation's store keys made non-zero.
+	svc, _ := s.CacheService("toy")
+	interned := s.metrics.Exposition().Sum("certa_score_cache_interned_values", telemetry.Labels{"backend": "toy"})
+	if interned == 0 || interned != float64(svc.InternedValues()) {
+		t.Errorf("certa_score_cache_interned_values = %v, service interned %d", interned, svc.InternedValues())
 	}
 }
 

@@ -54,13 +54,21 @@ echo "== workpool lowest-index error (500 passes) =="
 go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
 
 # Short native-fuzzing bursts past each target's seed corpus (which
-# plain go test already runs): snapshot decode, request decoding, ring
-# placement and the bit-vector edit distance against the rune DP.
-echo "== fuzz bursts (FuzzRestore, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance; 10 s each) =="
-go test -timeout 120s -run '^$' -fuzz '^FuzzRestore$' -fuzztime 10s ./internal/scorecache/
-go test -timeout 120s -run '^$' -fuzz '^FuzzExplainRequest$' -fuzztime 10s ./internal/server/
-go test -timeout 120s -run '^$' -fuzz '^FuzzRing$' -fuzztime 10s ./internal/cluster/
-go test -timeout 120s -run '^$' -fuzz '^FuzzLevenshteinDistance$' -fuzztime 10s ./internal/strutil/
+# plain go test already runs): snapshot decode, store-key parse and
+# render, request decoding, ring placement and the bit-vector edit
+# distance against the rune DP. -fuzzminimizetime 100x caps how long
+# the fuzzer spends shrinking each new input: at the default 60 s,
+# minimizing stalled FuzzRestore's bursts at 0 execs/s for seconds at a
+# time. A failing input is still reported and saved.
+echo "== fuzz bursts (FuzzRestore, FuzzStoreKey, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance; 10 s each) =="
+fuzz() {
+	go test -timeout 120s -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 100x "$2"
+}
+fuzz FuzzRestore ./internal/scorecache/
+fuzz FuzzStoreKey ./internal/scorecache/
+fuzz FuzzExplainRequest ./internal/server/
+fuzz FuzzRing ./internal/cluster/
+fuzz FuzzLevenshteinDistance ./internal/strutil/
 
 echo "== bench smoke =="
 go test -timeout 600s -bench=. -benchtime=1x -run='^$' .
