@@ -8,7 +8,6 @@ import (
 
 	"certa/internal/dataset"
 	"certa/internal/embedding"
-	"certa/internal/memo"
 	"certa/internal/record"
 	"certa/internal/strutil"
 )
@@ -17,18 +16,14 @@ import (
 // one model architecture. appendFeatures writes exactly dim() values
 // onto dst and returns the extended slice, so batch callers featurize
 // straight into one flat plane for the batched forward pass without
-// per-row allocations. Featurizers are idempotent: internal memo state
-// (the DeepMatcher attribute-block memo) only caches pure functions of
-// the inputs.
+// per-row allocations. Texts are embedded through the model's memos
+// (c), which only cache pure functions of the inputs, so featurization
+// is idempotent.
 type featurizer interface {
-	appendFeatures(dst []float64, p record.Pair, text textFunc) []float64
+	appendFeatures(dst []float64, p record.Pair, c *caches) []float64
 	dim() int
 	embedder() *embedding.Embedder
 }
-
-// textFunc embeds a text, through the matcher's embedding memo
-// (Model.text) or directly. Returned vectors are read-only.
-type textFunc func(s string) []float64
 
 // newFeaturizer builds the featurizer and network architecture for a
 // model kind, fitting the shared embedder on the benchmark corpus.
@@ -81,10 +76,10 @@ func (f *deepERFeat) dim() int { return 2*f.emb.Dim + 2 }
 
 func (f *deepERFeat) embedder() *embedding.Embedder { return f.emb }
 
-func (f *deepERFeat) appendFeatures(dst []float64, p record.Pair, text textFunc) []float64 {
+func (f *deepERFeat) appendFeatures(dst []float64, p record.Pair, c *caches) []float64 {
 	lt, rt := p.Left.Text(), p.Right.Text()
-	le := text(lt)
-	re := text(rt)
+	le := c.text(lt)
+	re := c.text(rt)
 	// Extend dst by the two blocks (appending the inputs reuses the batch
 	// plane's capacity without a zero-filled temp), then let the
 	// element-wise SIMD kernel overwrite them: diff block first, Hadamard
@@ -106,77 +101,166 @@ func (f *deepERFeat) appendFeatures(dst []float64, p record.Pair, text textFunc)
 // deepMatcherFeat computes a block of similarity features per aligned
 // attribute (the "attribute summarization" of the Hybrid model): the
 // model sees exactly which attribute agrees or disagrees. Each distinct
-// value pair's block — embedding cosine plus four string similarities,
-// including a bit-vector edit distance over the first 64 bytes — is
-// computed once per matcher lifetime (blocks, attached by
-// Model.initCaches): perturbed pairs recombine a small set of attribute
-// values, so lattice workloads hit the memo almost every time.
+// value pair's similarities — embedding cosine plus four string
+// similarities, including a bit-vector edit distance over the first 64
+// bytes — are computed once per matcher lifetime (caches.blocks):
+// perturbed pairs recombine a small set of attribute values, so lattice
+// workloads hit the memo almost every time. The memo is keyed by the
+// two values' text ids and holds the five similarities, so neither key
+// nor value holds a pointer; a pair with a missing side is a constant
+// block and is not memoized.
 type deepMatcherFeat struct {
-	emb    *embedding.Embedder
-	attrs  []string
-	blocks *memo.Memo[[2]string, [dmBlock]float64]
+	emb   *embedding.Embedder
+	attrs []string
 }
 
-const dmBlock = 7
+const (
+	// dmBlock is the width of one attribute's block: dmSims
+	// similarities, then the both-missing and one-missing indicators.
+	dmBlock = 7
+	dmSims  = 5
+)
 
 func (f *deepMatcherFeat) dim() int { return dmBlock * len(f.attrs) }
 
 func (f *deepMatcherFeat) embedder() *embedding.Embedder { return f.emb }
 
-func (f *deepMatcherFeat) appendFeatures(dst []float64, p record.Pair, text textFunc) []float64 {
-	block := func(k [2]string) (out [dmBlock]float64) {
-		appendAttrBlock(out[:0], text, k[0], k[1])
-		return out
+func (f *deepMatcherFeat) appendFeatures(dst []float64, p record.Pair, c *caches) []float64 {
+	return f.appendBatch(dst, []record.Pair{p}, c)
+}
+
+// appendBatch appends the features of every pair, row after row. It
+// resolves each schema's attribute indexes once rather than one
+// Record.Value map lookup per value. Perturbed batches change few
+// values from one row to the next, so it compares each value pair with
+// the previous row's: an unchanged pair copies the previous row's block
+// without a lookup, and an unchanged side reuses that side's text
+// entry.
+func (f *deepMatcherFeat) appendBatch(dst []float64, pairs []record.Pair, c *caches) []float64 {
+	sc := dmScratchPool.Get().(*dmScratch)
+	if cap(sc.prev) < len(f.attrs) {
+		sc.prev = make([]dmPrev, len(f.attrs))
 	}
-	for _, a := range f.attrs {
-		blk := f.blocks.Get([2]string{p.Left.Value(a), p.Right.Value(a)}, block)
-		dst = append(dst, blk[:]...)
+	prev := sc.prev[:len(f.attrs)]
+	width := f.dim()
+	for i, p := range pairs {
+		li := sc.left.resolve(p.Left.Schema, f.attrs)
+		ri := sc.right.resolve(p.Right.Schema, f.attrs)
+		for j := range prev {
+			lv, rv := valueAt(p.Left, li[j]), valueAt(p.Right, ri[j])
+			s := &prev[j]
+			if i > 0 && lv == s.lv && rv == s.rv {
+				at := len(dst) - width
+				dst = append(dst, dst[at:at+dmBlock]...)
+				continue
+			}
+			if i == 0 || lv != s.lv {
+				s.lv, s.l = lv, c.entry(lv)
+			}
+			if i == 0 || rv != s.rv {
+				s.rv, s.r = rv, c.entry(rv)
+			}
+			dst = c.appendBlock(dst, s.l, s.r, lv, rv)
+		}
 	}
+	// Drop the batch's strings and vectors before pooling the scratch.
+	clear(prev)
+	sc.left, sc.right = dmSchema{idx: sc.left.idx[:0]}, dmSchema{idx: sc.right.idx[:0]}
+	dmScratchPool.Put(sc)
 	return dst
 }
 
-// appendAttrBlock appends the per-attribute feature block shared by
-// DeepMatcher and Ditto. A missing value on either side zeroes every
-// similarity feature: the absence of evidence is not evidence of
-// similarity (real DL matchers learn exactly this from their embedding
-// of empty strings), and the missing-value indicators carry what signal
-// remains.
-//
-// Each value is tokenized and sorted once; Jaccard, containment and
-// number overlap are computed from the shared sorted slices (pooled, so
-// steady state allocates nothing beyond the normalized strings). All
-// three reduce to the same integer counts as the string-based measures,
-// so the block is bit-identical to appendAttrBlockRef — the property
-// test TestAttrBlockMatchesReference gates this.
-func appendAttrBlock(dst []float64, text textFunc, lv, rv string) []float64 {
-	lm, rm := strutil.IsMissing(lv), strutil.IsMissing(rv)
-	if lm || rm {
-		bothMissing, oneMissing := 0.0, 1.0
-		if lm && rm {
-			bothMissing, oneMissing = 1.0, 0.0
+// dmScratch is appendBatch's per-call state, pooled so a batch
+// allocates nothing in steady state.
+type dmScratch struct {
+	prev        []dmPrev // per aligned attribute: the previous row's values
+	left, right dmSchema
+}
+
+type dmPrev struct {
+	lv, rv string
+	l, r   textEntry
+}
+
+// dmSchema caches the aligned attributes' indexes in the last schema
+// seen on one side of a batch.
+type dmSchema struct {
+	schema *record.Schema
+	idx    []int
+}
+
+func (d *dmSchema) resolve(s *record.Schema, attrs []string) []int {
+	if s != d.schema || len(d.idx) != len(attrs) {
+		d.schema, d.idx = s, d.idx[:0]
+		for _, a := range attrs {
+			d.idx = append(d.idx, s.AttrIndex(a))
 		}
-		return append(dst, 0, 0, 0, 0, 0, bothMissing, oneMissing)
 	}
+	return d.idx
+}
+
+var dmScratchPool = sync.Pool{New: func() any { return new(dmScratch) }}
+
+// valueAt is Record.Value with the attribute index already resolved.
+func valueAt(r *record.Record, i int) string {
+	if i < 0 {
+		return strutil.NaN
+	}
+	return r.Values[i]
+}
+
+// appendBlock appends one attribute's block given both values' text
+// entries. A missing value on either side zeroes every similarity
+// feature: the absence of evidence is not evidence of similarity (real
+// DL matchers learn exactly this from their embedding of empty
+// strings), and the missing-value indicators carry what signal
+// remains. Otherwise the block is the value pair's memoized
+// similarities and two zero indicators.
+func (c *caches) appendBlock(dst []float64, l, r textEntry, lv, rv string) []float64 {
+	if l.missing || r.missing {
+		return appendMissingBlock(dst, l.missing, r.missing)
+	}
+	sims := c.blocks.Get([2]uint32{l.id, r.id}, func([2]uint32) [dmSims]float64 {
+		return similarities(l.emb, r.emb, lv, rv)
+	})
+	return append(append(dst, sims[:]...), 0, 0)
+}
+
+func appendMissingBlock(dst []float64, lm, rm bool) []float64 {
+	bothMissing, oneMissing := 0.0, 1.0
+	if lm && rm {
+		bothMissing, oneMissing = 1.0, 0.0
+	}
+	return append(dst, 0, 0, 0, 0, 0, bothMissing, oneMissing)
+}
+
+// similarities computes the five similarity features of two present
+// values from their embeddings le and re. Each value is tokenized and
+// sorted once; Jaccard, containment and number overlap are computed
+// from the shared sorted slices (pooled, so steady state allocates
+// nothing beyond the normalized strings). All three reduce to the same
+// integer counts as the string-based measures, so a block is
+// bit-identical to appendAttrBlockRef's — the property test
+// TestAttrBlockMatchesReference gates this.
+func similarities(le, re []float64, lv, rv string) [dmSims]float64 {
 	sc := tokScratchPool.Get().(*tokScratch)
 	la := strutil.AppendTokens(sc.a[:0], lv)
 	ra := strutil.AppendTokens(sc.b[:0], rv)
 	strutil.SortTokens(la)
 	strutil.SortTokens(ra)
-	dst = append(dst,
-		embedding.Cosine(text(lv), text(rv)),
+	out := [dmSims]float64{
+		embedding.Cosine(le, re),
 		strutil.JaccardSortedTokens(la, ra),
 		strutil.LevenshteinSimilarity(truncateForLev(lv), truncateForLev(rv)),
 		strutil.ContainmentSortedTokens(la, ra),
 		strutil.NumberOverlapSortedTokens(la, ra),
-		0,
-		0,
-	)
+	}
 	sc.a, sc.b = la, ra
 	tokScratchPool.Put(sc)
-	return dst
+	return out
 }
 
-// tokScratch pools the per-call token slices of appendAttrBlock.
+// tokScratch pools the per-call token slices of similarities.
 type tokScratch struct{ a, b []string }
 
 var tokScratchPool = sync.Pool{New: func() any { return &tokScratch{} }}
@@ -227,7 +311,7 @@ func serialize(r *record.Record) string {
 	return b.String()
 }
 
-func (f *dittoFeat) appendFeatures(dst []float64, p record.Pair, text textFunc) []float64 {
+func (f *dittoFeat) appendFeatures(dst []float64, p record.Pair, c *caches) []float64 {
 	lt, rt := p.Left.Text(), p.Right.Text()
 	if lt == "" || rt == "" {
 		// An all-missing record carries no evidence; only the emptiness
@@ -317,7 +401,7 @@ func (f *dittoFeat) appendFeatures(dst []float64, p record.Pair, text textFunc) 
 		strutil.TrigramJaccard(truncateForLev(lt), truncateForLev(rt)),
 		strutil.ContainmentSimilarity(lt, rt),
 		num,
-		embedding.Cosine(text(lt), text(rt)),
+		embedding.Cosine(c.text(lt), c.text(rt)),
 		cross,
 		lenRatio,
 		boolF(lenL == 0),

@@ -19,11 +19,14 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 
 	"certa/internal/dataset"
+	"certa/internal/embedding"
 	"certa/internal/memo"
 	"certa/internal/nn"
 	"certa/internal/record"
+	"certa/internal/strutil"
 	"certa/internal/telemetry"
 )
 
@@ -54,11 +57,10 @@ func Kinds() []Kind { return []Kind{DeepER, DeepMatcher, Ditto} }
 
 // Model is a trained ER matcher.
 type Model struct {
-	kind   Kind
-	feat   featurizer
-	net    *nn.Network
-	texts  *memo.Memo[string, []float64] // text embeddings, kept for the model's lifetime
-	tokens *memo.Memo[string, []float64] // token vectors, kept for the model's lifetime
+	kind Kind
+	feat featurizer
+	net  *nn.Network
+	c    *caches // matcher-lifetime memos, attached by initCaches
 }
 
 // Name implements Matcher.
@@ -67,49 +69,95 @@ func (m *Model) Name() string { return string(m.kind) }
 // Kind returns which system this model implements.
 func (m *Model) Kind() Kind { return m.kind }
 
-// initCaches attaches the matcher-lifetime memos: text embeddings
-// (every distinct attribute or record text embeds once per model
-// lifetime instead of once per batch), token vectors (a text never seen
-// before still reuses the vectors of the tokens it shares with earlier
-// texts, as every token-drop variant does) and, for DeepMatcher-style
-// featurizers, attribute blocks. All three memoize pure functions, so
-// scores are bit-identical with or without them. Train and
-// UnmarshalBinary call it before any scoring.
+// caches are a model's matcher-lifetime memos: text embeddings (every
+// distinct attribute or record text embeds once per model lifetime
+// instead of once per batch), token vectors (a text never seen before
+// still reuses the vectors of the tokens it shares with earlier texts,
+// as every token-drop variant does) and, for DeepMatcher-style
+// featurizers, attribute blocks. The text memo also gives each distinct
+// text an id, and the block memo is keyed by two such ids, so both are
+// created together by initCaches: a block key never outlives the ids
+// it was made from.
+type caches struct {
+	emb    *embedding.Embedder
+	texts  *memo.Memo[string, textEntry]
+	tokens *memo.Memo[string, []float64]
+	blocks *memo.Memo[[2]uint32, [dmSims]float64] // nil for kinds without blocks
+	lastID atomic.Uint32
+}
+
+// textEntry is the text memo's value. The embedding and the missing
+// flag are pure functions of the text; the id is not, but the memo
+// keeps the first entry stored for a text (a Get that lost the race to
+// store one returns the stored one), so a text has one id for the
+// memo's life and two texts share an id exactly when they are equal
+// strings.
+type textEntry struct {
+	id      uint32
+	missing bool // strutil.IsMissing(text)
+	emb     []float64
+}
+
+// initCaches attaches fresh memos. All three memoize pure functions
+// of their keys (the ids only name texts), so scores are bit-identical
+// with or without them. Train and UnmarshalBinary call it before any
+// scoring.
 func (m *Model) initCaches() {
-	m.texts = memo.New[string, []float64]()
-	m.tokens = memo.New[string, []float64]()
-	if dm, ok := m.feat.(*deepMatcherFeat); ok {
-		dm.blocks = memo.New[[2]string, [dmBlock]float64]()
+	c := &caches{
+		emb:    m.feat.embedder(),
+		texts:  memo.New[string, textEntry](),
+		tokens: memo.New[string, []float64](),
 	}
+	if _, ok := m.feat.(*deepMatcherFeat); ok {
+		c.blocks = memo.New[[2]uint32, [dmSims]float64]()
+	}
+	m.c = c
 }
 
-// text embeds s through the model's embedding memo, and a text it has
-// not seen from token vectors through the token memo.
-func (m *Model) text(s string) []float64 {
-	return m.texts.Get(s, m.embedText)
+// entry resolves s through the text memo, embedding a text it has not
+// seen from token vectors through the token memo.
+func (c *caches) entry(s string) textEntry { return c.texts.Get(s, c.newEntry) }
+
+// text returns the embedding of s. Returned vectors are read-only.
+func (c *caches) text(s string) []float64 { return c.entry(s).emb }
+
+func (c *caches) newEntry(s string) textEntry {
+	id := c.lastID.Add(1)
+	if id == 0 {
+		panic("matchers: the text memo ran out of ids")
+	}
+	return textEntry{id: id, missing: strutil.IsMissing(s), emb: c.emb.TextWith(s, c.token)}
 }
 
-func (m *Model) embedText(s string) []float64 {
-	return m.feat.embedder().TextWith(s, m.token)
+func (c *caches) token(tok string) []float64 {
+	return c.tokens.Get(tok, c.emb.Token)
 }
 
-func (m *Model) token(tok string) []float64 {
-	return m.tokens.Get(tok, m.feat.embedder().Token)
-}
+// EmbeddingStats reports the embedding memo's activity. Every text a
+// featurizer resolves counts, DeepMatcher's block values included.
+func (m *Model) EmbeddingStats() memo.Stats { return m.c.texts.Stats() }
 
-// EmbeddingStats reports the embedding memo's activity.
-func (m *Model) EmbeddingStats() memo.Stats { return m.texts.Stats() }
+// BlockStats reports the DeepMatcher attribute-block memo's activity;
+// it is zero for kinds without blocks.
+func (m *Model) BlockStats() memo.Stats {
+	if m.c.blocks == nil {
+		return memo.Stats{}
+	}
+	return m.c.blocks.Stats()
+}
 
 // featBufPool recycles the flat featurization planes of Score and
 // ScoreBatch so steady-state scoring allocates nothing but the result.
 var featBufPool = sync.Pool{New: func() any { return new([]float64) }}
 
-// Score implements Matcher. It is concurrency-safe and, in steady state,
-// allocation-free: features are written into a pooled buffer and the
-// forward pass runs through the nn package's pooled batch engine.
+// Score implements Matcher. It is concurrency-safe. Features are
+// written into a pooled buffer and the forward pass runs through the nn
+// package's pooled batch engine, so for DeepMatcher and SVM a Score of
+// values the memos hold allocates nothing; DeepER and Ditto build each
+// record's text on every call.
 func (m *Model) Score(p record.Pair) float64 {
 	bp := featBufPool.Get().(*[]float64)
-	buf := m.feat.appendFeatures((*bp)[:0], p, m.text)
+	buf := m.feat.appendFeatures((*bp)[:0], p, m.c)
 	s := m.net.Predict(buf)
 	*bp = buf[:0]
 	featBufPool.Put(bp)
@@ -118,8 +166,10 @@ func (m *Model) Score(p record.Pair) float64 {
 
 // ScoreBatch scores many pairs in one call (the explain.BatchModel
 // capability): the batch is featurized straight into one pooled flat
-// plane — each distinct text resolved through the embedding memo — and
-// a single blocked forward pass produces the scores.
+// plane — each distinct text resolved through the embedding memo, and
+// a DeepMatcher batch in one pass that skips the lookups of values
+// unchanged from the previous row — and a single blocked forward pass
+// produces the scores.
 // Index-aligned with pairs and bit-identical to per-pair Score calls.
 func (m *Model) ScoreBatch(pairs []record.Pair) []float64 {
 	out, _ := m.ScoreBatchContext(context.Background(), pairs) // background ctx: never errs
@@ -141,10 +191,13 @@ func (m *Model) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]f
 	}
 	bp := featBufPool.Get().(*[]float64)
 	flat := (*bp)[:0]
-	text := m.text
 	sp := telemetry.StartLeaf(ctx, "featurize")
-	for _, p := range pairs {
-		flat = m.feat.appendFeatures(flat, p, text)
+	if dm, ok := m.feat.(*deepMatcherFeat); ok {
+		flat = dm.appendBatch(flat, pairs, m.c)
+	} else {
+		for _, p := range pairs {
+			flat = m.feat.appendFeatures(flat, p, m.c)
+		}
 	}
 	sp.AddItems(len(pairs))
 	sp.End()
@@ -187,7 +240,6 @@ func Train(kind Kind, b *dataset.Benchmark, cfg Config) (*Model, error) {
 	// training data warms them with the corpus texts.
 	m := &Model{kind: kind, feat: feat}
 	m.initCaches()
-	text := m.text
 
 	train := b.Train
 	// Ditto's data augmentation: extra copies of training pairs with one
@@ -199,13 +251,13 @@ func Train(kind Kind, b *dataset.Benchmark, cfg Config) (*Model, error) {
 	x := make([][]float64, len(train))
 	y := make([]float64, len(train))
 	for i, p := range train {
-		x[i] = feat.appendFeatures(nil, p.Pair, text)
+		x[i] = feat.appendFeatures(nil, p.Pair, m.c)
 		y[i] = label(p.Match)
 	}
 	vx := make([][]float64, len(b.Valid))
 	vy := make([]float64, len(b.Valid))
 	for i, p := range b.Valid {
-		vx[i] = feat.appendFeatures(nil, p.Pair, text)
+		vx[i] = feat.appendFeatures(nil, p.Pair, m.c)
 		vy[i] = label(p.Match)
 	}
 

@@ -1,8 +1,13 @@
-// Package memo caches pure functions for the lifetime of their owner.
-// The matcher keeps three memos: text embeddings, token vectors and
-// DeepMatcher attribute blocks. Each function depends on its key alone,
-// so a cached value is the value a fresh call would return, and scores
-// are bit-identical with or without the memo.
+// Package memo caches functions for the lifetime of their owner. The
+// matcher keeps three memos: text embeddings, token vectors and
+// DeepMatcher attribute blocks. The token vectors and blocks are pure
+// functions of their keys, so a cached value is the value a fresh call
+// would return. The embedding memo's value also carries an id for its
+// text, which is not a function of the text: it is whatever id the
+// first computation drew. The first value stored for a key wins (a
+// racing Get that computed another returns the stored one), so every
+// Get of a text returns the same id, and the block memo is keyed by
+// those ids. Every score is bit-identical with or without the memos.
 package memo
 
 import (
@@ -43,9 +48,11 @@ func New[K comparable, V any]() *Memo[K, V] {
 }
 
 // Get returns the value for k, computing f(k) outside any lock on a
-// miss. f must be pure: two Gets that race on one key both compute it,
-// and the later one returns the value the earlier one stored. Returned
-// values are shared; treat any memory they reference as read-only.
+// miss. Two Gets that race on one key both compute it, and the later
+// one returns the value the earlier one stored, so every Get of k
+// returns one value even where f's result is not a function of k
+// alone. Returned values are shared; treat any memory they reference
+// as read-only.
 func (m *Memo[K, V]) Get(k K, f func(K) V) V {
 	s := &m.stripes[maphash.Comparable(m.seed, k)&(stripes-1)]
 	s.lookups.Add(1)

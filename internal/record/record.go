@@ -100,13 +100,20 @@ func MustSchema(name string, attrs ...string) *Schema {
 	return s
 }
 
-// AttrIndex returns the position of attribute a, or -1 if absent.
+// AttrIndex returns the position of attribute a, or -1 if absent. A
+// schema built by NewSchema answers from its name index; one built any
+// other way (a struct literal, a decoded JSON document) has none and
+// scans Attrs from the end, so a duplicated name answers its last
+// position as an index would. Neither path writes, so concurrent calls
+// are safe.
 func (s *Schema) AttrIndex(a string) int {
 	if s.index == nil {
-		s.index = make(map[string]int, len(s.Attrs))
-		for i, n := range s.Attrs {
-			s.index[n] = i
+		for i := len(s.Attrs) - 1; i >= 0; i-- {
+			if s.Attrs[i] == a {
+				return i
+			}
 		}
+		return -1
 	}
 	if i, ok := s.index[a]; ok {
 		return i

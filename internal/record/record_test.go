@@ -3,6 +3,7 @@ package record
 import (
 	"bytes"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -34,6 +35,36 @@ func TestNewSchemaValidation(t *testing.T) {
 	}
 	if s.Len() != 2 {
 		t.Error("Len wrong")
+	}
+}
+
+// TestAttrIndexConcurrentLiteralSchema: a schema that did not come
+// from NewSchema (a struct literal, or one decoded from JSON) has no
+// name index, and concurrent explanations call AttrIndex on it from
+// many goroutines. Under -race this fails if that path writes to the
+// schema.
+func TestAttrIndexConcurrentLiteralSchema(t *testing.T) {
+	s := &Schema{Name: "S", Attrs: []string{"a", "b", "c"}}
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				if got := s.AttrIndex("b"); got != 1 {
+					t.Errorf("AttrIndex(b) = %d, want 1", got)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if s.AttrIndex("zz") != -1 {
+		t.Error("AttrIndex of an absent attribute is not -1")
+	}
+	dup := &Schema{Name: "D", Attrs: []string{"a", "b", "a"}}
+	if got := dup.AttrIndex("a"); got != 2 {
+		t.Errorf("AttrIndex of a duplicated name = %d, want its last position 2", got)
 	}
 }
 

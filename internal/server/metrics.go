@@ -52,6 +52,8 @@ const (
 	metricEmbedMisses  = "certa_embedding_misses_total"
 	metricEmbedEntries = "certa_embedding_entries"
 
+	metricBlockEntries = "certa_block_memo_entries"
+
 	metricIndexRecords = "certa_index_records"
 	metricIndexTokens  = "certa_index_distinct_tokens"
 	metricIndexBuild   = "certa_index_build_seconds"
@@ -111,9 +113,16 @@ type embeddingStatser interface {
 	EmbeddingStats() memo.Stats
 }
 
+// blockStatser is implemented by backend models that keep a
+// matcher-lifetime attribute-block memo (see matchers.Model.BlockStats).
+type blockStatser interface {
+	BlockStats() memo.Stats
+}
+
 // registerBackendMetrics publishes one backend's series, labeled
-// {backend="name"}. Engine-side stats (score cache, embedding memo)
-// are bridged from their existing side-channel structs at scrape time.
+// {backend="name"}. Engine-side stats (score cache, embedding and
+// block memos) are bridged from their existing side-channel structs
+// at scrape time.
 func (s *Server) registerBackendMetrics(b *backend) {
 	m := s.metrics
 	lbl := telemetry.Labels{"backend": b.name}
@@ -163,6 +172,11 @@ func (s *Server) registerBackendMetrics(b *backend) {
 			func() float64 { return float64(es.EmbeddingStats().Misses) })
 		m.GaugeFunc(metricEmbedEntries, "Vectors currently held by the embedding memo.", lbl,
 			func() float64 { return float64(es.EmbeddingStats().Entries) })
+	}
+
+	if bs, ok := b.model.(blockStatser); ok {
+		m.GaugeFunc(metricBlockEntries, "Similarity blocks currently held by the attribute-block memo (0 for models without blocks).", lbl,
+			func() float64 { return float64(bs.BlockStats().Entries) })
 	}
 
 	// The retrieval index is immutable after construction, so its stats

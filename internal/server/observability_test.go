@@ -10,6 +10,10 @@ import (
 	"strings"
 	"testing"
 
+	"certa/internal/core"
+	"certa/internal/dataset"
+	"certa/internal/matchers"
+	"certa/internal/record"
 	"certa/internal/telemetry"
 )
 
@@ -84,6 +88,34 @@ func TestMetricsEndpoint(t *testing.T) {
 	interned := s.metrics.Exposition().Sum("certa_score_cache_interned_values", telemetry.Labels{"backend": "toy"})
 	if interned == 0 || interned != float64(svc.InternedValues()) {
 		t.Errorf("certa_score_cache_interned_values = %v, service interned %d", interned, svc.InternedValues())
+	}
+
+	// A DeepMatcher backend also publishes its attribute-block memo's
+	// size, read from the model at scrape time; one explanation fills
+	// the memo.
+	bench := dataset.MustGenerate("AB", dataset.Options{Seed: 5, MaxRecords: 40, MaxMatches: 20})
+	dm := matchers.MustTrain(matchers.DeepMatcher, bench, matchers.Config{Seed: 5, Epochs: 3})
+	dms, err := New([]Backend{{
+		Name: "dm", Left: bench.Left, Right: bench.Right, Model: dm,
+		Options: core.Options{Triangles: 8, Seed: 3},
+		Pairs:   []record.Pair{bench.Test[0].Pair},
+	}}, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer dms.Close()
+	dts := httptest.NewServer(dms)
+	defer dts.Close()
+	zero := 0
+	if resp, body := postJSON(t, dts.URL+"/v1/explain", ExplainRequest{PairIndex: &zero}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("DeepMatcher backend: status %d: %s", resp.StatusCode, body)
+	}
+	if text := scrapeMetrics(t, dts.URL); !strings.Contains(text, `certa_block_memo_entries{backend="dm"}`) {
+		t.Errorf("scrape is missing certa_block_memo_entries:\n%s", text)
+	}
+	blocks := dms.metrics.Exposition().Sum("certa_block_memo_entries", telemetry.Labels{"backend": "dm"})
+	if want := dm.BlockStats().Entries; blocks == 0 || blocks != float64(want) {
+		t.Errorf("certa_block_memo_entries = %v, the model holds %d blocks", blocks, want)
 	}
 }
 

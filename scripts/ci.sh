@@ -37,8 +37,8 @@ go build ./...
 echo "== go test =="
 go test -timeout 300s ./...
 
-echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + matcher memos + HTTP serving + lattice + telemetry + cluster routing) =="
-go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/memo/ ./internal/matchers/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
+echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + matcher memos + records + HTTP serving + lattice + telemetry + cluster routing) =="
+go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/memo/ ./internal/matchers/ ./internal/record/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
 
 # The lattice-pruning paths specifically, under the race detector at
 # Parallelism 8 (TestLatticePruneDeterministic and friends run inside the
@@ -55,12 +55,13 @@ go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
 
 # Short native-fuzzing bursts past each target's seed corpus (which
 # plain go test already runs): snapshot decode, store-key parse and
-# render, request decoding, ring placement and the bit-vector edit
-# distance against the rune DP. -fuzzminimizetime 100x caps how long
+# render, request decoding, ring placement, the bit-vector edit
+# distance against the rune DP and DeepMatcher's batch pass against
+# per-pair scoring. -fuzzminimizetime 100x caps how long
 # the fuzzer spends shrinking each new input: at the default 60 s,
 # minimizing stalled FuzzRestore's bursts at 0 execs/s for seconds at a
 # time. A failing input is still reported and saved.
-echo "== fuzz bursts (FuzzRestore, FuzzStoreKey, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance; 10 s each) =="
+echo "== fuzz bursts (FuzzRestore, FuzzStoreKey, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance, FuzzScoreBatch; 10 s each) =="
 fuzz() {
 	go test -timeout 120s -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 100x "$2"
 }
@@ -69,6 +70,7 @@ fuzz FuzzStoreKey ./internal/scorecache/
 fuzz FuzzExplainRequest ./internal/server/
 fuzz FuzzRing ./internal/cluster/
 fuzz FuzzLevenshteinDistance ./internal/strutil/
+fuzz FuzzScoreBatch ./internal/matchers/
 
 echo "== bench smoke =="
 go test -timeout 600s -bench=. -benchtime=1x -run='^$' .
