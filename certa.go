@@ -451,12 +451,8 @@ func TrainMatcher(kind MatcherKind, b *Benchmark, cfg MatcherConfig) (*Matcher, 
 
 // F1 computes a matcher's F1 on labeled pairs.
 func F1(m Model, pairs []LabeledPair) float64 {
-	return matchers.F1(modelAdapter{m}, pairs)
+	return matchers.F1(m, pairs)
 }
-
-// modelAdapter bridges explain.Model to matchers.Matcher (identical
-// method sets; Go needs the nominal hop).
-type modelAdapter struct{ explain.Model }
 
 // Baseline explainers (see internal/baselines).
 

@@ -1,7 +1,7 @@
 // Package cpufeat centralizes runtime CPU feature detection for the
-// hand-written SIMD kernels (internal/nn's dense forward pass,
-// internal/embedding's cosine accumulator). Detection runs once at
-// process start; packages gate their assembly paths on the exported
-// flags and fall back to pure Go otherwise, so builds and tests behave
-// identically on machines without the instructions.
+// hand-written SIMD kernel (internal/nn's dense forward pass).
+// Detection runs once at process start; the kernel's package gates its
+// assembly path on the exported flag and falls back to pure Go
+// otherwise, so builds and tests behave identically on machines without
+// the instructions.
 package cpufeat

@@ -3,32 +3,14 @@ package embedding
 // AbsDiffMul writes diff[i] = |a[i]-b[i]| and prod[i] = a[i]*b[i] for
 // every element — the inner loop of the DeepER featurizer (element-wise
 // absolute difference and Hadamard product of the two record
-// embeddings). The operations are independent per element, so the amd64
-// kernel vectorizes them four lanes wide with no change in the result:
-// each lane performs exactly the scalar sequence (subtract, negate if
-// negative, multiply), making the output bit-identical to the pure-Go
-// path including -0 and NaN propagation
-// (TestAbsDiffMulKernelBitIdentical). All four slices must have equal
-// length.
+// embeddings). The absolute value negates only where a[i]-b[i] < 0, so
+// a -0 difference and a NaN keep their bits. All four slices must have
+// equal length.
 func AbsDiffMul(diff, prod, a, b []float64) {
 	n := len(a)
 	if len(b) != n || len(diff) != n || len(prod) != n {
 		panic("embedding: AbsDiffMul slice lengths differ")
 	}
-	if n == 0 {
-		return
-	}
-	if useAVX && n >= 4 {
-		q := n &^ 3
-		absDiffMulAVX(&a[0], &b[0], &diff[0], &prod[0], q)
-		a, b, diff, prod = a[q:], b[q:], diff[q:], prod[q:]
-	}
-	absDiffMulGeneric(diff, prod, a, b)
-}
-
-// absDiffMulGeneric is the scalar reference; the kernel must match it
-// bit for bit.
-func absDiffMulGeneric(diff, prod, a, b []float64) {
 	for i := range a {
 		d := a[i] - b[i]
 		if d < 0 {

@@ -1,52 +1,6 @@
 package embedding
 
-import (
-	"math"
-	"math/rand"
-	"testing"
-)
-
-// TestAbsDiffMulKernelBitIdentical gates the element-wise kernel: for
-// random inputs — including ±0, NaN, infinities and subnormals — the
-// vectorized path must produce the same bits as the scalar reference in
-// every position, on every length (remainder handling included).
-func TestAbsDiffMulKernelBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	specials := []float64{0, math.Copysign(0, -1), math.NaN(), math.Inf(1), math.Inf(-1), 5e-324, -5e-324}
-	for trial := 0; trial < 400; trial++ {
-		n := rng.Intn(70)
-		a := make([]float64, n)
-		b := make([]float64, n)
-		for i := range a {
-			if rng.Intn(6) == 0 {
-				a[i] = specials[rng.Intn(len(specials))]
-			} else {
-				a[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
-			}
-			if rng.Intn(6) == 0 {
-				b[i] = specials[rng.Intn(len(specials))]
-			} else {
-				b[i] = (rng.Float64() - 0.5) * math.Pow(10, float64(rng.Intn(13)-6))
-			}
-		}
-		wd := make([]float64, n)
-		wp := make([]float64, n)
-		absDiffMulGeneric(wd, wp, a, b)
-		gd := make([]float64, n)
-		gp := make([]float64, n)
-		AbsDiffMul(gd, gp, a, b)
-		for i := range wd {
-			if math.Float64bits(gd[i]) != math.Float64bits(wd[i]) {
-				t.Fatalf("trial %d n=%d diff[%d]: kernel %x != scalar %x (a=%v b=%v)",
-					trial, n, i, math.Float64bits(gd[i]), math.Float64bits(wd[i]), a[i], b[i])
-			}
-			if math.Float64bits(gp[i]) != math.Float64bits(wp[i]) {
-				t.Fatalf("trial %d n=%d prod[%d]: kernel %x != scalar %x (a=%v b=%v)",
-					trial, n, i, math.Float64bits(gp[i]), math.Float64bits(wp[i]), a[i], b[i])
-			}
-		}
-	}
-}
+import "testing"
 
 func TestAbsDiffMulLengthMismatchPanics(t *testing.T) {
 	defer func() {
@@ -55,27 +9,4 @@ func TestAbsDiffMulLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	AbsDiffMul(make([]float64, 2), make([]float64, 3), make([]float64, 3), make([]float64, 3))
-}
-
-func BenchmarkAbsDiffMul(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	n := 64
-	x := make([]float64, n)
-	y := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
-		y[i] = rng.NormFloat64()
-	}
-	d := make([]float64, n)
-	p := make([]float64, n)
-	b.Run("kernel", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			AbsDiffMul(d, p, x, y)
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			absDiffMulGeneric(d, p, x, y)
-		}
-	})
 }

@@ -185,3 +185,18 @@ func BenchmarkTextEmbedding(b *testing.B) {
 		e.Text("sony bravia theater black micro system davis50b 5.1-channel surround")
 	}
 }
+
+// TestCosineZeroVectors pins the zero-norm contract.
+func TestCosineZeroVectors(t *testing.T) {
+	z := make([]float64, 8)
+	v := []float64{1, 2, 3, 4, 5, 6, 7, 8}
+	if got := Cosine(z, v); got != 0 {
+		t.Fatalf("Cosine(0, v) = %v, want 0", got)
+	}
+	if got := Cosine(v, z); got != 0 {
+		t.Fatalf("Cosine(v, 0) = %v, want 0", got)
+	}
+	if got := Cosine(nil, nil); got != 0 {
+		t.Fatalf("Cosine(nil, nil) = %v, want 0", got)
+	}
+}

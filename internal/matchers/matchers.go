@@ -23,22 +23,13 @@ import (
 
 	"certa/internal/dataset"
 	"certa/internal/embedding"
+	"certa/internal/explain"
 	"certa/internal/memo"
 	"certa/internal/nn"
 	"certa/internal/record"
 	"certa/internal/strutil"
 	"certa/internal/telemetry"
 )
-
-// Matcher is a black-box ER classifier: Score returns the matching
-// probability of a pair in [0,1]; a score above 0.5 means Match.
-type Matcher interface {
-	Name() string
-	Score(p record.Pair) float64
-}
-
-// IsMatch applies the paper's decision threshold (score > 0.5).
-func IsMatch(m Matcher, p record.Pair) bool { return m.Score(p) > 0.5 }
 
 // Kind selects one of the implemented ER systems.
 type Kind string
@@ -359,27 +350,27 @@ func hashKind(k Kind) uint32 {
 	return h
 }
 
-// Accuracy computes classification accuracy of a matcher on labeled
+// Accuracy computes classification accuracy of a model on labeled
 // pairs.
-func Accuracy(m Matcher, pairs []record.LabeledPair) float64 {
+func Accuracy(m explain.Model, pairs []record.LabeledPair) float64 {
 	if len(pairs) == 0 {
 		return 0
 	}
 	ok := 0
 	for _, p := range pairs {
-		if IsMatch(m, p.Pair) == p.Match {
+		if explain.Predicted(m, p.Pair) == p.Match {
 			ok++
 		}
 	}
 	return float64(ok) / float64(len(pairs))
 }
 
-// F1 computes the F1 score of a matcher on labeled pairs (the model
+// F1 computes the F1 score of a model on labeled pairs (the model
 // performance measure used by the Faithfulness metric).
-func F1(m Matcher, pairs []record.LabeledPair) float64 {
+func F1(m explain.Model, pairs []record.LabeledPair) float64 {
 	tp, fp, fn := 0, 0, 0
 	for _, p := range pairs {
-		pred := IsMatch(m, p.Pair)
+		pred := explain.Predicted(m, p.Pair)
 		switch {
 		case pred && p.Match:
 			tp++
@@ -396,20 +387,3 @@ func F1(m Matcher, pairs []record.LabeledPair) float64 {
 	rec := float64(tp) / float64(tp+fn)
 	return 2 * prec * rec / (prec + rec)
 }
-
-// ScoreFunc adapts a plain function to the Matcher interface, letting
-// users plug arbitrary classifiers into the explainers (see
-// examples/custommodel).
-type ScoreFunc struct {
-	// ModelName is reported by Name().
-	ModelName string
-	// Fn computes the matching score.
-	Fn func(p record.Pair) float64
-}
-
-// Name implements Matcher.
-func (s ScoreFunc) Name() string { return s.ModelName }
-
-// Score implements Matcher. Plain score functions ride the batched
-// pipeline through explain.ScoreBatch's automatic adaptation.
-func (s ScoreFunc) Score(p record.Pair) float64 { return s.Fn(p) }

@@ -171,19 +171,30 @@ func TestTrainSVMBaseline(t *testing.T) {
 	}
 }
 
+// scoreFunc is a test model: a plain score function as an explain.Model.
+type scoreFunc func(record.Pair) float64
+
+func (scoreFunc) Name() string                  { return "func" }
+func (f scoreFunc) Score(p record.Pair) float64 { return f(p) }
+
+// TestScoreFuncAdapter: F1 and Accuracy take any explain.Model and
+// apply the paper's threshold, score > 0.5 meaning Match.
 func TestScoreFuncAdapter(t *testing.T) {
-	m := ScoreFunc{ModelName: "const", Fn: func(record.Pair) float64 { return 0.7 }}
-	if m.Name() != "const" {
-		t.Error("Name wrong")
-	}
 	b, _ := testBenchmark(t)
-	if !IsMatch(m, b.Test[0].Pair) {
-		t.Error("score 0.7 should be a match")
+	for _, c := range []struct {
+		score float64
+		match bool
+	}{{0.7, true}, {0.5, false}, {0.3, false}} {
+		m := scoreFunc(func(record.Pair) float64 { return c.score })
+		pair := []record.LabeledPair{{Pair: b.Test[0].Pair, Match: true}}
+		if got, want := Accuracy(m, pair) == 1, c.match; got != want {
+			t.Errorf("score %v: counted as a match %v, want %v", c.score, got, want)
+		}
 	}
 }
 
 func TestAccuracyAndF1Edges(t *testing.T) {
-	never := ScoreFunc{ModelName: "never", Fn: func(record.Pair) float64 { return 0 }}
+	never := scoreFunc(func(record.Pair) float64 { return 0 })
 	b, _ := testBenchmark(t)
 	if F1(never, b.Test) != 0 {
 		t.Error("F1 of never-matcher should be 0")
@@ -191,7 +202,7 @@ func TestAccuracyAndF1Edges(t *testing.T) {
 	if Accuracy(never, nil) != 0 {
 		t.Error("Accuracy on empty set should be 0")
 	}
-	always := ScoreFunc{ModelName: "always", Fn: func(record.Pair) float64 { return 1 }}
+	always := scoreFunc(func(record.Pair) float64 { return 1 })
 	f1 := F1(always, b.Test)
 	if f1 <= 0 || f1 > 1 {
 		t.Errorf("F1 of always-matcher = %v", f1)

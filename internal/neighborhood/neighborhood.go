@@ -98,8 +98,8 @@ func (s Stats) add(o Stats) Stats {
 // Index is the immutable per-table candidate index: interned token
 // sets (the inverted postings), per-record set sizes, and IDF weights
 // over the records' distinct tokens. Build once, share everywhere —
-// all methods are read-only after construction. The build derives its
-// views through a record.Memo, which is released afterwards: request
+// all methods are read-only after construction. The build tokenizes
+// each record once and keeps only the interned postings: request
 // handling reads only setSize/vocab/postings/idf.
 type Index struct {
 	table    *record.Table
@@ -120,9 +120,8 @@ func NewIndex(t *record.Table) *Index {
 		setSize: make([]int32, n),
 		vocab:   make(map[string]int32),
 	}
-	memo := record.NewMemo(t) // build-time cache; not retained
-	for i := 0; i < n; i++ {
-		set := memo.TokenSet(i)
+	for i, r := range t.Records {
+		set := r.TokenSet()
 		toks := make([]string, 0, len(set))
 		for tok := range set {
 			toks = append(toks, tok)

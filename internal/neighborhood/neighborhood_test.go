@@ -158,28 +158,6 @@ func TestSourcesSide(t *testing.T) {
 	}
 }
 
-// TestMemoMatchesRecords checks the cached views against the records'
-// own accessors.
-func TestMemoMatchesRecords(t *testing.T) {
-	bench := dataset.MustGenerate("AB", dataset.Options{Seed: 9, MaxRecords: 40, MaxMatches: 20})
-	m := record.NewMemo(bench.Left)
-	for i, r := range bench.Left.Records {
-		if m.Text(i) != r.Text() {
-			t.Fatalf("record %d: memo text %q != %q", i, m.Text(i), r.Text())
-		}
-		set := m.TokenSet(i)
-		fresh := r.TokenSet()
-		if len(set) != len(fresh) {
-			t.Fatalf("record %d: memo set size %d != %d", i, len(set), len(fresh))
-		}
-		for tok := range fresh {
-			if _, ok := set[tok]; !ok {
-				t.Fatalf("record %d: memo set missing token %q", i, tok)
-			}
-		}
-	}
-}
-
 // BenchmarkSupportSearch compares the old scan retrieval against the
 // prebuilt index on the triangle search's real access pattern: stream
 // the first 50 overlap-ranked candidates for a pivot record, as the

@@ -51,37 +51,39 @@ func (n *Network) PredictBaseline(x []float64) float64 {
 }
 
 // TestPredictBatchBitIdentical is the forward-pass equivalence property
-// test: over random network shapes and inputs, the blocked batch kernel
-// (reused arena, register blocking) must agree bit-for-bit — not within
-// epsilon — with the scalar reference path, including batch sizes that
-// don't fill a register block (0, 1, odd) and sizes far beyond it.
+// test: over random network shapes and inputs, the batch path (reused
+// arena, AVX or applyRow per layer) must agree bit-for-bit — not within
+// epsilon — with the scalar reference path, including batch sizes of 0,
+// 1 and odd counts and sizes beyond one row tile. The shapes run twice:
+// once as dispatched, once with the AVX kernel switched off, so the Go
+// path is checked on every shape on AVX machines too.
 func TestPredictBatchBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	sizes := []int{0, 1, 2, 3, denseRowBlock - 1, denseRowBlock, denseRowBlock + 1, 7, 13, 64, 129}
-	for trial := 0; trial < 50; trial++ {
-		in := 1 + rng.Intn(40)
-		net := randomNet(rng, in)
-		for _, rows := range sizes {
-			xs := randomRows(rng, rows, in)
-			got := net.PredictBatch(xs)
-			if len(got) != rows {
-				t.Fatalf("trial %d rows %d: PredictBatch returned %d scores", trial, rows, len(got))
-			}
-			flat := make([]float64, 0, rows*in)
-			for _, x := range xs {
-				flat = append(flat, x...)
-			}
-			gotFlat := net.PredictBatchFlat(flat, rows)
-			for r, x := range xs {
-				want := net.PredictBaseline(x)
-				if got[r] != want {
-					t.Fatalf("trial %d rows %d row %d: PredictBatch %v != PredictBaseline %v", trial, rows, r, got[r], want)
+	defer func(v bool) { useAVX = v }(useAVX)
+	for _, avx := range []bool{useAVX, false} {
+		useAVX = avx
+		rng := rand.New(rand.NewSource(42))
+		sizes := []int{0, 1, 2, 3, 4, 5, 7, 13, 64, 129}
+		for trial := 0; trial < 50; trial++ {
+			in := 1 + rng.Intn(40)
+			net := randomNet(rng, in)
+			for _, rows := range sizes {
+				xs := randomRows(rng, rows, in)
+				flat := make([]float64, 0, rows*in)
+				for _, x := range xs {
+					flat = append(flat, x...)
 				}
-				if gotFlat[r] != want {
-					t.Fatalf("trial %d rows %d row %d: PredictBatchFlat %v != PredictBaseline %v", trial, rows, r, gotFlat[r], want)
+				got := net.PredictBatchFlat(flat, rows)
+				if len(got) != rows {
+					t.Fatalf("avx %v trial %d rows %d: PredictBatchFlat returned %d scores", avx, trial, rows, len(got))
 				}
-				if p := net.Predict(x); p != want {
-					t.Fatalf("trial %d row %d: Predict %v != PredictBaseline %v", trial, r, p, want)
+				for r, x := range xs {
+					want := net.PredictBaseline(x)
+					if got[r] != want {
+						t.Fatalf("avx %v trial %d rows %d row %d: PredictBatchFlat %v != PredictBaseline %v", avx, trial, rows, r, got[r], want)
+					}
+					if p := net.Predict(x); p != want {
+						t.Fatalf("avx %v trial %d row %d: Predict %v != PredictBaseline %v", avx, trial, r, p, want)
+					}
 				}
 			}
 		}
@@ -97,8 +99,10 @@ func TestPredictBatchConcurrent(t *testing.T) {
 	net := NewMLP(in, []int{36, 18}, 0, rng)
 	xs := randomRows(rng, 61, in)
 	want := make([]float64, len(xs))
+	flat := make([]float64, 0, len(xs)*in)
 	for i, x := range xs {
 		want[i] = net.PredictBaseline(x)
+		flat = append(flat, x...)
 	}
 
 	var wg sync.WaitGroup
@@ -111,10 +115,10 @@ func TestPredictBatchConcurrent(t *testing.T) {
 			// sized arenas through the pool.
 			for iter := 0; iter < 30; iter++ {
 				n := 1 + (g+iter)%len(xs)
-				got := net.PredictBatch(xs[:n])
+				got := net.PredictBatchFlat(flat[:n*in], n)
 				for i := range got {
 					if got[i] != want[i] {
-						errs <- "concurrent PredictBatch diverged from scalar path"
+						errs <- "concurrent PredictBatchFlat diverged from scalar path"
 						return
 					}
 				}
@@ -175,7 +179,7 @@ func BenchmarkPredictBaseline(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictBatch reports per-row cost of the blocked batch path
+// BenchmarkPredictBatch reports per-row cost of the batch path
 // over a perturbation-sized batch; compare per-row ns/op and allocs/op
 // against BenchmarkPredictBaseline for the forward-pass speedup.
 func BenchmarkPredictBatch(b *testing.B) {

@@ -2,11 +2,12 @@
 
 package nn
 
-// useAVX is false on platforms without the assembly kernel; Dense falls
-// back to the pure-Go blocked kernels, which compute identical bits.
-const useAVX = false
+// useAVX is false on platforms without the assembly kernel; every Dense
+// layer runs applyRow, which computes identical bits. It is a variable,
+// as on amd64, so tests can switch the kernel off on every platform.
+var useAVX = false
 
-// denseFwdAVX is unreachable when useAVX is false.
+// denseFwdAVX is unreachable while useAVX is false.
 func denseFwdAVX(x, wt, bias, y *float64, in, out int) {
 	panic("nn: denseFwdAVX called without assembly support")
 }

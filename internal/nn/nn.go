@@ -17,18 +17,21 @@
 // recycled across calls — steady-state Predict/PredictBatchFlat
 // allocate nothing beyond the result slice.
 //
-// Dense has two kernels. On amd64 with AVX, a hand-written assembly
-// kernel walks a cached column-major copy of the weights so that four
-// consecutive outputs accumulate in one YMM register while each output
-// still sums the weighted inputs in index order (dense_avx_amd64.s).
-// Everywhere else, a register-blocked pure-Go kernel processes
-// denseRowBlock batch rows per streaming pass over each weight row.
+// Dense has two paths. On amd64 with AVX, a layer with four or more
+// outputs runs a hand-written assembly kernel that walks a cached
+// column-major copy of the weights, so that four consecutive outputs
+// accumulate in one YMM register while each output still sums the
+// weighted inputs in index order (dense_avx_amd64.s). Every other layer,
+// every layer off amd64 and the kernel's last out%4 outputs run
+// applyRow: four outputs share one pass over a row's inputs. Blocking
+// the Go path over batch rows as well measured no faster end to end,
+// so each row runs on its own.
 //
 // Bit-for-bit agreement with the scalar path is a contract, not an
-// accident: both kernels keep one scalar accumulator per (row, output)
+// accident: both paths keep one scalar accumulator per (row, output)
 // pair and add the weighted inputs in exactly Apply's left-to-right
 // order — the vector kernel uses separate VMULPD/VADDPD (never FMA),
-// which round identically to scalar multiply and add — so PredictBatch,
+// which round identically to scalar multiply and add — so
 // PredictBatchFlat and Predict agree to the last bit on every row with
 // the historical allocating row-at-a-time Logit chain, which the
 // property test in batch_test.go keeps as its reference.
@@ -154,20 +157,13 @@ func (d *Dense) Apply(x []float64) []float64 {
 	return y
 }
 
-// denseRowBlock is the register-blocking factor of the batched Dense
-// kernel over batch rows: that many rows share one streaming pass over
-// each weight row. Combined with the two-output blocking below it gives
-// eight independent accumulator chains per inner loop — enough to hide
-// FP-add latency, which is what bounds a single serial dot product.
-const denseRowBlock = 4
-
-// ApplyBatch implements Layer with a register-blocked matrix–matrix
-// kernel: blocks of four batch rows × two outputs share one pass over
-// the inputs. Blocking happens over rows and outputs only — never over
-// the input dimension, which would split an accumulator and change float
-// rounding. Every (row, output) pair keeps one scalar accumulator that
-// adds the weighted inputs in exactly Apply's left-to-right order, so
-// each output value is bit-identical to the scalar path's.
+// ApplyBatch implements Layer. On amd64 with AVX, a layer with four or
+// more outputs runs each row through the column-major assembly kernel,
+// and applyRow finishes the last out%4 outputs; every other layer runs
+// applyRow on each row. Both keep one scalar accumulator per (row,
+// output) pair that adds the weighted inputs in exactly Apply's
+// left-to-right order, so each output value is bit-identical to the
+// scalar path's.
 func (d *Dense) ApplyBatch(dst, x []float64, rows int) []float64 {
 	if len(x) != rows*d.In {
 		panic(fmt.Sprintf("nn: Dense batch expects %d×%d inputs, got %d values", rows, d.In, len(x)))
@@ -175,10 +171,7 @@ func (d *Dense) ApplyBatch(dst, x []float64, rows int) []float64 {
 	dst = growTo(dst, rows*d.Out)
 	in, out := d.In, d.Out
 	if useAVX && out >= 4 && in > 0 && rows > 0 {
-		// Vector path: each row runs through the column-major AVX kernel
-		// (four outputs per YMM lane group, accumulating in input order —
-		// bit-identical to Apply), with the out%4 remainder finished by
-		// the scalar loop below.
+		// Four outputs per YMM lane group, accumulating in input order.
 		tw := d.transposed()
 		bias := d.b.w
 		vec := out &^ 3
@@ -186,57 +179,25 @@ func (d *Dense) ApplyBatch(dst, x []float64, rows int) []float64 {
 			xr := x[r*in:][:in]
 			yr := dst[r*out:][:out]
 			denseFwdAVX(&xr[0], &tw[0], &bias[0], &yr[0], in, out)
-			for o := vec; o < out; o++ {
-				w0 := d.w.w[o*in:][:in]
-				s := bias[o]
-				for i := 0; i < in; i++ {
-					s += w0[i] * xr[i]
-				}
-				yr[o] = s
-			}
+			d.applyRow(yr, xr, vec)
 		}
 		return dst
 	}
-	wts, bias := d.w.w, d.b.w
-	r := 0
-	for ; r+denseRowBlock <= rows; r += denseRowBlock {
-		// Reslicing to exactly [:in]/[:out] lets the compiler drop the
-		// bounds checks in the hot loops below.
-		x0 := x[(r+0)*in:][:in]
-		x1 := x[(r+1)*in:][:in]
-		x2 := x[(r+2)*in:][:in]
-		x3 := x[(r+3)*in:][:in]
-		y0 := dst[(r+0)*out:][:out]
-		y1 := dst[(r+1)*out:][:out]
-		y2 := dst[(r+2)*out:][:out]
-		y3 := dst[(r+3)*out:][:out]
-		for o := 0; o < out; o++ {
-			w0 := wts[o*in:][:in]
-			a0, a1, a2, a3 := bias[o], bias[o], bias[o], bias[o]
-			for i := 0; i < in; i++ {
-				u := w0[i]
-				a0 += u * x0[i]
-				a1 += u * x1[i]
-				a2 += u * x2[i]
-				a3 += u * x3[i]
-			}
-			y0[o], y1[o], y2[o], y3[o] = a0, a1, a2, a3
-		}
-	}
-	for ; r < rows; r++ {
-		d.applyRow(dst[r*out:][:out], x[r*in:][:in])
+	for r := 0; r < rows; r++ {
+		d.applyRow(dst[r*out:][:out], x[r*in:][:in], 0)
 	}
 	return dst
 }
 
-// applyRow computes one row's outputs with output-blocking: four output
-// accumulators share the input stream, so even the scalar Predict path
-// has independent FP chains. Each accumulator's order is Apply's.
-func (d *Dense) applyRow(y, xr []float64) {
+// applyRow computes one row's outputs from index from on, with
+// output-blocking: four output accumulators share the input stream, so
+// even the scalar Predict path has independent FP chains. Each
+// accumulator's order is Apply's.
+func (d *Dense) applyRow(y, xr []float64, from int) {
 	in := d.In
 	xr = xr[:in]
 	wts, bias := d.w.w, d.b.w
-	o := 0
+	o := from
 	for ; o+4 <= d.Out; o += 4 {
 		w0 := wts[(o+0)*in:][:in]
 		w1 := wts[(o+1)*in:][:in]
@@ -524,29 +485,6 @@ func (n *Network) Predict(x []float64) float64 {
 	return p
 }
 
-// PredictBatch runs pure inference over many inputs and returns one
-// probability per row, index-aligned. The rows are packed into a pooled
-// arena and pushed through the blocked batch kernels in one pass per
-// layer; every row agrees bit-for-bit with scalar Predict.
-func (n *Network) PredictBatch(xs [][]float64) []float64 {
-	if len(xs) == 0 {
-		return make([]float64, 0)
-	}
-	w := len(xs[0])
-	ar := arenaPool.Get().(*arena)
-	ar.in = growTo(ar.in, len(xs)*w)
-	for r, x := range xs {
-		if len(x) != w {
-			arenaPool.Put(ar)
-			panic(fmt.Sprintf("nn: ragged batch: row 0 has width %d, row %d has %d", w, r, len(x)))
-		}
-		copy(ar.in[r*w:(r+1)*w], x)
-	}
-	out := n.predictPacked(ar, ar.in, len(xs))
-	arenaPool.Put(ar)
-	return out
-}
-
 // PredictBatchFlat scores a packed row-major batch: x holds rows
 // consecutive feature vectors of equal width len(x)/rows. It is the
 // zero-copy entry point for callers that featurize directly into a flat
@@ -566,8 +504,8 @@ func (n *Network) PredictBatchFlat(x []float64, rows int) []float64 {
 }
 
 // batchTile bounds how many batch rows travel through the layer stack
-// at once: large enough to amortize weight streaming across the blocked
-// kernel, small enough that every intermediate activation plane stays
+// at once: large enough to amortize each layer's call over many rows,
+// small enough that every intermediate activation plane stays
 // cache-resident (64 rows × 64 hidden units is 32KB) instead of
 // thrashing L2 the way a whole perturbation batch would. Tiling over
 // rows never touches a row's accumulation order, so it cannot change

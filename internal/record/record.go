@@ -129,7 +129,7 @@ func (s *Schema) Len() int { return len(s.Attrs) }
 // Records are plain values: every field takes part in equality
 // (reflect.DeepEqual on explanation results is part of the
 // determinism contract), so derived views are not memoized on the
-// record itself — read-heavy scans cache them per table with Memo.
+// record itself — read-heavy scans keep what they derive themselves.
 type Record struct {
 	ID     string   `json:"id"`
 	Schema *Schema  `json:"schema"`

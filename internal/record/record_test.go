@@ -311,20 +311,3 @@ func TestRecordTokenSet(t *testing.T) {
 		t.Errorf("TokenSet has %d entries, want 3: %v", len(set), set)
 	}
 }
-
-func TestMemoReflectsTableAtBuild(t *testing.T) {
-	s := MustSchema("S", "a")
-	tab := NewTable(s)
-	tab.MustAdd(MustNew("1", s, "hello world"))
-	tab.MustAdd(MustNew("2", s, "NaN"))
-	m := NewMemo(tab)
-	if m.Table() != tab {
-		t.Error("Memo.Table mismatch")
-	}
-	if m.Text(0) != "hello world" || m.Text(1) != "" {
-		t.Errorf("memo texts = %q, %q", m.Text(0), m.Text(1))
-	}
-	if len(m.TokenSet(0)) != 2 || len(m.TokenSet(1)) != 0 {
-		t.Errorf("memo token sets = %v, %v", m.TokenSet(0), m.TokenSet(1))
-	}
-}

@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI gate: gofmt, vet, certa-lint, build, full test suite, race passes, short
-# fuzzing bursts, a one-iteration benchmark smoke pass, the serve and
-# ring smokes, and the nested benchmark module's vet and tests.
+# CI gate: gofmt, vet (host and arm64), certa-lint, build, full test
+# suite, race passes, short fuzzing bursts, a one-iteration benchmark
+# smoke pass, the serve and ring smokes, and the nested benchmark
+# module's vet and tests.
 #
 # Every test invocation carries a per-package -timeout so a cancellation
 # deadlock in the context paths fails CI instead of hanging it.
@@ -22,6 +23,12 @@ fi
 
 echo "== go vet =="
 go vet ./...
+
+# The !amd64 files (internal/nn's dense_noasm.go, internal/cpufeat's
+# cpufeat_noasm.go) build only off amd64; vetting for arm64 compiles
+# and checks them.
+echo "== go vet (GOARCH=arm64) =="
+GOARCH=arm64 go vet ./...
 
 # certa-lint runs the repo's own analyzers (maporder, nodrift,
 # diagpure, ctxthread, wiretag — see internal/lint/CATALOG.md) through
