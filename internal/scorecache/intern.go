@@ -123,21 +123,26 @@ type tableRecord struct {
 	words string
 }
 
-// recordWords returns r's store-key words from the Service's cache of
-// table records (the support scan's candidates), resolving them on
-// first use. A cached record is re-checked against its current name
-// and value strings with ==, which is O(1) while a string is unchanged
+// current reports whether c still holds r's name and values. It
+// compares strings with ==, which is O(1) while a string is unchanged
 // (the same bytes at the same address), so a record mutated after it
-// was keyed is keyed from its new values.
-func (s *Service) recordWords(r *record.Record) string {
+// was keyed fails the check and is keyed from its new values.
+func (c *tableRecord) current(r *record.Record) bool {
+	return r.Schema.Name == c.name && slices.Equal(r.Values, c.vals)
+}
+
+// tableRecord returns r's store-key words from the Service's cache of
+// table records (the support scan's candidates), resolving them on
+// first use and again whenever the cached record is no longer current.
+func (s *Service) tableRecord(r *record.Record) *tableRecord {
 	if c, ok := s.records.Load(r); ok {
-		if c := c.(*tableRecord); r.Schema.Name == c.name && slices.Equal(r.Values, c.vals) {
-			return c.words
+		if c := c.(*tableRecord); c.current(r) {
+			return c
 		}
 	}
 	c := &tableRecord{name: r.Schema.Name, vals: slices.Clone(r.Values), words: string(s.appendRecord(nil, r))}
 	s.records.Store(r, c)
-	return c.words
+	return c
 }
 
 // canonical renders a store key as the canonical Key it stands for.

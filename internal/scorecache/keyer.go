@@ -161,11 +161,19 @@ func (k *PerturbKeyer) Key(mask uint32) string {
 // so the keyer resolves the fixed record's ids once and takes each
 // candidate's from the Service's cache of table records, which hashes
 // no value bytes: only a token-drop variant's new value is interned.
-// Records are built only for the model and for accepted supports.
+// The scan keys a record's token-drop variants one after another, so
+// the keyer also keeps the last record it looked up. Records are built
+// only for the model and for accepted supports.
+//
+// A SupportKeyer is not safe for concurrent use; each scan takes its
+// own.
 type SupportKeyer struct {
 	svc   *Service
 	side  record.Side // the side candidates take
 	fixed string      // the opposite side's record words
+
+	last    *record.Record // the record last keyed, and its cached words
+	lastRec *tableRecord
 }
 
 // SupportKeyer prepares keys for candidates replacing p's record on
@@ -179,7 +187,10 @@ func (s *Scorer) SupportKeyer(p record.Pair, side record.Side) *SupportKeyer {
 // table record w with the value at index at replaced by v; at < 0 keys
 // w itself.
 func (k *SupportKeyer) Key(w *record.Record, at int, v string) string {
-	rec := k.svc.recordWords(w)
+	if w != k.last || !k.lastRec.current(w) {
+		k.last, k.lastRec = w, k.svc.tableRecord(w)
+	}
+	rec := k.lastRec.words
 	var b strings.Builder
 	b.Grow(len(rec) + len(k.fixed))
 	if k.side == record.Right {

@@ -33,20 +33,25 @@
 // and a record becomes its name id, value count and value ids, 40
 // bytes for an Abt-Buy pair (intern.go). Two store keys are equal
 // exactly when the canonical keys are; Snapshot and Keys render the
-// canonical form from the ids, and Restore parses it back. A stored
-// score costs about 230 bytes of live heap with its key, entry, table
-// slot and share of interned strings, against about 600 with canonical
-// keys. The interner lives as long as the Service and grows with the
-// distinct strings keyed, Capacity or not (Service.InternedValues).
+// canonical form from the ids, and Restore parses it back.
 //
 // A score question hashes its store key once, under a seed drawn per
 // Service, and carries that hash along the whole lookup path: the
 // view's key set, the in-batch duplicate check, the stripe choice, the
-// stripe's store, publication, eviction and Restore all use one small
-// open-addressing table that keeps each key's hash beside it. A lookup
-// compares the stored hash and then the key bytes, and growth moves
-// slots by their stored hash, so no key is hashed twice. The table's
-// iteration order follows the seed, so Keys and Snapshot sort.
+// stripe's store, publication, eviction and Restore. The view's key
+// set and the duplicate checks are a small open-addressing table that
+// keeps each key's hash beside it and borrows the caller's key
+// strings (table.go). A stripe's store copies its keys instead, into
+// three flat parts (slab.go): a byte arena of keys, a slab of
+// fixed-size records at stable indexes, and an index of (hash tag,
+// record) pairs. A stored score is then no heap object of its own: it
+// costs about 190 bytes of live heap with its arena bytes, record,
+// index slot and share of interned strings, against about 230 with an
+// entry object and key string per score and about 600 with canonical
+// keys. Both structures compare a stored hash or tag before any key
+// bytes and grow without hashing a key again. The interner lives as
+// long as the Service and grows with the distinct strings keyed,
+// Capacity or not (Service.InternedValues).
 //
 // Callers that can compute a pair's store key without building the pair
 // (the view's PerturbKeyer for lattice subsets and SupportKeyer for
@@ -69,6 +74,7 @@ package scorecache
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"certa/internal/explain"
@@ -124,10 +130,15 @@ type Scorer struct {
 	svc  *Service
 	opts Options
 
-	mu    sync.Mutex
-	local table[float64] // the view's key set, under svc's key hashes
-	stats Stats
+	mu     sync.Mutex
+	local  table[int] // the view's key set, under svc's key hashes: key -> index into scores
+	scores []float64  // each batch appends one slot per unique miss
+	flying []span     // the slots of batches still scoring
+	stats  Stats
 }
+
+// span is one in-flight batch's slots of a view's scores, [lo, hi).
+type span struct{ lo, hi int }
 
 // New wraps a model in a private scoring view: a fresh single-view
 // Service plus the Scorer over it. The model's batch entry point is used
@@ -216,55 +227,71 @@ type dup struct{ mi, slot int }
 // per index, on the calling goroutine. Stats are identical to
 // ScoreBatchContext's on the same input.
 func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, materialize func(i int) record.Pair) ([]float64, error) {
-	out := make([]float64, len(keys))
 	if len(keys) == 0 {
-		return out, ctx.Err()
+		return []float64{}, ctx.Err()
+	}
+	if s.opts.Disabled {
+		// Every lookup reaches the model; nothing is deduplicated.
+		s.mu.Lock()
+		s.stats.Lookups += len(keys)
+		s.stats.Misses += len(keys)
+		s.stats.Batches++
+		s.mu.Unlock()
+		pairs := make([]record.Pair, len(keys))
+		for i := range pairs {
+			pairs[i] = materialize(i)
+		}
+		return s.svc.direct(ctx, pairs, s.opts.Parallelism)
 	}
 
 	// Each key is hashed once; the view, the in-batch duplicate check
 	// and the shared store all reuse that hash.
-	var hashes []uint64
-	if !s.opts.Disabled {
-		hashes = make([]uint64, len(keys))
-		for i, k := range keys {
-			hashes[i] = s.svc.hash(k)
-		}
+	hashes := make([]uint64, len(keys))
+	for i, k := range keys {
+		hashes[i] = s.svc.hash(k)
 	}
 
 	// Resolve view hits and collect unique misses (the key index of each
-	// first occurrence) in first-occurrence order.
+	// first occurrence) in first-occurrence order. Miss j's score lands
+	// in slot first+j of the view's scores, so a key whose slot is at or
+	// past first is a duplicate within this batch.
+	out := make([]float64, len(keys))
 	var misses []int
 	var dups []dup
+	var elsewhere table[int] // keys another batch of this view is scoring -> slot
 
 	s.mu.Lock()
 	s.stats.Lookups += len(keys)
-	if s.opts.Disabled {
-		// Every lookup reaches the model; nothing is deduplicated.
-		for i := range keys {
-			misses = append(misses, i)
+	first := len(s.scores)
+	for i, k := range keys {
+		h := hashes[i]
+		set := &s.local
+		v, ok := set.get(h, k)
+		if ok && v < first && s.inFlight(v) {
+			// Its slot holds no score yet. Like a view that has not
+			// stored the key, forward it to the store, which waits on
+			// the other batch's claim.
+			set = &elsewhere
+			v, ok = set.get(h, k)
 		}
-	} else {
-		missAt := newTable[int](len(keys)) // key -> index into misses
-		for i, k := range keys {
-			h := hashes[i]
-			if v, ok := s.local.get(h, k); ok {
-				out[i] = v
-				s.stats.Hits++
-				continue
-			}
-			if mi, ok := missAt.get(h, k); ok {
-				// Duplicate within this batch: scored once, fanned out.
-				dups = append(dups, dup{mi: mi, slot: i})
-				s.stats.Hits++
-				continue
-			}
-			missAt.put(h, k, len(misses))
+		switch {
+		case !ok:
+			set.put(h, k, first+len(misses))
 			misses = append(misses, i)
+		case v >= first:
+			// Duplicate within this batch: scored once, fanned out.
+			dups = append(dups, dup{mi: v - first, slot: i})
+			s.stats.Hits++
+		default:
+			out[i] = s.scores[v]
+			s.stats.Hits++
 		}
 	}
 	if len(misses) > 0 {
 		s.stats.Misses += len(misses)
 		s.stats.Batches++
+		s.scores = append(s.scores, make([]float64, len(misses))...)
+		s.flying = append(s.flying, span{first, len(s.scores)})
 	}
 	s.mu.Unlock()
 
@@ -272,38 +299,50 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 		return out, nil
 	}
 
-	pairAt := func(j int) record.Pair { return materialize(misses[j]) }
-	var scores []float64
-	var err error
-	if s.opts.Disabled {
-		missPairs := make([]record.Pair, len(misses))
-		for j := range misses {
-			missPairs[j] = pairAt(j)
-		}
-		scores, err = s.svc.direct(ctx, missPairs, s.opts.Parallelism)
-	} else {
-		missKeys := make([]string, len(misses))
-		missHashes := make([]uint64, len(misses))
-		for j, ki := range misses {
-			missKeys[j] = keys[ki]
-			missHashes[j] = hashes[ki]
-		}
-		scores, err = s.svc.fetch(ctx, missKeys, missHashes, pairAt)
+	missKeys := make([]string, len(misses))
+	missHashes := make([]uint64, len(misses))
+	for j, ki := range misses {
+		missKeys[j] = keys[ki]
+		missHashes[j] = hashes[ki]
 	}
-	if err != nil {
-		return nil, err
-	}
+	scores, err := s.svc.fetch(ctx, missKeys, missHashes, func(j int) record.Pair { return materialize(misses[j]) })
 
 	s.mu.Lock()
-	for j, ki := range misses {
-		if !s.opts.Disabled {
-			s.local.put(hashes[ki], keys[ki], scores[j])
+	s.flying = slices.DeleteFunc(s.flying, func(f span) bool { return f.lo == first })
+	if err != nil {
+		// The batch leaves none of its keys in the view.
+		for j, ki := range misses {
+			if v, ok := s.local.get(hashes[ki], keys[ki]); ok && v == first+j {
+				s.local.delete(hashes[ki], keys[ki])
+			}
 		}
-		out[ki] = scores[j]
+		s.mu.Unlock()
+		return nil, err
+	}
+	copy(s.scores[first:], scores)
+	for _, v := range elsewhere.all {
+		// The batch that held the key may since have failed.
+		ki := misses[v-first]
+		if u, ok := s.local.get(hashes[ki], keys[ki]); !ok || s.inFlight(u) {
+			s.local.put(hashes[ki], keys[ki], v)
+		}
 	}
 	s.mu.Unlock()
+	for j, ki := range misses {
+		out[ki] = scores[j]
+	}
 	for _, d := range dups {
 		out[d.slot] = scores[d.mi]
 	}
 	return out, nil
+}
+
+// inFlight reports whether slot v belongs to a batch still scoring.
+func (s *Scorer) inFlight(v int) bool {
+	for _, f := range s.flying {
+		if f.lo <= v && v < f.hi {
+			return true
+		}
+	}
+	return false
 }

@@ -74,42 +74,25 @@ type ServiceStats struct {
 	FlipHits int
 }
 
-// entry is one store key's slot in the store. A pending entry (claim
-// non-nil) marks an in-flight computation: concurrent requesters wait
-// on its claim instead of invoking the model again (singleflight).
-// Publication sets score and clears claim under the stripe lock.
-// Waiters hold the entry and its claim directly, so eviction from the
-// table never invalidates a result someone is still waiting for.
-type entry struct {
-	key   string // the store key (see intern.go)
-	h     uint64 // the key's hash (Service.hash), for stripe and table
-	score float64
-	claim *claim // the batch computing score; nil once it is published
-
-	// LRU links; only ready entries are linked.
-	prev, next *entry
-}
-
 // claim is one fetch's batch of store misses in flight; all of its
-// entries share it. done is closed once every entry is published, or,
-// with failed set, once every entry is removed from the table because
+// records share it. done is closed once every record is published, with
+// scores holding the batch's scores in claim order (a record's pos), or,
+// with failed set, once every record is removed from the store because
 // the leader was cancelled or panicked mid-batch — waiters then
 // re-claim the keys themselves instead of reading a zero score or
-// inheriting the leader's cancellation.
+// inheriting the leader's cancellation. A waiter reads its score from
+// scores, never from the store, so an eviction and a reused record
+// after publication cannot hand it another key's score.
 type claim struct {
 	done   chan struct{}
 	failed bool
+	scores []float64
 }
 
 // serviceShard is one lock stripe of the store.
 type serviceShard struct {
-	mu  sync.Mutex
-	tab table[*entry]
-	// Doubly-linked LRU list of ready entries, most recent at head.
-	// Only maintained when cap > 0.
-	head, tail *entry
-	linked     int
-	cap        int
+	mu sync.Mutex
+	slab
 }
 
 // Service is a shared, concurrency-safe scoring service: one store of
@@ -276,12 +259,13 @@ func (s *Service) stripe(h uint64) *serviceShard {
 	return &s.shards[h%uint64(len(s.shards))]
 }
 
-// waiter records an output slot blocked on another goroutine's in-flight
-// computation.
+// waiter records an output slot blocked on another goroutine's
+// in-flight computation: the claim computing it and the key's position
+// in the claim's scores.
 type waiter struct {
 	slot int
-	e    *entry
-	c    *claim // e's claim when the waiter enlisted
+	c    *claim
+	pos  uint32
 }
 
 // fetch resolves unique store keys against the store: stored scores are
@@ -290,7 +274,8 @@ type waiter struct {
 // (materialize(i) is the pair of keys[i], called only for claimed keys,
 // on the calling goroutine), scored in one logical batch (sharded
 // across ServiceOptions.Parallelism workers) and published. Keys must be
-// unique within one call; hashes[i] is hash(keys[i]).
+// unique within one call; hashes[i] is hash(keys[i]). The store copies
+// each claimed key into its stripe's arena, so keys are not retained.
 //
 // ctx governs the waits: a caller whose context is cancelled while
 // another caller computes its keys returns ctx.Err() immediately instead
@@ -300,34 +285,35 @@ type waiter struct {
 func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, materialize func(i int) record.Pair) ([]float64, error) {
 	out := make([]float64, len(keys))
 	var claimed []int    // indexes this call must score
-	var claims []*entry  // their store entries, index-aligned with claimed
+	var recs []uint32    // their store records, index-aligned with claimed
 	var waiters []waiter // indexes computed by concurrent callers
-	var mine *claim      // the claim of this call's entries
+	var mine *claim      // the claim of this call's records
 	hits := 0
 
 	for i, k := range keys {
 		h := hashes[i]
 		sh := s.stripe(h)
 		sh.mu.Lock()
-		if e, ok := sh.tab.get(h, k); ok {
-			if e.claim == nil {
-				out[i] = e.score
-				sh.touch(e)
+		if r, ok := sh.find(h, k); ok {
+			if rc := &sh.recs[r]; rc.claim == nil {
+				out[i] = rc.score
+				sh.touch(r)
 			} else {
-				waiters = append(waiters, waiter{slot: i, e: e, c: e.claim})
+				waiters = append(waiters, waiter{slot: i, c: rc.claim, pos: rc.pos})
 			}
-			hits++ // a pending entry is in-flight dedup: no new model call
+			hits++ // a pending record is in-flight dedup: no new model call
 			sh.mu.Unlock()
 			continue
 		}
 		if mine == nil {
 			mine = &claim{done: make(chan struct{})}
 		}
-		e := &entry{key: k, h: h, claim: mine}
-		sh.tab.put(h, k, e)
+		r := sh.insert(h, k)
+		sh.recs[r].claim = mine
+		sh.recs[r].pos = uint32(len(claimed))
 		sh.mu.Unlock()
 		claimed = append(claimed, i)
-		claims = append(claims, e)
+		recs = append(recs, r)
 	}
 
 	s.statmu.Lock()
@@ -340,7 +326,7 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 	s.statmu.Unlock()
 
 	if len(claimed) > 0 {
-		if err := s.scoreClaims(ctx, materialize, out, claimed, claims, mine); err != nil {
+		if err := s.scoreClaims(ctx, materialize, out, hashes, claimed, recs, mine); err != nil {
 			return nil, err
 		}
 	}
@@ -356,12 +342,12 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 		}
 		if w.c.failed {
 			// The leader was cancelled or crashed after we enlisted; its
-			// defer removed the entry from the map, so the key is ours to
-			// claim on a second pass.
+			// defer removed the record from the store, so the key is ours
+			// to claim on a second pass.
 			retry = append(retry, w)
 			continue
 		}
-		out[w.slot] = w.e.score
+		out[w.slot] = w.c.scores[w.pos]
 	}
 	if len(retry) > 0 {
 		// The enlistment was counted as a lookup answered in flight
@@ -391,22 +377,25 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 }
 
 // scoreClaims evaluates this call's store misses in one logical batch
-// and publishes the results. Publication is all-or-nothing: if the
+// and publishes the results: recs[j] is the record of keys[claimed[j]],
+// pending under c at position j. Publication is all-or-nothing: if the
 // context is cancelled mid-batch or the model panics (for example on a
-// batch-length contract violation), every claimed entry is unpublished
-// and the claim marked failed before the error or panic propagates —
-// the shared store never holds a partial batch, and waiters are never
-// left blocked on a leader that gave up.
-func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) record.Pair, out []float64, claimed []int, claims []*entry, c *claim) (err error) {
+// batch-length contract violation), every record still pending under c
+// is removed and the claim marked failed before the error or panic
+// propagates — the shared store never holds a partial batch, and
+// waiters are never left blocked on a leader that gave up.
+func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) record.Pair, out []float64, hashes []uint64, claimed []int, recs []uint32, c *claim) (err error) {
 	published := false
 	defer func() {
 		if published {
 			return
 		}
-		for _, e := range claims {
-			sh := s.stripe(e.h)
+		for j, r := range recs {
+			sh := s.stripe(hashes[claimed[j]])
 			sh.mu.Lock()
-			sh.tab.delete(e.h, e.key)
+			if sh.recs[r].claim == c {
+				sh.remove(r)
+			}
 			sh.mu.Unlock()
 		}
 		c.failed = true
@@ -429,14 +418,15 @@ func (s *Service) scoreClaims(ctx context.Context, materialize func(i int) recor
 		return err
 	}
 
+	c.scores = scores
 	evictions := 0
-	for i, e := range claims {
-		out[claimed[i]] = scores[i]
-		sh := s.stripe(e.h)
+	for j, r := range recs {
+		out[claimed[j]] = scores[j]
+		sh := s.stripe(hashes[claimed[j]])
 		sh.mu.Lock()
-		e.score = scores[i]
-		e.claim = nil
-		evictions += sh.link(e)
+		sh.recs[r].score = scores[j]
+		sh.recs[r].claim = nil
+		evictions += sh.link(r)
 		sh.mu.Unlock()
 	}
 	published = true
@@ -495,59 +485,4 @@ func (s *Service) scoreSharded(ctx context.Context, pairs []record.Pair, paralle
 		return nil, err
 	}
 	return scores, nil
-}
-
-// touch moves a ready entry to the LRU head. No-op for unbounded shards.
-func (sh *serviceShard) touch(e *entry) {
-	if sh.cap <= 0 || sh.head == e {
-		return
-	}
-	sh.unlink(e)
-	sh.pushFront(e)
-}
-
-// link inserts a newly-ready entry at the LRU head and evicts past the
-// capacity bound, returning the number of evictions. No-op (returning 0)
-// for unbounded shards.
-func (sh *serviceShard) link(e *entry) int {
-	if sh.cap <= 0 {
-		return 0
-	}
-	sh.pushFront(e)
-	evicted := 0
-	for sh.linked > sh.cap {
-		cold := sh.tail
-		sh.unlink(cold)
-		sh.tab.delete(cold.h, cold.key)
-		evicted++
-	}
-	return evicted
-}
-
-func (sh *serviceShard) pushFront(e *entry) {
-	e.prev = nil
-	e.next = sh.head
-	if sh.head != nil {
-		sh.head.prev = e
-	}
-	sh.head = e
-	if sh.tail == nil {
-		sh.tail = e
-	}
-	sh.linked++
-}
-
-func (sh *serviceShard) unlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else {
-		sh.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else {
-		sh.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-	sh.linked--
 }

@@ -2,6 +2,7 @@ package scorecache
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -347,5 +348,225 @@ func TestConcurrentViewsMixFlipsAndScores(t *testing.T) {
 				t.Fatalf("bounded store holds %d entries, capacity 12", svc.Len())
 			}
 		})
+	}
+}
+
+// gateModel scores a pair by its left "a" value from a fixed table and
+// counts calls per value. A value with a gate parks its call, after
+// sending the value on entered, until the gate is closed.
+type gateModel struct {
+	scores  map[string]float64
+	gates   map[string]chan struct{}
+	entered chan string
+
+	mu    sync.Mutex
+	calls map[string]int
+}
+
+func (m *gateModel) Name() string { return "gate" }
+
+func (m *gateModel) Score(p record.Pair) float64 {
+	v := p.Left.Value("a")
+	m.mu.Lock()
+	m.calls[v]++
+	m.mu.Unlock()
+	if gate := m.gates[v]; gate != nil {
+		m.entered <- v
+		<-gate
+	}
+	return m.scores[v]
+}
+
+// TestWaitersReadOwnScoresAfterSlotReuse holds four waiters on a
+// leader's in-flight batch while the leader publishes into a store of
+// capacity 2, which evicts half of its keys as it publishes, and a
+// second batch then takes over the evicted keys' records. Only then do
+// the waiters read. Each must get its own key's score, every key must
+// reach the model exactly once, and the reuse must have happened: the
+// waiters read from their claim, not from records the store has since
+// given to other keys. Run under -race in CI.
+func TestWaitersReadOwnScoresAfterSlotReuse(t *testing.T) {
+	const n = 4
+	m := &gateModel{
+		scores:  map[string]float64{},
+		gates:   map[string]chan struct{}{},
+		entered: make(chan string, 2*n),
+		calls:   map[string]int{},
+	}
+	leadGate, ownGate := make(chan struct{}), make(chan struct{})
+	lead, own, fill := make([]record.Pair, n), make([]record.Pair, n), make([]record.Pair, 2)
+	for i := range lead {
+		lead[i] = pairOf(fmt.Sprintf("lead-%d", i), "x")
+		own[i] = pairOf(fmt.Sprintf("own-%d", i), "x")
+		m.scores[fmt.Sprintf("lead-%d", i)] = 0.1 + float64(i)/10
+		m.scores[fmt.Sprintf("own-%d", i)] = 0.15 + float64(i)/10
+		m.gates[fmt.Sprintf("own-%d", i)] = ownGate
+	}
+	for i := range fill {
+		fill[i] = pairOf(fmt.Sprintf("fill-%d", i), "x")
+		m.scores[fmt.Sprintf("fill-%d", i)] = 0.91 + float64(i)/100
+	}
+	m.gates["lead-0"] = leadGate
+	svc := NewService(m, ServiceOptions{Capacity: 2, Shards: 1})
+	sh := &svc.shards[0]
+
+	leaderDone := make(chan error, 1)
+	go func() {
+		_, err := svc.ScoreBatchContext(context.Background(), lead)
+		leaderDone <- err
+	}()
+	if v := <-m.entered; v != "lead-0" {
+		t.Fatalf("first model call scored %q, want lead-0", v)
+	}
+
+	// Each waiter enlists on one of the leader's keys, then parks in the
+	// model on a key of its own, so it reads the leader's scores only
+	// after its own batch is released.
+	type result struct {
+		scores []float64
+		err    error
+	}
+	results := make([]chan result, n)
+	for i := range results {
+		results[i] = make(chan result, 1)
+		go func(i int) {
+			got, err := svc.ScoreBatchContext(context.Background(), []record.Pair{lead[i], own[i]})
+			results[i] <- result{got, err}
+		}(i)
+	}
+	for range n {
+		<-m.entered
+	}
+
+	leadRecs := make([]uint32, n)
+	sh.mu.Lock()
+	for i, p := range lead {
+		k := svc.key(p)
+		r, ok := sh.find(svc.hash(k), k)
+		if !ok || sh.recs[r].claim == nil {
+			sh.mu.Unlock()
+			t.Fatalf("lead-%d is not pending while its leader is parked", i)
+		}
+		leadRecs[i] = r
+	}
+	sh.mu.Unlock()
+
+	close(leadGate)
+	if err := <-leaderDone; err != nil {
+		t.Fatalf("leader: %v", err)
+	}
+	if _, err := svc.ScoreBatchContext(context.Background(), fill); err != nil {
+		t.Fatalf("fill batch: %v", err)
+	}
+	sh.mu.Lock()
+	reused := 0
+	for i, r := range leadRecs {
+		k := svc.key(lead[i])
+		if _, ok := sh.find(svc.hash(k), k); ok {
+			continue
+		}
+		if sh.recs[r].claim == nil && string(sh.key(r)) != k {
+			reused++
+		}
+	}
+	sh.mu.Unlock()
+	if reused == 0 {
+		t.Fatal("no evicted leader record was reused before the waiters read; the test does not exercise reuse")
+	}
+
+	close(ownGate)
+	for i, res := range results {
+		r := <-res
+		if r.err != nil {
+			t.Fatalf("waiter %d: %v", i, r.err)
+		}
+		if want := m.scores[fmt.Sprintf("lead-%d", i)]; r.scores[0] != want {
+			t.Errorf("waiter %d read %v for lead-%d, want %v", i, r.scores[0], i, want)
+		}
+		if want := m.scores[fmt.Sprintf("own-%d", i)]; r.scores[1] != want {
+			t.Errorf("waiter %d read %v for own-%d, want %v", i, r.scores[1], i, want)
+		}
+	}
+	for v := range m.scores {
+		if c := m.calls[v]; c != 1 {
+			t.Errorf("%s reached the model %d times, want 1", v, c)
+		}
+	}
+}
+
+// TestViewForwardsKeysInFlightInItsOtherBatch runs two batches of one
+// view at once: the second asks, twice, for a key the first is still
+// scoring. The view must forward the key to the store, which waits on
+// the first batch's claim, rather than read the first batch's slot
+// before it holds a score; it counts the key as a private cache would
+// (a miss, then an in-batch duplicate) and reaches the model once per
+// key. A later batch then finds both keys in the view.
+func TestViewForwardsKeysInFlightInItsOtherBatch(t *testing.T) {
+	gate := make(chan struct{})
+	m := &gateModel{
+		scores:  map[string]float64{"slow": 0.25, "fast": 0.75},
+		gates:   map[string]chan struct{}{"slow": gate, "fast": gate},
+		entered: make(chan string, 2),
+		calls:   map[string]int{},
+	}
+	view := NewService(m, ServiceOptions{}).NewScorer(Options{})
+	slow, fast := pairOf("slow", "x"), pairOf("fast", "x")
+
+	firstDone := make(chan []float64, 1)
+	go func() { firstDone <- view.ScoreBatch([]record.Pair{slow}) }()
+	<-m.entered // the first batch holds slow in the model
+	secondDone := make(chan []float64, 1)
+	go func() { secondDone <- view.ScoreBatch([]record.Pair{slow, slow, fast}) }()
+	<-m.entered // the second batch has enlisted on slow and holds fast
+	close(gate)
+
+	if got := <-firstDone; got[0] != 0.25 {
+		t.Fatalf("first batch scored slow %v, want 0.25", got[0])
+	}
+	if got := <-secondDone; got[0] != 0.25 || got[1] != 0.25 || got[2] != 0.75 {
+		t.Fatalf("second batch scored %v, want [0.25 0.25 0.75]", got)
+	}
+	if want := (Stats{Lookups: 4, Hits: 1, Misses: 3, Batches: 2}); view.Stats() != want {
+		t.Fatalf("view stats = %+v, want %+v", view.Stats(), want)
+	}
+	if got := view.ScoreBatch([]record.Pair{fast, slow}); got[0] != 0.75 || got[1] != 0.25 {
+		t.Fatalf("third batch scored %v, want [0.75 0.25]", got)
+	}
+	if want := (Stats{Lookups: 6, Hits: 3, Misses: 3, Batches: 2}); view.Stats() != want {
+		t.Fatalf("view stats after the third batch = %+v, want %+v", view.Stats(), want)
+	}
+	if m.calls["slow"] != 1 || m.calls["fast"] != 1 {
+		t.Fatalf("model calls %v, want one per key", m.calls)
+	}
+}
+
+// TestCancelledViewBatchLeavesNoKeys cancels a view's batch while the
+// model holds it: none of its keys may stay in the view, so asking for
+// them again is a miss that reaches the store and returns their scores,
+// never a zero from the failed batch's slots.
+func TestCancelledViewBatchLeavesNoKeys(t *testing.T) {
+	m := &ctxModel{poison: "bad", blocked: make(chan struct{}, 1)}
+	m.armed.Store(true)
+	view := NewService(m, ServiceOptions{}).NewScorer(Options{})
+	pairs := []record.Pair{pairOf("bad", "1"), pairOf("okay", "1")}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-m.blocked
+		cancel()
+	}()
+	if _, err := view.ScoreBatchContext(ctx, pairs); !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	before := view.Stats()
+	got, err := view.ScoreBatchContext(context.Background(), pairs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got[0] != m.Score(pairs[0]) || got[1] != m.Score(pairs[1]) {
+		t.Fatalf("scores after the cancelled batch = %v, want [%v %v]", got, m.Score(pairs[0]), m.Score(pairs[1]))
+	}
+	if st := view.Stats(); st.Hits != before.Hits || st.Misses != before.Misses+2 {
+		t.Fatalf("stats went %+v -> %+v, want two more misses and no hit", before, st)
 	}
 }

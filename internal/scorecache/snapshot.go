@@ -43,10 +43,8 @@ func (s *Service) ready() []snap {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.tab.all {
-			if e.claim == nil {
-				entries = append(entries, snap{key: e.key, score: e.score})
-			}
+		for r := range sh.ready {
+			entries = append(entries, snap{key: string(sh.key(r)), score: sh.recs[r].score})
 		}
 		sh.mu.Unlock()
 	}
@@ -81,10 +79,8 @@ func (s *Service) Len() int {
 	for i := range s.shards {
 		sh := &s.shards[i]
 		sh.mu.Lock()
-		for _, e := range sh.tab.all {
-			if e.claim == nil {
-				n++
-			}
+		for range sh.ready {
+			n++
 		}
 		sh.mu.Unlock()
 	}
@@ -216,13 +212,13 @@ func (s *Service) RestoreFunc(r io.Reader, keep func(key string) bool) (int, err
 		h := s.hash(k)
 		sh := s.stripe(h)
 		sh.mu.Lock()
-		if _, ok := sh.tab.get(h, k); ok {
+		if _, ok := sh.find(h, k); ok {
 			sh.mu.Unlock()
 			continue
 		}
-		e := &entry{key: k, h: h, score: en.score}
-		sh.tab.put(h, k, e)
-		evictions += sh.link(e)
+		r := sh.insert(h, k)
+		sh.recs[r].score = en.score
+		evictions += sh.link(r)
 		sh.mu.Unlock()
 		installed++
 	}

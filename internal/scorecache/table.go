@@ -6,8 +6,10 @@ import "math/bits"
 // type V that never hashes a key itself. Every operation takes the
 // key's 64-bit hash from the caller, which computes it once per score
 // question (Service.hash) and carries it through the view's key set,
-// the in-batch duplicate check, the stripe choice and the stripe's
-// store. Each slot keeps the hash beside the key: a lookup compares the
+// the in-batch duplicate checks, the stripe choice and the stripe's
+// store (slab). A table borrows its key strings rather than copying
+// them, which suits the short-lived key sets of one explanation.
+// Each slot keeps the hash beside the key: a lookup compares the
 // stored hash and then the full key bytes, so distinct keys with equal
 // hashes stay distinct, and growth moves slots by their stored hash
 // without re-reading a key.

@@ -62,18 +62,20 @@ go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
 
 # Short native-fuzzing bursts past each target's seed corpus (which
 # plain go test already runs): snapshot decode, store-key parse and
-# render, request decoding, ring placement, the bit-vector edit
-# distance against the rune DP and DeepMatcher's batch pass against
-# per-pair scoring. -fuzzminimizetime 100x caps how long
+# render, a store stripe against a map, request decoding, ring
+# placement, the bit-vector edit distance against the rune DP and
+# DeepMatcher's batch pass against per-pair scoring.
+# -fuzzminimizetime 100x caps how long
 # the fuzzer spends shrinking each new input: at the default 60 s,
 # minimizing stalled FuzzRestore's bursts at 0 execs/s for seconds at a
 # time. A failing input is still reported and saved.
-echo "== fuzz bursts (FuzzRestore, FuzzStoreKey, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance, FuzzScoreBatch; 10 s each) =="
+echo "== fuzz bursts (FuzzRestore, FuzzStoreKey, FuzzStoreTable, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance, FuzzScoreBatch; 10 s each) =="
 fuzz() {
 	go test -timeout 120s -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 100x "$2"
 }
 fuzz FuzzRestore ./internal/scorecache/
 fuzz FuzzStoreKey ./internal/scorecache/
+fuzz FuzzStoreTable ./internal/scorecache/
 fuzz FuzzExplainRequest ./internal/server/
 fuzz FuzzRing ./internal/cluster/
 fuzz FuzzLevenshteinDistance ./internal/strutil/

@@ -13,9 +13,14 @@ import (
 // heap: the fixture's 16 pairs are explained on a fresh scoring service
 // (20,720 scores), its snapshot is restored into another fresh service,
 // and the heap that service holds after a full collection, divided by
-// the scores restored, must stay at or under 300 bytes. Keyed by its
+// the scores restored, must stay at or under 200 bytes. Keyed by its
 // canonical content, a stored score held about 600 bytes; keyed by
-// interned value ids it holds about 260, interned strings included.
+// interned value ids, in an entry object of its own with its key
+// string, about 230; in a stripe's arena, record slab and index, about
+// 190, interned strings included. The same service must also hold
+// fewer heap objects than scores: the stripes' flat parts are a
+// handful of objects each, so nearly all that remains is the interned
+// strings, where an entry per score made 2.4 objects per score.
 func TestRestoredScoreHeapBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
@@ -34,27 +39,31 @@ func TestRestoredScoreHeapBytes(t *testing.T) {
 	// Two collections: the first moves sync.Pool contents to the victim
 	// cache, the second frees them. The snapshot bytes stay live across
 	// both readings, so the difference is the restored service alone.
-	liveHeap := func() int64 {
+	liveHeap := func() (bytes, objects int64) {
 		var m runtime.MemStats
 		runtime.GC()
 		runtime.GC()
 		runtime.ReadMemStats(&m)
-		return int64(m.HeapAlloc)
+		return int64(m.HeapAlloc), int64(m.HeapObjects)
 	}
-	before := liveHeap()
+	before, beforeObjs := liveHeap()
 	svc := certa.NewScoringService(f.model, certa.ScoringServiceOptions{})
 	n, err := svc.Restore(bytes.NewReader(snap.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
-	after := liveHeap()
+	after, afterObjs := liveHeap()
 	runtime.KeepAlive(svc)
 	runtime.KeepAlive(&snap)
 
-	const bound = 300
+	const bound = 200
 	perScore := float64(after-before) / float64(n)
-	t.Logf("%d scores restored, %.0f live heap bytes each (bound %d)", n, perScore, bound)
+	objs := afterObjs - beforeObjs
+	t.Logf("%d scores restored, %.0f live heap bytes each (bound %d), %d heap objects", n, perScore, bound, objs)
 	if n == 0 || perScore > bound {
 		t.Errorf("a restored score holds %.0f bytes of live heap over %d scores, want <= %d", perScore, n, bound)
+	}
+	if objs >= int64(n) {
+		t.Errorf("restoring %d scores added %d heap objects, want fewer than the scores", n, objs)
 	}
 }
