@@ -369,6 +369,9 @@ func (e *Explainer) ExplainContext(ctx context.Context, m explain.Model, p recor
 	if err != nil {
 		return nil, err
 	}
+	// The view's key set goes back to the pool for the next explanation;
+	// nothing below hands the view to another goroutine.
+	defer sc.Release()
 	bud := newRunBudget(sc, e.opts)
 	prog := &progress{}
 	// Telemetry spans time the stages of this explanation when the
@@ -539,15 +542,29 @@ func (e *Explainer) exploreSide(ctx context.Context, bud *runBudget, prog *progr
 	// asked: the keyers assemble each question's store key without
 	// cloning a record, so the view and the shared store answer
 	// known subsets with zero materialization — pairs are built only for
-	// true misses.
+	// true misses. A level's keys are written into one builder and cut
+	// from its string.
 	keyers := make([]*scorecache.PerturbKeyer, len(supports))
 	for i, w := range supports {
 		keyers[i] = sc.PerturbKeyer(p, side, w)
 	}
+	var keys []string
 	oracle := func(qs []lattice.Query) ([]bool, error) {
-		keys := make([]string, len(qs))
-		for i, q := range qs {
-			keys[i] = keyers[q.Lattice].Key(uint32(q.Mask))
+		n := 0
+		for _, q := range qs {
+			n += keyers[q.Lattice].Len()
+		}
+		var b strings.Builder
+		b.Grow(n)
+		for _, q := range qs {
+			keyers[q.Lattice].WriteKey(&b, uint32(q.Mask))
+		}
+		all := b.String()
+		keys = keys[:0]
+		for _, q := range qs {
+			k := keyers[q.Lattice].Len()
+			keys = append(keys, all[:k])
+			all = all[k:]
 		}
 		// The lock-step exploration batches one level at a time, so one
 		// oracle call is one lattice level across every triangle.
@@ -666,21 +683,26 @@ func (e *Explainer) buildCounterfactuals(ctx context.Context, sc *scorecache.Sco
 		counts = right
 	}
 	mask := maskFor(counts.attrs, best.Attrs)
+	// Every perturbation keeps the free record's schema and ID and the
+	// fixed record, so two are the same record exactly when their store
+	// keys are equal.
 	var cps []record.Pair
+	var keys []string
 	seen := make(map[string]bool)
 	for _, w := range counts.supports[mask] {
 		cp := perturb(p, best.Side, w, counts.attrs, mask)
-		key := cp.Record(best.Side).String()
+		key := sc.Key(cp)
 		if seen[key] {
 			continue // identical perturbations from duplicate supports
 		}
 		seen[key] = true
 		cps = append(cps, cp)
+		keys = append(keys, key)
 	}
 	if len(cps) == 0 {
 		return nil, nil
 	}
-	scores, err := sc.ScoreBatchContext(ctx, cps)
+	scores, err := sc.ScoreBatchKeyedContext(ctx, keys, func(i int) record.Pair { return cps[i] })
 	if err != nil {
 		return nil, err
 	}

@@ -3,11 +3,11 @@ package core
 import (
 	"context"
 	"strconv"
+	"strings"
 
 	"certa/internal/neighborhood"
 	"certa/internal/record"
 	"certa/internal/scorecache"
-	"certa/internal/strutil"
 	"certa/internal/telemetry"
 )
 
@@ -96,7 +96,9 @@ const prunePatience = 6
 //
 // The scan is key-first: a buffered candidate is a descriptor, keyed
 // from its source record's values by a SupportKeyer, and its record is
-// built only when the model must score it or it is accepted.
+// built only when the model must score it or it is accepted. A flush
+// writes the chunk's keys into one builder and cuts each from its
+// string, reusing the key slice of earlier flushes.
 type supportScan struct {
 	ctx   context.Context
 	bud   *runBudget
@@ -109,7 +111,8 @@ type supportScan struct {
 
 	chunk   int
 	pending []candidate
-	recOrds []int // per pending candidate: ordinal of its source record
+	recOrds []int    // per pending candidate: ordinal of its source record
+	keys    []string // per pending candidate: its store key, during a flush
 	out     []*record.Record
 	scored  int  // candidates actually scored (chunk overscan included)
 	done    bool // want reached or stream abandoned; later candidates are ignored
@@ -134,23 +137,24 @@ type supportScan struct {
 }
 
 // candidate describes one support candidate without building it: the
-// source record itself (attr < 0) or a token-drop variant of it, with
-// value val at index attr and the augmentation ordinal that names it.
+// source record itself (attr < 0) or a token-drop variant of it, whose
+// value at index attr is the string of the keyer's id val, and the
+// augmentation ordinal that names it.
 type candidate struct {
 	src  *record.Record
 	attr int
-	val  string
+	val  uint32
 	aug  int
 }
 
 // build materializes the candidate record: the source record itself, or
 // a copy carrying the variant value and the ID "<src>#aug<ordinal>".
-func (c candidate) build() *record.Record {
+func (s *supportScan) build(c candidate) *record.Record {
 	if c.attr < 0 {
 		return c.src
 	}
 	r := c.src.Clone()
-	r.Values[c.attr] = c.val
+	r.Values[c.attr] = s.keyer.Value(c.val)
 	r.ID = c.src.ID + "#aug" + strconv.Itoa(c.aug)
 	return r
 }
@@ -195,12 +199,26 @@ func (s *supportScan) flush() {
 		s.recOrds = s.recOrds[:0]
 		return
 	}
-	keys := make([]string, len(s.pending))
-	for i, c := range s.pending {
-		keys[i] = s.keyer.Key(c.src, c.attr, c.val)
+	n := 0
+	for _, c := range s.pending {
+		n += s.keyer.Len(c.src)
 	}
-	scores, err := s.sc.ScoreBatchKeyedContext(s.ctx, keys, func(i int) record.Pair {
-		return s.p.WithRecord(s.side, s.pending[i].build())
+	var b strings.Builder
+	b.Grow(n)
+	for _, c := range s.pending {
+		s.keyer.WriteKey(&b, c.src, c.attr, c.val)
+	}
+	// The keys are substrings of one string: the view borrows them, and
+	// the store copies the ones it claims.
+	all := b.String()
+	s.keys = s.keys[:0]
+	for _, c := range s.pending {
+		k := s.keyer.Len(c.src)
+		s.keys = append(s.keys, all[:k])
+		all = all[k:]
+	}
+	scores, err := s.sc.ScoreBatchKeyedContext(s.ctx, s.keys, func(i int) record.Pair {
+		return s.p.WithRecord(s.side, s.build(s.pending[i]))
 	})
 	if err != nil {
 		s.err = err
@@ -227,7 +245,7 @@ func (s *supportScan) flush() {
 		}
 		if (score > 0.5) != s.y {
 			s.recEligible = true
-			s.out = append(s.out, s.pending[i].build())
+			s.out = append(s.out, s.build(s.pending[i]))
 			if len(s.out) >= s.want {
 				s.done = true
 				break
@@ -331,7 +349,6 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 	stream := e.augmentedStream(ctx, p, side, y)
 	generated := 0
 	augID := 0
-	var starts []int
 	for !scan.done && generated < budget {
 		w, ok := stream.Next()
 		if !ok {
@@ -345,25 +362,16 @@ func (e *Explainer) augmentedSupports(ctx context.Context, bud *runBudget, prog 
 			if scan.done || generated >= budget {
 				break
 			}
+			// The first-k and last-k token drops of the value, in
+			// strutil.TokenDrops order, derived once per Service.
 			ai := w.Schema.AttrIndex(a)
-			toks := strutil.Tokenize(w.Values[ai])
-			n := len(toks)
-			if n < 2 {
-				continue
-			}
-			// Drop the first k and the last k tokens (k < n, so neither
-			// variant is empty): both are substrings of the joined value.
-			joined := strutil.JoinTokens(toks)
-			starts = strutil.TokenStarts(starts[:0], toks)
-			for k := 1; k < n && !scan.done && generated < budget; k++ {
-				for _, variant := range [2]string{joined[starts[k]:], joined[:starts[n-k]-1]} {
-					if scan.done || generated >= budget {
-						break
-					}
-					scan.add(candidate{src: w, attr: ai, val: variant, aug: augID})
-					augID++
-					generated++
+			for _, id := range scan.keyer.Variants(w, ai) {
+				if scan.done || generated >= budget {
+					break
 				}
+				scan.add(candidate{src: w, attr: ai, val: id, aug: augID})
+				augID++
+				generated++
 			}
 		}
 	}

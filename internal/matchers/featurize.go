@@ -135,7 +135,8 @@ func (f *deepMatcherFeat) appendFeatures(dst []float64, p record.Pair, c *caches
 // values from one row to the next, so it compares each value pair with
 // the previous row's: an unchanged pair copies the previous row's block
 // without a lookup, and an unchanged side reuses that side's text
-// entry.
+// entry. Each reused value still counts as a text memo lookup and hit,
+// so the memo's counters do not depend on where batches are cut.
 func (f *deepMatcherFeat) appendBatch(dst []float64, pairs []record.Pair, c *caches) []float64 {
 	sc := dmScratchPool.Get().(*dmScratch)
 	if cap(sc.prev) < len(f.attrs) {
@@ -143,6 +144,7 @@ func (f *deepMatcherFeat) appendBatch(dst []float64, pairs []record.Pair, c *cac
 	}
 	prev := sc.prev[:len(f.attrs)]
 	width := f.dim()
+	reused := 0
 	for i, p := range pairs {
 		li := sc.left.resolve(p.Left.Schema, f.attrs)
 		ri := sc.right.resolve(p.Right.Schema, f.attrs)
@@ -152,17 +154,23 @@ func (f *deepMatcherFeat) appendBatch(dst []float64, pairs []record.Pair, c *cac
 			if i > 0 && lv == s.lv && rv == s.rv {
 				at := len(dst) - width
 				dst = append(dst, dst[at:at+dmBlock]...)
+				reused += 2
 				continue
 			}
 			if i == 0 || lv != s.lv {
 				s.lv, s.l = lv, c.entry(lv)
+			} else {
+				reused++
 			}
 			if i == 0 || rv != s.rv {
 				s.rv, s.r = rv, c.entry(rv)
+			} else {
+				reused++
 			}
 			dst = c.appendBlock(dst, s.l, s.r, lv, rv)
 		}
 	}
+	c.texts.AddHits(reused)
 	// Drop the batch's strings and vectors before pooling the scratch.
 	clear(prev)
 	sc.left, sc.right = dmSchema{idx: sc.left.idx[:0]}, dmSchema{idx: sc.right.idx[:0]}

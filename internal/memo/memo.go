@@ -74,6 +74,12 @@ func (m *Memo[K, V]) Get(k K, f func(K) V) V {
 	return v
 }
 
+// AddHits counts n lookups that the caller answered itself from values
+// an earlier Get returned, such as a batch reusing the previous row's
+// value, as lookups and hits. Lookups then count every value the
+// caller needed, however its batches reuse them.
+func (m *Memo[K, V]) AddHits(n int) { m.stripes[0].lookups.Add(int64(n)) }
+
 // Stats is a snapshot of a memo's activity. Misses counts stored
 // entries, and a Get that lost a race to store its key counts as a
 // hit, so Lookups = Hits + Misses and Misses = Entries.

@@ -7,6 +7,7 @@ import (
 	"sync"
 
 	"certa/internal/record"
+	"certa/internal/strutil"
 )
 
 // The store key format. A record is its name id, its value count and
@@ -116,11 +117,40 @@ func (s *Service) key(p record.Pair) string {
 }
 
 // tableRecord is a table record's store-key words, resolved once per
-// Service and kept with the strings they were resolved from.
+// Service and kept with the strings they were resolved from, and the
+// ids of its values' token-drop variants (SupportKeyer.Variants),
+// derived on first request per attribute. A record mutated after it
+// was keyed fails current and gets a fresh tableRecord, which derives
+// its variants again. The variant ids live as long as the Service, like
+// the interner: they grow with the table records scanned, not with
+// uptime.
 type tableRecord struct {
 	name  string
 	vals  []string
 	words string
+
+	mu    sync.Mutex // guards drops; taken before the interner's lock
+	drops [][]uint32 // per value: its variants' ids, nil until derived
+}
+
+// variants returns the ids of strutil.TokenDrops(c.vals[at]), interning
+// them through in on the first request for at.
+func (c *tableRecord) variants(at int, in *interner) []uint32 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.drops == nil {
+		c.drops = make([][]uint32, len(c.vals))
+	}
+	ids := c.drops[at]
+	if ids == nil {
+		drops := strutil.TokenDrops(c.vals[at])
+		ids = make([]uint32, len(drops)) // non-nil even when empty: derived
+		for i, d := range drops {
+			ids[i] = in.id(d)
+		}
+		c.drops[at] = ids
+	}
+	return ids
 }
 
 // current reports whether c still holds r's name and values. It

@@ -1,6 +1,8 @@
 package scorecache
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -93,7 +95,8 @@ func TestNonCanonicalKeysStayOpaque(t *testing.T) {
 // TestTableRecordRekeyedAfterMutation shows the SupportKeyer's record
 // cache is re-checked against the record's current strings: a record
 // whose value or schema changes after it was keyed is keyed from its
-// new content, and restoring the old content restores the old key.
+// new content, and restoring the old content restores the old key. A
+// changed value also derives its token-drop variants again.
 func TestTableRecordRekeyedAfterMutation(t *testing.T) {
 	view := NewService(&countingModel{}, ServiceOptions{}).NewScorer(Options{})
 	p := pairOf("x", "y")
@@ -121,13 +124,32 @@ func TestTableRecordRekeyedAfterMutation(t *testing.T) {
 	if check("after a schema change") == before {
 		t.Fatal("a changed schema name kept the cached key")
 	}
+
+	variants := func() []string {
+		var out []string
+		for _, id := range keyer.Variants(w, 1) {
+			out = append(out, keyer.Value(id))
+		}
+		return out
+	}
+	w.Values[1] = "p q r"
+	if got, want := variants(), []string{"q r", "p q", "r", "p"}; !slices.Equal(got, want) {
+		t.Fatalf("variants of %q = %q, want %q", w.Values[1], got, want)
+	}
+	w.Values[1] = "s t"
+	if got, want := variants(), []string{"t", "s"}; !slices.Equal(got, want) {
+		t.Fatalf("after a value change, variants of %q = %q, want %q", w.Values[1], got, want)
+	}
 }
 
 // TestConcurrentSupportKeyers keys the same table records from several
 // goroutines at once (run with -race -count=10): each goroutine's
 // SupportKeyer shares the Service's interner and record cache with the
-// others, and every key must equal the view's Key of the materialized
-// candidate.
+// others, and every key, of a record or of one of its Variants ids,
+// must equal the view's Key of the materialized candidate. Each
+// goroutine releases its views and opens new ones, so key sets pass
+// between goroutines through the pool, and every view's Stats must read
+// as a private cache's.
 func TestConcurrentSupportKeyers(t *testing.T) {
 	svc := NewService(&countingModel{}, ServiceOptions{})
 	table := make([]*record.Record, 40)
@@ -140,21 +162,50 @@ func TestConcurrentSupportKeyers(t *testing.T) {
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
-			view := svc.NewScorer(Options{})
+			side := record.Side(g % 2)
 			p := pairOf("fixed", strings.Repeat("f", g))
-			keyer := view.SupportKeyer(p, record.Side(g%2))
-			for i, w := range table {
-				at, v := -1, ""
-				cand := w
-				if (i+g)%3 == 0 {
-					at, v = 1, "x y z"[:1+(i+g)%5]
-					cand = w.Clone()
-					cand.Values[at] = v
+			for round := 0; round < 3; round++ {
+				view := svc.NewScorer(Options{})
+				keyer := view.SupportKeyer(p, side)
+				var pairs []record.Pair
+				for i, w := range table {
+					at, v := -1, ""
+					cand := w
+					if (i+g)%3 == 0 {
+						at, v = 1, "x y z"[:1+(i+g)%5]
+						cand = w.Clone()
+						cand.Values[at] = v
+					}
+					if got, want := keyer.Key(w, at, v), view.Key(p.WithRecord(side, cand)); got != want {
+						t.Errorf("goroutine %d record %d: keyer %q, view key %q", g, i, got, want)
+						return
+					}
+					pairs = append(pairs, p.WithRecord(side, cand))
+					for _, id := range keyer.Variants(w, 1) {
+						cand := w.Clone()
+						cand.Values[1] = keyer.Value(id)
+						var b strings.Builder
+						keyer.WriteKey(&b, w, 1, id)
+						if got, want := b.String(), view.Key(p.WithRecord(side, cand)); got != want {
+							t.Errorf("goroutine %d record %d variant %q: keyer %q, view key %q", g, i, cand.Values[1], got, want)
+							return
+						}
+					}
 				}
-				if got, want := keyer.Key(w, at, v), view.Key(p.WithRecord(record.Side(g%2), cand)); got != want {
-					t.Errorf("goroutine %d record %d: keyer %q, view key %q", g, i, got, want)
+				if _, err := view.ScoreBatchContext(context.Background(), pairs); err != nil {
+					t.Error(err)
 					return
 				}
+				unique := make(map[string]bool)
+				for _, q := range pairs {
+					unique[Key(q)] = true
+				}
+				want := Stats{Lookups: len(pairs), Hits: len(pairs) - len(unique), Misses: len(unique), Batches: 1}
+				if got := view.Stats(); got != want {
+					t.Errorf("goroutine %d round %d: view stats %+v, want %+v", g, round, got, want)
+					return
+				}
+				view.Release()
 			}
 		}(g)
 	}

@@ -101,13 +101,15 @@ func decLen(n int) int {
 // The keyer resolves, once per (pair, side, support record), the words
 // before and after the perturbed record's value ids (the other side's
 // record and the schema header) and two value ids per attribute: the
-// free record's value and the support record's value. Key(mask) then
-// concatenates head + the mask-selected id per attribute + tail, equal
+// free record's value and the support record's value. WriteKey(b, mask)
+// then writes head + the mask-selected id per attribute + tail, equal
 // to the view's Key of perturb(pair, side, support, attrs, mask) — the
 // property test TestPerturbKeyerMatchesMaterializedKey gates this. The
-// mask is a plain uint32 in lattice bit order (bit i selects the
-// support's value for Schema.Attrs[i]), kept untyped here so the cache
-// layer stays independent of the lattice package.
+// lattice oracle writes a whole level's keys into one builder and cuts
+// each key from its string, so a level costs one key allocation, not
+// one per question. The mask is a plain uint32 in lattice bit order
+// (bit i selects the support's value for Schema.Attrs[i]), kept untyped
+// here so the cache layer stays independent of the lattice package.
 type PerturbKeyer struct {
 	head string
 	tail string
@@ -140,17 +142,25 @@ func (s *Scorer) PerturbKeyer(p record.Pair, side record.Side, w *record.Record)
 	return &PerturbKeyer{head: string(head), tail: string(tail), ids: ids}
 }
 
-// Key assembles the store key for the subset mask: bit i selects the
-// support record's value for attribute i, a zero bit keeps the free
+// Len is the length of every key the keyer writes.
+func (k *PerturbKeyer) Len() int { return len(k.head) + 4*len(k.ids) + len(k.tail) }
+
+// WriteKey writes the store key for the subset mask to b: bit i selects
+// the support record's value for attribute i, a zero bit keeps the free
 // record's own value.
-func (k *PerturbKeyer) Key(mask uint32) string {
-	var b strings.Builder
-	b.Grow(len(k.head) + 4*len(k.ids) + len(k.tail))
+func (k *PerturbKeyer) WriteKey(b *strings.Builder, mask uint32) {
 	b.WriteString(k.head)
 	for i := range k.ids {
-		writeWord(&b, k.ids[i][(mask>>uint(i))&1])
+		writeWord(b, k.ids[i][(mask>>uint(i))&1])
 	}
 	b.WriteString(k.tail)
+}
+
+// Key returns the store key for the subset mask, as WriteKey writes it.
+func (k *PerturbKeyer) Key(mask uint32) string {
+	var b strings.Builder
+	b.Grow(k.Len())
+	k.WriteKey(&b, mask)
 	return b.String()
 }
 
@@ -159,14 +169,19 @@ func (k *PerturbKeyer) Key(mask uint32) string {
 // for a token-drop variant, the candidate record. The support scan asks
 // one score question per candidate and the store answers most of them,
 // so the keyer resolves the fixed record's ids once and takes each
-// candidate's from the Service's cache of table records, which hashes
-// no value bytes: only a token-drop variant's new value is interned.
-// The scan keys a record's token-drop variants one after another, so
-// the keyer also keeps the last record it looked up. Records are built
+// candidate's from the Service's cache of table records (tableRecord),
+// which hashes no value bytes. A token-drop variant is named by its
+// interned id: Variants returns the ids of a table value's variants,
+// derived once per Service, record and attribute, and Value reads a
+// variant back for the records the model must score. The scan writes a
+// chunk's keys into one builder (WriteKey) and cuts each from its
+// string. The keyer also keeps the last record it looked up, since the
+// scan keys a record's variants one after another. Records are built
 // only for the model and for accepted supports.
 //
 // A SupportKeyer is not safe for concurrent use; each scan takes its
-// own.
+// own. The table records it resolves are shared by every keyer of the
+// Service.
 type SupportKeyer struct {
 	svc   *Service
 	side  record.Side // the side candidates take
@@ -183,16 +198,34 @@ func (s *Scorer) SupportKeyer(p record.Pair, side record.Side) *SupportKeyer {
 	return &SupportKeyer{svc: s.svc, side: side, fixed: string(fixed)}
 }
 
-// Key returns the view's Key of p.WithRecord(side, c), where c is the
-// table record w with the value at index at replaced by v; at < 0 keys
-// w itself.
-func (k *SupportKeyer) Key(w *record.Record, at int, v string) string {
+// record returns w's cached table record.
+func (k *SupportKeyer) record(w *record.Record) *tableRecord {
 	if w != k.last || !k.lastRec.current(w) {
 		k.last, k.lastRec = w, k.svc.tableRecord(w)
 	}
-	rec := k.lastRec.words
-	var b strings.Builder
-	b.Grow(len(rec) + len(k.fixed))
+	return k.lastRec
+}
+
+// Variants returns the ids of strutil.TokenDrops(w.Values[at]), in that
+// order. The ids are derived on the Service's first request for w's
+// attribute at and shared by every later one; the slice is read-only.
+func (k *SupportKeyer) Variants(w *record.Record, at int) []uint32 {
+	return k.record(w).variants(at, &k.svc.strs)
+}
+
+// Value returns the string an id of Variants stands for.
+func (k *SupportKeyer) Value(id uint32) string { return k.svc.strs.table()[id] }
+
+// Len is the length of the key WriteKey writes for a candidate taken
+// from w.
+func (k *SupportKeyer) Len(w *record.Record) int { return len(k.fixed) + 8 + 4*len(w.Values) }
+
+// WriteKey writes to b the view's Key of p.WithRecord(side, c), where c
+// is the table record w with the value at index at replaced by the
+// string of id (an id of Variants or of Key's interning); at < 0 keys w
+// itself and ignores id.
+func (k *SupportKeyer) WriteKey(b *strings.Builder, w *record.Record, at int, id uint32) {
+	rec := k.record(w).words
 	if k.side == record.Right {
 		b.WriteString(k.fixed)
 	}
@@ -201,11 +234,24 @@ func (k *SupportKeyer) Key(w *record.Record, at int, v string) string {
 	} else {
 		off := 8 + 4*at // past the name id and the value count
 		b.WriteString(rec[:off])
-		writeWord(&b, k.svc.strs.id(v))
+		writeWord(b, id)
 		b.WriteString(rec[off+4:])
 	}
 	if k.side == record.Left {
 		b.WriteString(k.fixed)
 	}
+}
+
+// Key returns the view's Key of p.WithRecord(side, c), where c is the
+// table record w with the value at index at replaced by v; at < 0 keys
+// w itself. It is WriteKey with v interned.
+func (k *SupportKeyer) Key(w *record.Record, at int, v string) string {
+	var id uint32
+	if at >= 0 {
+		id = k.svc.strs.id(v)
+	}
+	var b strings.Builder
+	b.Grow(k.Len(w))
+	k.WriteKey(&b, w, at, id)
 	return b.String()
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"certa/internal/record"
+	"certa/internal/strutil"
 )
 
 // perturbMirror is the reference implementation the keyer must match:
@@ -95,6 +96,9 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 		keyer := view.PerturbKeyer(p, side, w)
 		for mask := uint32(0); mask < 1<<uint(n); mask++ {
 			got := keyer.Key(mask)
+			if len(got) != keyer.Len() {
+				t.Fatalf("trial %d mask %b: key of %d bytes, Len %d", trial, mask, len(got), keyer.Len())
+			}
 			mat := perturbMirror(p, side, w, mask)
 			if want := view.Key(mat); got != want {
 				t.Fatalf("trial %d side %v mask %b:\nkeyer %q\nwant  %q", trial, side, mask, got, want)
@@ -110,15 +114,17 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 // gate: for random schemas and values (multi-digit lengths, the
 // framing bytes ;:#| and non-ASCII included), both sides, natural and
 // value-overridden candidates and nil fixed records, the keyer's key
-// equals the view's Key of the materialized pair and renders to its
-// canonical Key.
+// equals the view's Key of the materialized pair, renders to its
+// canonical Key and is Len bytes long. The same holds for the key of
+// every Variants id of every attribute, whose Value is the
+// strutil.TokenDrops string at the same position.
 func TestSupportKeyerMatchesMaterializedKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	view := NewService(&countingModel{}, ServiceOptions{}).NewScorer(Options{})
 	alphabet := []string{
 		"", "x", "3#S", ";1:x", "a|b", "<nil>", "é", "日本語", "\xff\xfe",
 		strings.Repeat("z", 9), strings.Repeat("y", 10), strings.Repeat("w;", 60),
-		strings.Repeat("日", 40),
+		strings.Repeat("日", 40), "Sony DSC-W55 ; 4000", "  a  B\tc ", "NaN x", "x NaN",
 	}
 	pick := func() string { return alphabet[rng.Intn(len(alphabet))] }
 	vals := func(k int) []string {
@@ -164,6 +170,28 @@ func TestSupportKeyerMatchesMaterializedKey(t *testing.T) {
 			}
 			if got, want := render(view, got), Key(mat); got != want {
 				t.Fatalf("trial %d side %v at %d renders\n%q\nwant %q", trial, side, at, got, want)
+			}
+			if len(got) != keyer.Len(w) {
+				t.Fatalf("trial %d side %v at %d: key of %d bytes, Len %d", trial, side, at, len(got), keyer.Len(w))
+			}
+			for ai := range w.Values {
+				ids := keyer.Variants(w, ai)
+				drops := strutil.TokenDrops(w.Values[ai])
+				if len(ids) != len(drops) {
+					t.Fatalf("trial %d: %d variant ids of %q, want %d", trial, len(ids), w.Values[ai], len(drops))
+				}
+				for i, id := range ids {
+					if got := keyer.Value(id); got != drops[i] {
+						t.Fatalf("trial %d at %d variant %d: Value %q, want %q", trial, ai, i, got, drops[i])
+					}
+					cand := w.Clone()
+					cand.Values[ai] = drops[i]
+					var b strings.Builder
+					keyer.WriteKey(&b, w, ai, id)
+					if got, want := b.String(), view.Key(p.WithRecord(side, cand)); got != want {
+						t.Fatalf("trial %d at %d variant %q:\nkeyer %q\nwant  %q", trial, ai, drops[i], got, want)
+					}
+				}
 			}
 		}
 	}

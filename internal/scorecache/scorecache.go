@@ -63,6 +63,23 @@
 // read path into the store, and the capacity bound covers every entry
 // the service holds.
 //
+// A warm re-explanation is all store hits, so what it pays is building
+// and looking up its questions, and the layer derives nothing twice:
+//
+//   - A Service caches each table record it keys (tableRecord): its
+//     words, and per attribute the interned ids of the value's
+//     token-drop variants, derived on first request. After a Service
+//     first sees a record, the augmented support scan neither
+//     tokenizes it nor hashes a variant. These ids live as long as the
+//     Service, like the interner.
+//   - The keyers write a chunk's keys (one support-scan flush, one
+//     lattice level) into one builder, and the caller cuts each key
+//     from its string: one allocation per chunk, not one per question.
+//     The view borrows those keys; the store copies the ones it claims.
+//   - Scorer.Release returns a finished view's key set, cleared, to a
+//     pool that the next view takes it from, so a view does not regrow
+//     its set from a few slots for every explanation.
+//
 // Both layers are cancellation-aware (explain.ContextModel): waits on
 // another explanation's in-flight computation return ctx.Err() as soon
 // as the caller's context is cancelled, and a cancelled evaluation never
@@ -126,15 +143,46 @@ func (s Stats) HitRate() float64 {
 // implements explain.Model and explain.BatchModel and is safe for
 // concurrent use, though the intended pattern is one Scorer per
 // explanation so cache statistics stay deterministic.
+// The view's key set borrows its callers' key strings (cut from one
+// string per chunk) and comes from, and goes back to, a pool of key
+// sets (Release).
 type Scorer struct {
 	svc  *Service
 	opts Options
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	viewSet
+	flying []span // the slots of batches still scoring
+	stats  Stats
+}
+
+// viewSet is a view's key set and score slots, pooled across views.
+type viewSet struct {
 	local  table[int] // the view's key set, under svc's key hashes: key -> index into scores
 	scores []float64  // each batch appends one slot per unique miss
-	flying []span     // the slots of batches still scoring
-	stats  Stats
+}
+
+// viewSets holds the key sets of released views. A set comes back
+// empty but keeps its slots, so the next view fills it without growing.
+var viewSets = sync.Pool{New: func() any { return new(viewSet) }}
+
+// Release empties the view and returns its key set and score slots to
+// a pool for the next view. The key set's slots are cleared, dropping
+// the borrowed key strings, and the scores truncated. Call it once no
+// batch of the view is in flight and nothing will use the view again:
+// a view used after Release starts over with an empty key set.
+func (s *Scorer) Release() {
+	s.mu.Lock()
+	set := s.viewSet
+	s.viewSet = viewSet{}
+	s.mu.Unlock()
+	if set.local.slots == nil {
+		return // never scored: nothing worth pooling
+	}
+	clear(set.local.slots)
+	set.local.n = 0
+	set.scores = set.scores[:0]
+	viewSets.Put(&set)
 }
 
 // span is one in-flight batch's slots of a view's scores, [lo, hi).

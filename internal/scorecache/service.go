@@ -175,12 +175,14 @@ func (s *Service) InternedValues() int { return len(s.strs.table()) }
 // view's Stats are computed against its own private key set, so they are
 // exactly what a private cache would have reported — deterministic and
 // independent of concurrent explanations — while the underlying scoring
-// is deduplicated across every view of the Service.
+// is deduplicated across every view of the Service. The key set comes
+// from the pool that Scorer.Release fills, empty.
 func (s *Service) NewScorer(opts Options) *Scorer {
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = 1
 	}
-	return &Scorer{svc: s, opts: opts}
+	set := viewSets.Get().(*viewSet)
+	return &Scorer{svc: s, opts: opts, viewSet: *set}
 }
 
 // Score implements explain.Model through the shared store.

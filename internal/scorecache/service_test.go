@@ -570,3 +570,58 @@ func TestCancelledViewBatchLeavesNoKeys(t *testing.T) {
 		t.Fatalf("stats went %+v -> %+v, want two more misses and no hit", before, st)
 	}
 }
+
+// TestReleasedViewStartsEmpty pins Release: a view that takes a
+// released key set starts empty. The keys the released view scored,
+// also after one of its batches was cancelled, are misses in the next
+// view's Stats, as in a private cache, and the store answers them
+// without calling the model.
+func TestReleasedViewStartsEmpty(t *testing.T) {
+	m := &ctxModel{poison: "bad", blocked: make(chan struct{}, 1)}
+	svc := NewService(m, ServiceOptions{})
+	scored := []record.Pair{pairOf("k1", "1"), pairOf("k2", "1"), pairOf("k3", "1")}
+	reused := 0
+	for round := 0; round < 20; round++ {
+		view := svc.NewScorer(Options{})
+		if _, err := view.ScoreBatchContext(context.Background(), scored); err != nil {
+			t.Fatal(err)
+		}
+		// A batch cancelled in the model leaves the view holding the
+		// keys of its earlier batch.
+		m.armed.Store(true)
+		ctx, cancel := context.WithCancel(context.Background())
+		go func() {
+			<-m.blocked
+			cancel()
+		}()
+		if _, err := view.ScoreBatchContext(ctx, []record.Pair{pairOf("bad", "1"), scored[0]}); !errors.Is(err, context.Canceled) {
+			t.Fatalf("round %d: err = %v, want context.Canceled", round, err)
+		}
+		view.Release()
+
+		next := svc.NewScorer(Options{})
+		if len(next.local.slots) > 0 {
+			reused++
+		}
+		before := m.invocations.Load()
+		got, err := next.ScoreBatchContext(context.Background(), scored)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, p := range scored {
+			if got[i] != m.Score(p) {
+				t.Fatalf("round %d: score %d = %v, want %v", round, i, got[i], m.Score(p))
+			}
+		}
+		if want := (Stats{Lookups: 3, Misses: 3, Batches: 1}); next.Stats() != want {
+			t.Fatalf("round %d: a view after Release reads %+v, want %+v", round, next.Stats(), want)
+		}
+		if n := m.invocations.Load() - before; n != 0 {
+			t.Fatalf("round %d: %d model calls for stored keys", round, n)
+		}
+		next.Release()
+	}
+	if reused == 0 {
+		t.Fatal("no view took a released key set")
+	}
+}

@@ -111,19 +111,33 @@ func JoinTokens(tokens []string) string {
 	return strings.Join(tokens, " ")
 }
 
-// TokenStarts appends to dst the byte offset at which each token starts
-// in JoinTokens(tokens) and returns the extended slice. For Tokenize's
-// output (non-empty tokens without spaces, joined by single spaces) and
-// 0 < k < len(tokens), JoinTokens(tokens[k:]) is joined[starts[k]:] and
-// JoinTokens(tokens[:k]) is joined[:starts[k]-1], so every token-drop
-// variant of a value is a substring of one joined string.
-func TokenStarts(dst []int, tokens []string) []int {
+// TokenDrops returns the token-drop variants of v that CERTA's data
+// augmentation derives (§3.3): for k = 1..n-1, where n is the number
+// of tokens of v, the value without its first k tokens and then the
+// value without its last k tokens, each joined like JoinTokens. Every
+// variant is a substring of one joined string. A value with fewer than
+// two tokens, a missing one included, has none.
+func TokenDrops(v string) []string {
+	toks := Tokenize(v)
+	n := len(toks)
+	if n < 2 {
+		return nil
+	}
+	// Tokens are non-empty, hold no space and are joined by single
+	// spaces, so token k starts at starts[k] of the joined value, and the
+	// first k tokens end one byte before it.
+	joined := JoinTokens(toks)
+	starts := make([]int, n)
 	off := 0
-	for _, t := range tokens {
-		dst = append(dst, off)
+	for i, t := range toks {
+		starts[i] = off
 		off += len(t) + 1
 	}
-	return dst
+	out := make([]string, 0, 2*(n-1))
+	for k := 1; k < n; k++ {
+		out = append(out, joined[starts[k]:], joined[:starts[n-k]-1])
+	}
+	return out
 }
 
 // TokenSet returns the set of distinct tokens of s.

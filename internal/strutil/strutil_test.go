@@ -261,24 +261,27 @@ func DropLastTokens(s string, k int) string {
 	return JoinTokens(toks[:len(toks)-k])
 }
 
-// TestDropTokensSliceTokenList gates the augmentation scan's
-// tokenize-once form: for 1 <= k < n, slicing one Tokenize result and
-// joining equals the drop operators, which re-tokenize per k, and so
-// does cutting one joined value at the TokenStarts offsets.
+// randomValue draws a value of up to seven words, with runs of spaces,
+// missing-value tokens, unicode and a word holding a tab.
+func randomValue(rng *rand.Rand) string {
+	words := []string{"NaN", "nan", "Sony", "DSC-W55", "é", "ÉTÉ", "日本", "a", "4000", "x\ty", "  ", "\u00a0"}
+	var b strings.Builder
+	for w := rng.Intn(7); w >= 0; w-- {
+		b.WriteString(strings.Repeat(" ", rng.Intn(3)))
+		b.WriteString(words[rng.Intn(len(words))])
+	}
+	return b.String()
+}
+
+// TestDropTokensSliceTokenList gates the tokenize-once form of the
+// augmentation operators: for 1 <= k < n, slicing one Tokenize result
+// and joining equals the drop operators, which re-tokenize per k.
 func TestDropTokensSliceTokenList(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	words := []string{"NaN", "nan", "Sony", "DSC-W55", "é", "ÉTÉ", "日本", "a", "4000", "x\ty", "  ", "\u00a0"}
 	for trial := 0; trial < 2000; trial++ {
-		var b strings.Builder
-		for w := rng.Intn(7); w >= 0; w-- {
-			b.WriteString(strings.Repeat(" ", rng.Intn(3)))
-			b.WriteString(words[rng.Intn(len(words))])
-		}
-		v := b.String()
+		v := randomValue(rng)
 		toks := Tokenize(v)
 		n := len(toks)
-		joined := JoinTokens(toks)
-		starts := TokenStarts(nil, toks)
 		for k := 1; k < n; k++ {
 			if got, want := JoinTokens(toks[k:]), DropFirstTokens(v, k); got != want {
 				t.Fatalf("%q first k=%d: sliced %q, DropFirstTokens %q", v, k, got, want)
@@ -286,12 +289,47 @@ func TestDropTokensSliceTokenList(t *testing.T) {
 			if got, want := JoinTokens(toks[:n-k]), DropLastTokens(v, k); got != want {
 				t.Fatalf("%q last k=%d: sliced %q, DropLastTokens %q", v, k, got, want)
 			}
-			if got, want := joined[starts[k]:], DropFirstTokens(v, k); got != want {
-				t.Fatalf("%q first k=%d: cut from joined %q, DropFirstTokens %q", v, k, got, want)
+		}
+	}
+}
+
+// TestTokenDrops pins TokenDrops' order against the token list: entry
+// 2(k-1) drops the first k tokens and entry 2(k-1)+1 the last k, for
+// k = 1..n-1, and a value with fewer than two tokens (missing values
+// included) has no variant.
+func TestTokenDrops(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	short := 0
+	for trial := 0; trial < 2000; trial++ {
+		v := randomValue(rng)
+		toks := Tokenize(v)
+		n := len(toks)
+		drops := TokenDrops(v)
+		if n < 2 {
+			short++
+			if drops != nil {
+				t.Fatalf("%q has %d tokens but variants %q", v, n, drops)
 			}
-			if got, want := joined[:starts[n-k]-1], DropLastTokens(v, k); got != want {
-				t.Fatalf("%q last k=%d: cut from joined %q, DropLastTokens %q", v, k, got, want)
+			continue
+		}
+		if len(drops) != 2*(n-1) {
+			t.Fatalf("%q: %d variants, want %d", v, len(drops), 2*(n-1))
+		}
+		for k := 1; k < n; k++ {
+			if got, want := drops[2*(k-1)], JoinTokens(toks[k:]); got != want {
+				t.Fatalf("%q first k=%d: %q, want %q", v, k, got, want)
 			}
+			if got, want := drops[2*(k-1)+1], JoinTokens(toks[:n-k]); got != want {
+				t.Fatalf("%q last k=%d: %q, want %q", v, k, got, want)
+			}
+		}
+	}
+	if short == 0 {
+		t.Fatal("no missing or one-token value drawn")
+	}
+	for _, v := range []string{"", "NaN", "  ", "sony"} {
+		if drops := TokenDrops(v); drops != nil {
+			t.Errorf("TokenDrops(%q) = %q, want none", v, drops)
 		}
 	}
 }

@@ -47,6 +47,13 @@ go test -timeout 300s ./...
 echo "== race (context + shared scoring pipeline + retrieval layer + scoring engine + matcher memos + records + HTTP serving + lattice + telemetry + cluster routing) =="
 go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/memo/ ./internal/matchers/ ./internal/record/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
 
+# Variant ids are derived under a per-record lock that several
+# support scans reach at once, and released views' key sets pass
+# between goroutines through a pool; ten passes under the race
+# detector run both.
+echo "== race (variant ids and pooled view key sets, 10 passes) =="
+go test -race -count=10 -timeout 300s -run '^(TestConcurrentSupportKeyers|TestReleasedViewStartsEmpty)$' ./internal/scorecache/
+
 # The lattice-pruning paths specifically, under the race detector at
 # Parallelism 8 (TestLatticePruneDeterministic and friends run inside the
 # package sweeps above too; this names them so a -run filter regression

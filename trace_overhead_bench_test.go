@@ -3,10 +3,12 @@ package certa_test
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
 	"certa"
+	"certa/internal/memo"
 	"certa/internal/telemetry"
 )
 
@@ -136,8 +138,12 @@ func BenchmarkExplainNeverSeen(b *testing.B) {
 // re-explanation on the fixture (a shared service already holding every
 // score, Parallelism 1), where the triangle scan and the lattice are
 // answered by the store: candidates and lattice questions are keyed
-// score lookups that build no records. Before the scan keyed candidates
-// first, this path allocated 33,161 objects; the bound is half of that.
+// score lookups that build no records, a chunk's keys share one string,
+// token-drop variants are ids the service derived on an earlier
+// request, and the view's key set comes from a pool. Before the scan
+// keyed candidates first, this path allocated 33,161 objects; before
+// variant ids, chunk keys and pooled key sets, 6,255 objects and about
+// 991,500 bytes.
 func TestWarmReexplainAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race detector drops sync.Pool puts at random; alloc counts are unreliable")
@@ -151,12 +157,59 @@ func TestWarmReexplainAllocs(t *testing.T) {
 		}
 	}
 	explain() // warm the service
-	const bound = 33161 / 2
-	got := testing.AllocsPerRun(5, explain)
-	t.Logf("%.0f allocations per warm re-explanation (bound %d)", got, bound)
-	if got > bound {
-		t.Errorf("warm re-explanation allocates %.0f objects, want <= %d", got, bound)
+	const runs, objBound, byteBound = 10, 3500, 800000
+	got := testing.AllocsPerRun(runs, explain)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		explain()
 	}
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("%.0f allocations and %d bytes per warm re-explanation (bounds %d and %d)", got, bytes, objBound, byteBound)
+	if got > objBound {
+		t.Errorf("warm re-explanation allocates %.0f objects, want <= %d", got, objBound)
+	}
+	if bytes > byteBound {
+		t.Errorf("warm re-explanation allocates %d bytes, want <= %d", bytes, byteBound)
+	}
+}
+
+// TestEmbeddingStatsIndependentOfParallelism explains the fixture's
+// pairs with a fresh matcher at Parallelism 1 and twice at Parallelism
+// 4, where the engine cuts scoring batches into per-worker shards
+// whose rows depend on timing. The matcher's batch pass reuses the
+// previous row's values, and the embedding memo must count a reused
+// value as the lookup and hit it stands for, so all three runs read
+// the same EmbeddingStats.
+func TestEmbeddingStatsIndependentOfParallelism(t *testing.T) {
+	f := loadTraceBenchFixture(t)
+	state, err := f.model.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func(par int) memo.Stats {
+		model := new(certa.Matcher)
+		if err := model.UnmarshalBinary(state); err != nil {
+			t.Fatal(err)
+		}
+		svc := certa.NewScoringService(model, certa.ScoringServiceOptions{Parallelism: par})
+		opts := certa.Options{Triangles: 100, Seed: 7, Parallelism: par, Shared: svc, Retrieval: f.idx}
+		if _, err := certa.ExplainBatchContext(context.Background(), model, f.bench.Left, f.bench.Right, f.pairs, opts); err != nil {
+			t.Fatal(err)
+		}
+		return model.EmbeddingStats()
+	}
+	p1 := run(1)
+	if p1.Lookups == 0 || p1.Hits == 0 {
+		t.Fatalf("P1 embedding stats %+v: no lookups or hits to compare", p1)
+	}
+	for i := 0; i < 2; i++ {
+		if p4 := run(4); p4 != p1 {
+			t.Fatalf("P4 run %d embedding stats %+v, P1 %+v", i+1, p4, p1)
+		}
+	}
+	t.Logf("embedding stats at P1 and P4: %+v", p1)
 }
 
 // TestTraceOverheadUnderTwoPercent holds per-explanation tracing under
