@@ -41,16 +41,23 @@ servesmoke:
 # batches with a freshly restored model whose matcher memos start empty
 # (BenchmarkExplainNeverSeen: every value pair featurized from scratch).
 # Inspect with `go tool pprof certa.test certa.pprof`.
+# It also writes certa-heap.pprof, a heap profile of the warm run
+# sampled at every allocation: the fixture keeps its warm store and the
+# matcher memos live, so
+# `go tool pprof -sample_index=inuse_space certa.test certa-heap.pprof`
+# splits the live heap exactly between the score store, the block
+# memo, the text memo and the interner.
 profile:
 	$(GO) test -run '^$$' -bench '^BenchmarkExplainPlain$$' -benchtime 32x -cpuprofile certa.pprof .
 	$(GO) test -run '^$$' -bench '^BenchmarkExplainCold$$' -benchtime 32x -cpuprofile certa-cold.pprof .
 	$(GO) test -run '^$$' -bench '^BenchmarkExplainNeverSeen$$' -benchtime 32x -cpuprofile certa-unseen.pprof .
-	@echo "CPU profiles written to certa.pprof (warm), certa-cold.pprof (cold) and certa-unseen.pprof (never-seen)"
+	$(GO) test -run '^$$' -bench '^BenchmarkExplainPlain$$' -benchtime 32x -memprofile certa-heap.pprof -memprofilerate 1 .
+	@echo "CPU profiles written to certa.pprof (warm), certa-cold.pprof (cold) and certa-unseen.pprof (never-seen); live-heap profile to certa-heap.pprof (warm)"
 
 # ci runs the full gate: every stage of scripts/ci.sh, races and smokes included.
 ci:
 	sh scripts/ci.sh
 
 clean:
-	rm -f certa.pprof certa-cold.pprof certa-unseen.pprof certa.test
+	rm -f certa.pprof certa-cold.pprof certa-unseen.pprof certa-heap.pprof certa.test
 	rm -rf bin

@@ -544,10 +544,7 @@ func (e *Explainer) exploreSide(ctx context.Context, bud *runBudget, prog *progr
 	// known subsets with zero materialization — pairs are built only for
 	// true misses. A level's keys are written into one builder and cut
 	// from its string.
-	keyers := make([]*scorecache.PerturbKeyer, len(supports))
-	for i, w := range supports {
-		keyers[i] = sc.PerturbKeyer(p, side, w)
-	}
+	keyers := sc.PerturbKeyers(p, side, supports)
 	var keys []string
 	oracle := func(qs []lattice.Query) ([]bool, error) {
 		n := 0

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"certa/internal/record"
 	"certa/internal/strutil"
@@ -121,12 +122,14 @@ func TestScoreAllocs(t *testing.T) {
 // ordered pairs of 100 distinct values (one row per pair, every aligned
 // attribute holding the row's two values), and the heap it gained, text
 // entries and token vectors included, divided by the blocks stored must
-// stay at or under 110 bytes. Keyed by the two value strings, with all
+// stay at or under 65 bytes. Keyed by the two value strings, with all
 // seven block features, a block held about 165 bytes at this size;
-// keyed by two text ids, with the five similarities, it holds about 95.
-// The memo's stripes sit at about 60% of their table capacity here; a
-// memo filled to just below its growth point reads about a third less
-// on both sides, which would hide the difference.
+// keyed by two text ids, with the five similarities, about 95; keyed by
+// ids, with the cosine and eight counts (a 24-byte map slot where five
+// float64s make it 48), it holds about 51. The memo's stripes sit at
+// about 60% of their table capacity here; a memo filled to just below
+// its growth point reads about a third less on both sides, which would
+// hide the difference.
 func TestBlockMemoHeapBytes(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector adds shadow memory to every allocation")
@@ -171,11 +174,20 @@ func TestBlockMemoHeapBytes(t *testing.T) {
 	if blocks != n*n {
 		t.Fatalf("the block memo holds %d blocks, want %d", blocks, n*n)
 	}
-	const bound = 110
+	const bound = 65
 	perBlock := float64(after-before) / float64(blocks)
 	t.Logf("%d blocks memoized, %.0f live heap bytes each (bound %d)", blocks, perBlock, bound)
 	if perBlock > bound {
 		t.Errorf("a memoized block holds %.0f bytes of live heap over %d blocks, want <= %d", perBlock, blocks, bound)
+	}
+}
+
+// TestBlockCountsSize: a memoized block is a float64 and eight bytes,
+// so the block memo's map slot (two uint32 ids and the block) is 24
+// bytes.
+func TestBlockCountsSize(t *testing.T) {
+	if n := unsafe.Sizeof(dmCounts{}); n != 16 {
+		t.Fatalf("dmCounts is %d bytes, want 16", n)
 	}
 }
 
@@ -195,6 +207,23 @@ func FuzzScoreBatch(f *testing.F) {
 	f.Add("a", "b", "c", []byte{})
 	// Two rows whose left values repeat while the right ones change.
 	f.Add("sony dcr-trv27 minidv", "sony dcr trv27", "3.99", []byte{0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 2, 2, 2})
+	// Blocks whose counts do not fit a byte (300 distinct tokens), so the
+	// memo stores the wide marker and every use recomputes them: row 0
+	// is a | b, row 1 is a | a.
+	var wide []string
+	for i := 0; i < 300; i++ {
+		wide = append(wide, fmt.Sprint(i))
+	}
+	f.Add(strings.Join(wide, " "), strings.Join(wide[1:], " x"), "c", []byte{0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0})
+	// Values cut at 64 bytes through a two-byte rune.
+	f.Add(strings.Repeat("a", 63)+"é b", strings.Repeat("a", 63)+"ü b", "c", []byte{0, 1, 0, 0, 0, 0, 0, 1, 1, 1})
+	// A numeric-free value against a numeric-only one (number overlap is
+	// the constant 0), then against another numeric-free one (the
+	// constant 1): rows b | a and b | c.
+	f.Add("123 456", "canon zr60", "camara", []byte{0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1, 1, 0, 1, 1, 1, 0, 2, 2, 2})
+	// Edit similarities 1 - d/m that (m-d)/m misses in the last bit,
+	// among them d = 1 at m = 3: rows a | b and a | c.
+	f.Add("abc", "abd", "abcdefh", []byte{0, 1, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 0, 0, 0, 0, 0, 2, 2, 2})
 	_, models := testBenchmark(f)
 	data, err := models[DeepMatcher].MarshalBinary()
 	if err != nil {

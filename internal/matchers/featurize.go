@@ -106,9 +106,10 @@ func (f *deepERFeat) appendFeatures(dst []float64, p record.Pair, c *caches) []f
 // bytes — are computed once per matcher lifetime (caches.blocks):
 // perturbed pairs recombine a small set of attribute values, so lattice
 // workloads hit the memo almost every time. The memo is keyed by the
-// two values' text ids and holds the five similarities, so neither key
-// nor value holds a pointer; a pair with a missing side is a constant
-// block and is not memoized.
+// two values' text ids and holds the cosine and the eight small
+// integers the four string similarities are ratios of (dmCounts, 16
+// bytes), so neither key nor value holds a pointer; a pair with a
+// missing side is a constant block and is not memoized.
 type deepMatcherFeat struct {
 	emb   *embedding.Embedder
 	attrs []string
@@ -223,14 +224,20 @@ func valueAt(r *record.Record, i int) string {
 // DL matchers learn exactly this from their embedding of empty
 // strings), and the missing-value indicators carry what signal
 // remains. Otherwise the block is the value pair's memoized
-// similarities and two zero indicators.
+// similarities, decoded from their counts, and two zero indicators.
 func (c *caches) appendBlock(dst []float64, l, r textEntry, lv, rv string) []float64 {
 	if l.missing || r.missing {
 		return appendMissingBlock(dst, l.missing, r.missing)
 	}
-	sims := c.blocks.Get([2]uint32{l.id, r.id}, func([2]uint32) [dmSims]float64 {
-		return similarities(l.emb, r.emb, lv, rv)
+	b := c.blocks.Get([2]uint32{l.id, r.id}, func([2]uint32) dmCounts {
+		return blockCounts(l.emb, r.emb, lv, rv)
 	})
+	var sims [dmSims]float64
+	if b.wide() {
+		sims = similarities(l.emb, r.emb, lv, rv)
+	} else {
+		sims = b.sims()
+	}
 	return append(append(dst, sims[:]...), 0, 0)
 }
 
@@ -243,35 +250,93 @@ func appendMissingBlock(dst []float64, lm, rm bool) []float64 {
 }
 
 // similarities computes the five similarity features of two present
-// values from their embeddings le and re. Each value is tokenized and
-// sorted once; Jaccard, containment and number overlap are computed
-// from the shared sorted slices (pooled, so steady state allocates
-// nothing beyond the normalized strings). All three reduce to the same
-// integer counts as the string-based measures, so a block is
-// bit-identical to appendAttrBlockRef's — the property test
+// values from their embeddings le and re, with no memo: the reference
+// the memoized blocks decode to (FuzzScoreBatch), and what a block too
+// wide to memoize is on every use. Each value is tokenized and sorted
+// once; Jaccard, containment and number overlap are computed from the
+// shared sorted slices. All three reduce to the same integer counts as
+// the string-based measures, so a block is bit-identical to
+// appendAttrBlockRef's — the property test
 // TestAttrBlockMatchesReference gates this.
 func similarities(le, re []float64, lv, rv string) [dmSims]float64 {
-	sc := tokScratchPool.Get().(*tokScratch)
-	la := strutil.AppendTokens(sc.a[:0], lv)
-	ra := strutil.AppendTokens(sc.b[:0], rv)
-	strutil.SortTokens(la)
-	strutil.SortTokens(ra)
+	sc := tokenizeSorted(lv, rv)
 	out := [dmSims]float64{
 		embedding.Cosine(le, re),
-		strutil.JaccardSortedTokens(la, ra),
+		strutil.JaccardSortedTokens(sc.a, sc.b),
 		strutil.LevenshteinSimilarity(truncateForLev(lv), truncateForLev(rv)),
-		strutil.ContainmentSortedTokens(la, ra),
-		strutil.NumberOverlapSortedTokens(la, ra),
+		strutil.ContainmentSortedTokens(sc.a, sc.b),
+		strutil.NumberOverlapSortedTokens(sc.a, sc.b),
 	}
-	sc.a, sc.b = la, ra
 	tokScratchPool.Put(sc)
 	return out
 }
 
-// tokScratch pools the per-call token slices of similarities.
+// dmCounts is a memoized block: the embedding cosine, the one feature
+// that is not a ratio of counts, and the numerator and denominator of
+// Jaccard, edit distance (distance and length), containment and number
+// overlap, in block order. It is 16 bytes where the five float64
+// features are 40. A block with a count of dmWide or more is stored
+// with n[0] == dmWide and recomputed on every use, so every block stays
+// exact; the twelve benchmarks' values are far shorter.
+type dmCounts struct {
+	cos float64
+	n   [8]uint8
+}
+
+const dmWide = 255
+
+// blockCounts computes what the block memo stores for two present
+// values: similarities' cosine and the counts of its other four
+// features, or the wide marker.
+func blockCounts(le, re []float64, lv, rv string) dmCounts {
+	sc := tokenizeSorted(lv, rv)
+	jn, jd := strutil.JaccardSortedCounts(sc.a, sc.b)
+	ld, lm := strutil.LevenshteinCounts(truncateForLev(lv), truncateForLev(rv))
+	cn, cd := strutil.ContainmentSortedCounts(sc.a, sc.b)
+	nn, nd := strutil.NumberOverlapSortedCounts(sc.a, sc.b)
+	tokScratchPool.Put(sc)
+	b := dmCounts{cos: embedding.Cosine(le, re)}
+	for i, v := range [8]int{jn, jd, ld, lm, cn, cd, nn, nd} {
+		if v >= dmWide {
+			return dmCounts{n: [8]uint8{dmWide}}
+		}
+		b.n[i] = uint8(v)
+	}
+	return b
+}
+
+// wide reports whether b stands for a block whose counts did not fit.
+func (b dmCounts) wide() bool { return b.n[0] == dmWide }
+
+// sims decodes b through the ratios strutil defines each measure by,
+// so every feature is exactly the float64 similarities computes.
+func (b dmCounts) sims() [dmSims]float64 {
+	n := b.n
+	return [dmSims]float64{
+		b.cos,
+		strutil.Ratio(int(n[0]), int(n[1])),
+		strutil.LevenshteinRatio(int(n[2]), int(n[3])),
+		strutil.Ratio(int(n[4]), int(n[5])),
+		strutil.Ratio(int(n[6]), int(n[7])),
+	}
+}
+
+// tokScratch pools the sorted token slices of two values.
 type tokScratch struct{ a, b []string }
 
 var tokScratchPool = sync.Pool{New: func() any { return &tokScratch{} }}
+
+// tokenizeSorted tokenizes and sorts lv and rv into pooled slices (so
+// steady state allocates nothing beyond the normalized strings); the
+// caller puts the scratch back into tokScratchPool.
+func tokenizeSorted(lv, rv string) *tokScratch {
+	sc := tokScratchPool.Get().(*tokScratch)
+	sc.a = strutil.AppendTokens(sc.a[:0], lv)
+	sc.b = strutil.AppendTokens(sc.b[:0], rv)
+	strutil.SortTokens(sc.a)
+	strutil.SortTokens(sc.b)
+	return sc
+}
 
 // truncateForLev caps value length so edit distance stays cheap on long
 // descriptions: 64 ASCII bytes is one machine word for Myers' kernel

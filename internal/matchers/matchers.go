@@ -65,7 +65,8 @@ func (m *Model) Kind() Kind { return m.kind }
 // instead of once per batch), token vectors (a text never seen before
 // still reuses the vectors of the tokens it shares with earlier texts,
 // as every token-drop variant does) and, for DeepMatcher-style
-// featurizers, attribute blocks. The text memo also gives each distinct
+// featurizers, attribute blocks, each kept as its cosine and eight
+// counts (dmCounts). The text memo also gives each distinct
 // text an id, and the block memo is keyed by two such ids, so both are
 // created together by initCaches: a block key never outlives the ids
 // it was made from.
@@ -73,7 +74,7 @@ type caches struct {
 	emb    *embedding.Embedder
 	texts  *memo.Memo[string, textEntry]
 	tokens *memo.Memo[string, []float64]
-	blocks *memo.Memo[[2]uint32, [dmSims]float64] // nil for kinds without blocks
+	blocks *memo.Memo[[2]uint32, dmCounts] // nil for kinds without blocks
 	lastID atomic.Uint32
 }
 
@@ -100,7 +101,7 @@ func (m *Model) initCaches() {
 		tokens: memo.New[string, []float64](),
 	}
 	if _, ok := m.feat.(*deepMatcherFeat); ok {
-		c.blocks = memo.New[[2]uint32, [dmSims]float64]()
+		c.blocks = memo.New[[2]uint32, dmCounts]()
 	}
 	m.c = c
 }

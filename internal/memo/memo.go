@@ -1,13 +1,15 @@
 // Package memo caches functions for the lifetime of their owner. The
 // matcher keeps three memos: text embeddings, token vectors and
-// DeepMatcher attribute blocks. The token vectors and blocks are pure
-// functions of their keys, so a cached value is the value a fresh call
-// would return. The embedding memo's value also carries an id for its
-// text, which is not a function of the text: it is whatever id the
-// first computation drew. The first value stored for a key wins (a
-// racing Get that computed another returns the stored one), so every
-// Get of a text returns the same id, and the block memo is keyed by
-// those ids. Every score is bit-identical with or without the memos.
+// DeepMatcher attribute blocks, a block stored as its cosine and the
+// eight counts its other four similarities are ratios of (16 bytes,
+// with no pointer). The token vectors and blocks are pure functions of
+// their keys, so a cached value is the value a fresh call would return.
+// The embedding memo's value also carries an id for its text, which is
+// not a function of the text: it is whatever id the first computation
+// drew. The first value stored for a key wins (a racing Get that
+// computed another returns the stored one), so every Get of a text
+// returns the same id, and the block memo is keyed by those ids. Every
+// score is bit-identical with or without the memos.
 package memo
 
 import (

@@ -98,10 +98,12 @@ func decLen(n int) int {
 // asks thousands of subset questions per explanation, and most of them
 // are already memoized, so a question must not pay for a record clone.
 //
-// The keyer resolves, once per (pair, side, support record), the words
-// before and after the perturbed record's value ids (the other side's
-// record and the schema header) and two value ids per attribute: the
-// free record's value and the support record's value. WriteKey(b, mask)
+// A keyer holds the words before and after the perturbed record's
+// value ids (the other side's record and the schema header) and two
+// value ids per attribute: the free record's value and the support
+// record's value. PerturbKeyers resolves the words and the free ids
+// once per (pair, side) and only the support's ids per keyer, since
+// every support of a side shares the rest. WriteKey(b, mask)
 // then writes head + the mask-selected id per attribute + tail, equal
 // to the view's Key of perturb(pair, side, support, attrs, mask) — the
 // property test TestPerturbKeyerMatchesMaterializedKey gates this. The
@@ -116,11 +118,11 @@ type PerturbKeyer struct {
 	ids  [][2]uint32 // per attr: [0] free value id, [1] support value id
 }
 
-// PerturbKeyer prepares mask→key assembly for perturbations of the
-// given side's record with values copied from support w. The free
-// record on that side must be non-nil (a nil fixed record is tolerated,
-// exactly like Key).
-func (s *Scorer) PerturbKeyer(p record.Pair, side record.Side, w *record.Record) *PerturbKeyer {
+// PerturbKeyers prepares mask→key assembly for perturbations of the
+// given side's record, one keyer per support, in order: keyer i copies
+// its values from supports[i]. The free record on that side must be
+// non-nil (a nil fixed record is tolerated, exactly like Key).
+func (s *Scorer) PerturbKeyers(p record.Pair, side record.Side, supports []*record.Record) []PerturbKeyer {
 	svc := s.svc
 	free := p.Record(side)
 	var head []byte
@@ -135,11 +137,22 @@ func (s *Scorer) PerturbKeyer(p record.Pair, side record.Side, w *record.Record)
 		tail = svc.appendRecord(tail, p.Right)
 	}
 
-	ids := make([][2]uint32, len(free.Schema.Attrs))
-	for i, a := range free.Schema.Attrs {
-		ids[i] = [2]uint32{svc.strs.id(free.Values[i]), svc.strs.id(w.Value(a))}
+	n := len(free.Schema.Attrs)
+	freeIDs := make([]uint32, n)
+	for i := range freeIDs {
+		freeIDs[i] = svc.strs.id(free.Values[i])
 	}
-	return &PerturbKeyer{head: string(head), tail: string(tail), ids: ids}
+	keyers := make([]PerturbKeyer, len(supports))
+	ids := make([][2]uint32, n*len(supports))
+	h, t := string(head), string(tail)
+	for k, w := range supports {
+		kids := ids[k*n : (k+1)*n]
+		for i, a := range free.Schema.Attrs {
+			kids[i] = [2]uint32{freeIDs[i], svc.strs.id(w.Value(a))}
+		}
+		keyers[k] = PerturbKeyer{head: h, tail: t, ids: kids}
+	}
+	return keyers
 }
 
 // Len is the length of every key the keyer writes.

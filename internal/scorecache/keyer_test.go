@@ -28,9 +28,10 @@ func perturbMirror(p record.Pair, side record.Side, w *record.Record, mask uint3
 // TestPerturbKeyerMatchesMaterializedKey is the byte-identity gate
 // promised by PerturbKeyer's doc comment: for random schemas, values
 // (empty, unicode, and delimiter-colliding strings included), sides,
-// support schemas with missing attributes and every mask, Key(mask)
-// equals the view's Key of the materialized perturb(...) pair and
-// renders to its canonical Key.
+// one to three supports sharing a side's resolved words, support
+// schemas with missing attributes and every mask, Key(mask) equals the
+// view's Key of the materialized perturb(...) pair and renders to its
+// canonical Key.
 func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	view := NewService(&countingModel{}, ServiceOptions{}).NewScorer(Options{})
@@ -91,20 +92,25 @@ func TestPerturbKeyerMatchesMaterializedKey(t *testing.T) {
 				p.Right = nil
 			}
 		}
-		w := record.MustNew("w", wSchema, vals(len(wAttrs))...)
+		supports := make([]*record.Record, 1+rng.Intn(3))
+		for i := range supports {
+			supports[i] = record.MustNew("w", wSchema, vals(len(wAttrs))...)
+		}
 
-		keyer := view.PerturbKeyer(p, side, w)
-		for mask := uint32(0); mask < 1<<uint(n); mask++ {
-			got := keyer.Key(mask)
-			if len(got) != keyer.Len() {
-				t.Fatalf("trial %d mask %b: key of %d bytes, Len %d", trial, mask, len(got), keyer.Len())
-			}
-			mat := perturbMirror(p, side, w, mask)
-			if want := view.Key(mat); got != want {
-				t.Fatalf("trial %d side %v mask %b:\nkeyer %q\nwant  %q", trial, side, mask, got, want)
-			}
-			if got, want := render(view, got), Key(mat); got != want {
-				t.Fatalf("trial %d side %v mask %b renders\n%q\nwant %q", trial, side, mask, got, want)
+		for k, keyer := range view.PerturbKeyers(p, side, supports) {
+			w := supports[k]
+			for mask := uint32(0); mask < 1<<uint(n); mask++ {
+				got := keyer.Key(mask)
+				if len(got) != keyer.Len() {
+					t.Fatalf("trial %d support %d mask %b: key of %d bytes, Len %d", trial, k, mask, len(got), keyer.Len())
+				}
+				mat := perturbMirror(p, side, w, mask)
+				if want := view.Key(mat); got != want {
+					t.Fatalf("trial %d side %v support %d mask %b:\nkeyer %q\nwant  %q", trial, side, k, mask, got, want)
+				}
+				if got, want := render(view, got), Key(mat); got != want {
+					t.Fatalf("trial %d side %v support %d mask %b renders\n%q\nwant %q", trial, side, k, mask, got, want)
+				}
 			}
 		}
 	}

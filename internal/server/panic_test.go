@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -118,5 +120,89 @@ func TestModelPanicIsContainedAtAnyParallelism(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCoalescedJoinersShareTheLeadersError: n identical requests attach
+// to one gated computation whose model then fails, once with a returned
+// error and once with a panic. Every request gets the same 500 body
+// from that one failure (a joiner never re-issues a failed computation,
+// so the model fails once and n-1 requests count as coalesced), the
+// admission slot drains, and once the model is disarmed the same
+// request is a 200 byte-identical to a fresh server's.
+func TestCoalescedJoinersShareTheLeadersError(t *testing.T) {
+	const n = 6
+	req := ExplainRequest{LeftID: "l1", RightID: "r1"}
+	opts := Options{MaxInFlight: 2, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))}
+	for _, panics := range []bool{false, true} {
+		t.Run(fmt.Sprintf("panics=%v", panics), func(t *testing.T) {
+			m := &gatedModel{gate: make(chan struct{}), panics: panics}
+			m.armed.Store(true)
+			s := newTestServer(t, m, opts, nil)
+			ts := httptest.NewServer(s)
+			defer ts.Close()
+
+			data, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies := make([][]byte, n)
+			statuses := make([]int, n)
+			var wg sync.WaitGroup
+			for i := 0; i < n; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					resp, err := http.Post(ts.URL+"/v1/explain", "application/json", bytes.NewReader(data))
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					defer resp.Body.Close()
+					statuses[i] = resp.StatusCode
+					if bodies[i], err = io.ReadAll(resp.Body); err != nil {
+						t.Error(err)
+					}
+				}(i)
+			}
+			waitAttached(t, s, n)
+			close(m.gate)
+			wg.Wait()
+
+			for i := range bodies {
+				if statuses[i] != http.StatusInternalServerError {
+					t.Fatalf("request %d: status %d, want 500: %s", i, statuses[i], bodies[i])
+				}
+				if !bytes.Equal(bodies[i], bodies[0]) {
+					t.Fatalf("request %d body differs:\n%s\n%s", i, bodies[i], bodies[0])
+				}
+			}
+			t.Logf("every request: %s", bytes.TrimSpace(bodies[0]))
+			if !strings.Contains(string(bodies[0]), "injected model") {
+				t.Fatalf("the error does not surface the model's failure: %s", bodies[0])
+			}
+			if got := m.failed.Load(); got != 1 {
+				t.Fatalf("the model failed %d batches, want 1: a joiner re-issued the failed computation", got)
+			}
+			ex := s.metrics.Exposition()
+			if got := ex.Sum("certa_requests_coalesced_total", nil); got != n-1 {
+				t.Fatalf("certa_requests_coalesced_total = %v, want %d", got, n-1)
+			}
+			if got := ex.Sum("certa_admission_in_flight", nil); got != 0 {
+				t.Fatalf("certa_admission_in_flight = %v after every request failed, want 0", got)
+			}
+
+			m.armed.Store(false)
+			resp, again := postJSON(t, ts.URL+"/v1/explain", req)
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("disarmed request: status %d: %s", resp.StatusCode, again)
+			}
+			fresh := httptest.NewServer(newTestServer(t, overlapModel{}, opts, nil))
+			defer fresh.Close()
+			_, want := postJSON(t, fresh.URL+"/v1/explain", req)
+			if !bytes.Equal(again, want) {
+				t.Fatalf("after the failure the server answers\n%s\nwant the fresh server's\n%s", again, want)
+			}
+		})
 	}
 }

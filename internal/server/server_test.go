@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -67,10 +69,15 @@ func (overlapModel) Score(p record.Pair) float64 {
 }
 
 // gatedModel blocks every scoring batch until the gate opens, so tests
-// can hold N requests in flight deterministically.
+// can hold N requests in flight deterministically. While armed, it then
+// fails the batch: with a returned error, or with a panic when panics
+// is set; failed counts the batches it failed.
 type gatedModel struct {
 	overlapModel
-	gate chan struct{}
+	gate   chan struct{}
+	panics bool
+	armed  atomic.Bool
+	failed atomic.Int64
 }
 
 func (m *gatedModel) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([]float64, error) {
@@ -78,6 +85,13 @@ func (m *gatedModel) ScoreBatchContext(ctx context.Context, pairs []record.Pair)
 	case <-m.gate:
 	case <-ctx.Done():
 		return nil, ctx.Err()
+	}
+	if m.armed.Load() {
+		m.failed.Add(1)
+		if m.panics {
+			panic("injected model bug")
+		}
+		return nil, errors.New("injected model error")
 	}
 	out := make([]float64, len(pairs))
 	for i, p := range pairs {
@@ -294,28 +308,7 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 		}(i)
 	}
 
-	// Wait until all n requests have attached to the single in-flight
-	// call, then open the gate.
-	deadline := time.Now().Add(10 * time.Second)
-	tbl := s.backends["toy"].calls
-	for {
-		tbl.mu.Lock()
-		refs := 0
-		for _, c := range tbl.calls {
-			c.mu.Lock()
-			refs += c.refs
-			c.mu.Unlock()
-		}
-		calls := len(tbl.calls)
-		tbl.mu.Unlock()
-		if calls == 1 && refs == n {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("requests never coalesced: %d calls, %d refs", calls, refs)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitAttached(t, s, n)
 	close(gm.gate)
 	wg.Wait()
 
@@ -332,6 +325,32 @@ func TestCoalescingSharesOneComputation(t *testing.T) {
 	}
 	if coalesced := s.coalesced.Value(); coalesced != n-1 {
 		t.Fatalf("coalesced = %d, want %d", coalesced, n-1)
+	}
+}
+
+// waitAttached waits until n requests have attached to one in-flight
+// call of the toy backend.
+func waitAttached(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	tbl := s.backends["toy"].calls
+	for {
+		tbl.mu.Lock()
+		refs := 0
+		for _, c := range tbl.calls {
+			c.mu.Lock()
+			refs += c.refs
+			c.mu.Unlock()
+		}
+		calls := len(tbl.calls)
+		tbl.mu.Unlock()
+		if calls == 1 && refs == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("requests never coalesced: %d calls, %d refs", calls, refs)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -164,6 +164,63 @@ func TestSortedSimsMatchStringSims(t *testing.T) {
 	}
 }
 
+// TestCountCoresConstantCases: each count core reports a constant
+// similarity as (1, 0) or (0, 0), and Ratio of its counts is the
+// string-based measure's float64 in every case: both sides missing, one
+// missing, both present but tokenizing to nothing, one such side, no
+// numeric token on either side, numeric tokens on one side only, and
+// an edit distance of 1 at length 3, where 1-d/m and (m-d)/m differ in
+// the last bit.
+func TestCountCoresConstantCases(t *testing.T) {
+	type counts [2]int
+	two := func(n, d int) counts { return counts{n, d} }
+	cases := []struct {
+		name               string
+		a, b               string
+		jac, con, num, lev counts
+	}{
+		{"both missing", "NaN", " null ", counts{1, 0}, counts{1, 0}, counts{1, 0}, counts{1, 0}},
+		{"one missing", "NaN", "sony 27", counts{0, 2}, counts{0, 0}, counts{0, 0}, counts{0, 0}},
+		{"both empty", "\x01", "\t\x02", counts{1, 0}, counts{1, 0}, counts{1, 0}, counts{1, 0}},
+		{"one empty", "\x01", "abc", counts{0, 1}, counts{0, 0}, counts{1, 0}, counts{3, 3}},
+		{"no numeric tokens", "abc def", "abd", counts{0, 3}, counts{0, 1}, counts{1, 0}, counts{4, 7}},
+		{"numeric tokens on one side", "123 456", "abc", counts{0, 3}, counts{0, 1}, counts{0, 0}, counts{7, 7}},
+		{"one edit at length 3", "abc", "abd", counts{0, 2}, counts{0, 1}, counts{1, 0}, counts{1, 3}},
+	}
+	for _, c := range cases {
+		ta, tb := AppendTokens(nil, c.a), AppendTokens(nil, c.b)
+		SortTokens(ta)
+		SortTokens(tb)
+		for _, m := range []struct {
+			measure   string
+			got, want counts
+			ref       float64 // the string-based measure
+		}{
+			{"Jaccard", two(JaccardSortedCounts(ta, tb)), c.jac, Jaccard(c.a, c.b)},
+			{"containment", two(ContainmentSortedCounts(ta, tb)), c.con, ContainmentSimilarity(c.a, c.b)},
+			{"number overlap", two(NumberOverlapSortedCounts(ta, tb)), c.num, NumberOverlap(c.a, c.b)},
+		} {
+			if m.got != m.want {
+				t.Errorf("%s: %s counts of (%q, %q) = %v, want %v", c.name, m.measure, c.a, c.b, m.got, m.want)
+			}
+			if r := Ratio(m.got[0], m.got[1]); r != m.ref {
+				t.Errorf("%s: %s of (%q, %q) from counts %v = %v, string-based %v", c.name, m.measure, c.a, c.b, m.got, r, m.ref)
+			}
+		}
+		d, n := LevenshteinCounts(c.a, c.b)
+		if got := two(d, n); got != c.lev {
+			t.Errorf("%s: LevenshteinCounts(%q, %q) = %v, want %v", c.name, c.a, c.b, got, c.lev)
+		}
+		want := float64(d)
+		if n > 0 {
+			want = 1 - float64(d)/float64(n)
+		}
+		if got := LevenshteinRatio(d, n); got != want || got != LevenshteinSimilarity(c.a, c.b) {
+			t.Errorf("%s: LevenshteinRatio(%d, %d) = %v, LevenshteinSimilarity %v, want %v", c.name, d, n, got, LevenshteinSimilarity(c.a, c.b), want)
+		}
+	}
+}
+
 // TestAppendTokensMatchesTokenize: AppendTokens is Tokenize with a
 // caller-owned buffer.
 func TestAppendTokensMatchesTokenize(t *testing.T) {

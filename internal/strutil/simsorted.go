@@ -6,10 +6,13 @@ import "sort"
 // from pre-tokenized, pre-sorted token slices, so a hot caller (the
 // DeepMatcher featurizer) tokenizes and sorts each value once and shares
 // the work across Jaccard, containment and number overlap instead of
-// re-tokenizing per measure. Every function reduces to the same integer
-// intersection/union counts as its string-based counterpart, and a
-// ratio of equal integers is the same float64 — the results are
-// bit-identical (TestSortedSimsMatchStringSims).
+// re-tokenizing per measure. Each is Ratio over its *SortedCounts core,
+// which returns the measure's numerator and denominator, so a caller
+// that keeps the two integers gets back exactly the float64. Every
+// function reduces to the same integer intersection/union counts as its
+// string-based counterpart, and a ratio of equal integers is the same
+// float64 — the results are bit-identical
+// (TestSortedSimsMatchStringSims).
 //
 // Inputs are the full token slices (duplicates included), sorted
 // ascending; the distinct-set measures deduplicate during their merge
@@ -48,10 +51,25 @@ func AppendTokens(dst []string, s string) []string {
 // the ordering contract above.
 func SortTokens(toks []string) { sort.Strings(toks) }
 
+// Ratio is a count-based similarity from its numerator n and
+// denominator d: n/d, or n itself when d is 0, which is how the
+// *SortedCounts cores report a constant similarity of 1 or 0.
+func Ratio(n, d int) float64 {
+	if d == 0 {
+		return float64(n)
+	}
+	return float64(n) / float64(d)
+}
+
 // JaccardSortedTokens is Jaccard over the distinct-token sets of two
 // sorted token slices. Matches Jaccard(a, b) for non-missing inputs
 // whose token slices these are.
-func JaccardSortedTokens(a, b []string) float64 {
+func JaccardSortedTokens(a, b []string) float64 { return Ratio(JaccardSortedCounts(a, b)) }
+
+// JaccardSortedCounts returns the shared and the union count of the
+// distinct tokens of two sorted token slices, or (1, 0) when both are
+// empty.
+func JaccardSortedCounts(a, b []string) (n, d int) {
 	da, db, inter := 0, 0, 0
 	i, j := 0, 0
 	for i < len(a) && j < len(b) {
@@ -97,20 +115,25 @@ func JaccardSortedTokens(a, b []string) float64 {
 	}
 	union := da + db - inter
 	if union == 0 {
-		return 1
+		return 1, 0
 	}
-	return float64(inter) / float64(union)
+	return inter, union
 }
 
 // ContainmentSortedTokens mirrors ContainmentSimilarity: the multiset
 // intersection over the shorter slice's length. The shorter side is
 // chosen exactly as the string version chooses it (ties keep a).
-func ContainmentSortedTokens(a, b []string) float64 {
+func ContainmentSortedTokens(a, b []string) float64 { return Ratio(ContainmentSortedCounts(a, b)) }
+
+// ContainmentSortedCounts returns the multiset intersection and the
+// shorter slice's length, (1, 0) when both slices are empty and (0, 0)
+// when one is.
+func ContainmentSortedCounts(a, b []string) (n, d int) {
 	if len(a) == 0 && len(b) == 0 {
-		return 1
+		return 1, 0
 	}
 	if len(a) == 0 || len(b) == 0 {
-		return 0
+		return 0, 0
 	}
 	short, long := a, b
 	if len(b) < len(a) {
@@ -131,12 +154,19 @@ func ContainmentSortedTokens(a, b []string) float64 {
 			j++
 		}
 	}
-	return float64(hit) / float64(len(short))
+	return hit, len(short)
 }
 
 // NumberOverlapSortedTokens mirrors NumberOverlap: Jaccard over the
 // distinct numeric tokens of each slice.
 func NumberOverlapSortedTokens(a, b []string) float64 {
+	return Ratio(NumberOverlapSortedCounts(a, b))
+}
+
+// NumberOverlapSortedCounts returns the shared and the union count of
+// the distinct numeric tokens of two sorted token slices, (1, 0) when
+// neither has one and (0, 0) when only one has.
+func NumberOverlapSortedCounts(a, b []string) (n, d int) {
 	da, db, inter := 0, 0, 0
 	i, j := nextNumeric(a, 0), nextNumeric(b, 0)
 	for i < len(a) && j < len(b) {
@@ -184,12 +214,12 @@ func NumberOverlapSortedTokens(a, b []string) float64 {
 		j = nextNumeric(b, j)
 	}
 	if da == 0 && db == 0 {
-		return 1
+		return 1, 0
 	}
 	if da == 0 || db == 0 {
-		return 0
+		return 0, 0
 	}
-	return float64(inter) / float64(da+db-inter)
+	return inter, da + db - inter
 }
 
 func nextNumeric(s []string, k int) int {

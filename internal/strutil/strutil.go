@@ -380,23 +380,37 @@ func levenshteinRunes(a, b string) int {
 // LevenshteinSimilarity maps edit distance into [0,1]:
 // 1 - dist/max(len). Missing-vs-missing is 1, missing-vs-present is 0.
 func LevenshteinSimilarity(a, b string) float64 {
+	return LevenshteinRatio(LevenshteinCounts(a, b))
+}
+
+// LevenshteinCounts returns the two integers LevenshteinSimilarity is
+// made of: the edit distance d between the normalized a and b and the
+// longer one's rune length m. The constant cases have m = 0: (1, 0)
+// when both are missing or both normalize to nothing, (0, 0) when
+// exactly one is missing.
+func LevenshteinCounts(a, b string) (d, m int) {
 	am, bm := IsMissing(a), IsMissing(b)
 	if am && bm {
-		return 1
+		return 1, 0
 	}
 	if am || bm {
-		return 0
+		return 0, 0
 	}
 	na, nb := Normalize(a), Normalize(b)
-	la, lb := len([]rune(na)), len([]rune(nb))
-	if la == 0 && lb == 0 {
-		return 1
+	m = max(len([]rune(na)), len([]rune(nb)))
+	if m == 0 {
+		return 1, 0
 	}
-	m := la
-	if lb > m {
-		m = lb
+	return LevenshteinDistance(na, nb), m
+}
+
+// LevenshteinRatio is LevenshteinSimilarity from its counts: 1 - d/m,
+// or d itself when m is 0.
+func LevenshteinRatio(d, m int) float64 {
+	if m == 0 {
+		return float64(d)
 	}
-	return 1 - float64(LevenshteinDistance(na, nb))/float64(m)
+	return 1 - float64(d)/float64(m)
 }
 
 // NGrams returns the character n-grams of the normalized input. Values

@@ -71,7 +71,10 @@ go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
 # plain go test already runs): snapshot decode, store-key parse and
 # render, a store stripe against a map, request decoding, ring
 # placement, the bit-vector edit distance against the rune DP and
-# DeepMatcher's batch pass against per-pair scoring.
+# DeepMatcher's batch pass against per-pair scoring and against blocks
+# computed with no memo, which exercises the decode of memoized blocks
+# from their counts (its seeds reach the constant-ratio cases, values
+# cut at 64 bytes inside a rune and blocks too wide to memoize).
 # -fuzzminimizetime 100x caps how long
 # the fuzzer spends shrinking each new input: at the default 60 s,
 # minimizing stalled FuzzRestore's bursts at 0 execs/s for seconds at a
