@@ -4,6 +4,7 @@ import (
 	"context"
 	"strconv"
 	"strings"
+	"sync"
 
 	"certa/internal/neighborhood"
 	"certa/internal/record"
@@ -109,13 +110,12 @@ type supportScan struct {
 	y     bool
 	want  int
 
-	chunk   int
-	pending []candidate
-	recOrds []int    // per pending candidate: ordinal of its source record
-	keys    []string // per pending candidate: its store key, during a flush
-	out     []*record.Record
-	scored  int  // candidates actually scored (chunk overscan included)
-	done    bool // want reached or stream abandoned; later candidates are ignored
+	*scanBuffers // the chunk being buffered; nil once the scan finishes
+
+	chunk  int
+	out    []*record.Record
+	scored int  // candidates actually scored (chunk overscan included)
+	done   bool // want reached or stream abandoned; later candidates are ignored
 	// truncated records that a budget checkpoint (not the stream's own
 	// logic) abandoned the scan; err records a context cancellation.
 	truncated bool
@@ -135,6 +135,17 @@ type supportScan struct {
 	lastRec     int  // ordinal of the last record seen during scoring
 	recEligible bool // the record being scored has yielded an eligible candidate
 }
+
+// scanBuffers are a support scan's chunk buffers. They come from a pool
+// and go back to it, cleared, when the scan finishes, so a scan grows
+// them only the first few times a process scans.
+type scanBuffers struct {
+	pending []candidate
+	recOrds []int    // per pending candidate: ordinal of its source record
+	keys    []string // per pending candidate: its store key, during a flush
+}
+
+var scanBufferPool = sync.Pool{New: func() any { return new(scanBuffers) }}
 
 // candidate describes one support candidate without building it: the
 // source record itself (attr < 0) or a token-drop variant of it, whose
@@ -167,7 +178,8 @@ func newSupportScan(ctx context.Context, bud *runBudget, sc *scorecache.Scorer, 
 	if chunk > maxSearchChunk {
 		chunk = maxSearchChunk
 	}
-	return &supportScan{ctx: ctx, bud: bud, sc: sc, keyer: sc.SupportKeyer(p, side), p: p, side: side, y: y, want: want, chunk: chunk}
+	return &supportScan{ctx: ctx, bud: bud, sc: sc, keyer: sc.SupportKeyer(p, side), p: p, side: side, y: y, want: want, chunk: chunk,
+		scanBuffers: scanBufferPool.Get().(*scanBuffers)}
 }
 
 // beginRecord marks the start of a new source record's candidates; the
@@ -263,9 +275,17 @@ func (s *supportScan) flush() {
 	}
 }
 
-// finish flushes the tail of the stream and reports the selection.
+// finish flushes the tail of the stream, returns the scan's buffers to
+// the pool, dropping the records and keys they held, and reports the
+// selection.
 func (s *supportScan) finish() []*record.Record {
 	s.flush()
+	b := s.scanBuffers
+	s.scanBuffers = nil
+	clear(b.pending[:cap(b.pending)])
+	clear(b.keys[:cap(b.keys)])
+	b.pending, b.recOrds, b.keys = b.pending[:0], b.recOrds[:0], b.keys[:0]
+	scanBufferPool.Put(b)
 	return s.out
 }
 

@@ -2,6 +2,8 @@ package neighborhood
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"certa/internal/dataset"
@@ -188,4 +190,28 @@ func BenchmarkSupportSearch(b *testing.B) {
 			pull(src, i%2 == 0)
 		}
 	})
+}
+
+// TestShuffleOrderMatchesFreshSource pins the pooled generator to the
+// stream of a fresh rand.NewSource(seed): over random sizes and seeds,
+// negative ones included, each order equals the one a fresh source
+// gives, also for a shuffle straight after one under another seed.
+func TestShuffleOrderMatchesFreshSource(t *testing.T) {
+	fresh := func(n int, seed int64) []int {
+		idx := make([]int, n)
+		for i := range idx {
+			idx[i] = i
+		}
+		rand.New(rand.NewSource(seed)).Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		return idx
+	}
+	gen := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := gen.Intn(1000)
+		for _, seed := range []int64{gen.Int63() - gen.Int63(), gen.Int63n(1000)} {
+			if got, want := shuffleOrder(n, seed), fresh(n, seed); !slices.Equal(got, want) {
+				t.Fatalf("trial %d: shuffleOrder(%d, %d) differs from a fresh source's order", trial, n, seed)
+			}
+		}
+	}
 }

@@ -266,6 +266,34 @@ func (s *Scorer) Key(p record.Pair) string { return s.svc.key(p) }
 // dup is an in-batch duplicate: output slot answered by unique miss mi.
 type dup struct{ mi, slot int }
 
+// batchScratch is one keyed batch's working slices: its key hashes,
+// unique misses, in-batch duplicates, the misses' keys and hashes, and
+// the store's scores for them. It comes from, and goes back to, a pool,
+// so a warm batch allocates only the scores it returns.
+type batchScratch struct {
+	hashes     []uint64
+	misses     []int
+	dups       []dup
+	missKeys   []string
+	missHashes []uint64
+	scores     []float64
+}
+
+var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
+
+// release empties the scratch, dropping the borrowed miss keys, and
+// pools it.
+func (b *batchScratch) release() {
+	clear(b.missKeys)
+	b.hashes = b.hashes[:0]
+	b.misses = b.misses[:0]
+	b.dups = b.dups[:0]
+	b.missKeys = b.missKeys[:0]
+	b.missHashes = b.missHashes[:0]
+	b.scores = b.scores[:0]
+	batchScratches.Put(b)
+}
+
 // ScoreBatchKeyedContext is ScoreBatchContext with caller-supplied
 // store keys (from the view's Key, PerturbKeyer or SupportKeyer, never
 // the canonical Key) and a materialize callback invoked only for the
@@ -292,20 +320,24 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 		return s.svc.direct(ctx, pairs, s.opts.Parallelism)
 	}
 
+	bs := batchScratches.Get().(*batchScratch)
+	defer bs.release()
+
 	// Each key is hashed once; the view, the in-batch duplicate check
 	// and the shared store all reuse that hash.
-	hashes := make([]uint64, len(keys))
-	for i, k := range keys {
-		hashes[i] = s.svc.hash(k)
+	hashes := bs.hashes
+	for _, k := range keys {
+		hashes = append(hashes, s.svc.hash(k))
 	}
+	bs.hashes = hashes
 
 	// Resolve view hits and collect unique misses (the key index of each
 	// first occurrence) in first-occurrence order. Miss j's score lands
 	// in slot first+j of the view's scores, so a key whose slot is at or
 	// past first is a duplicate within this batch.
 	out := make([]float64, len(keys))
-	var misses []int
-	var dups []dup
+	misses := bs.misses
+	dups := bs.dups
 	var elsewhere table[int] // keys another batch of this view is scoring -> slot
 
 	s.mu.Lock()
@@ -338,22 +370,25 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 	if len(misses) > 0 {
 		s.stats.Misses += len(misses)
 		s.stats.Batches++
-		s.scores = append(s.scores, make([]float64, len(misses))...)
+		// The new slots are written before any lookup can read them:
+		// they stay in flight until the batch's scores are copied in.
+		s.scores = slices.Grow(s.scores, len(misses))[:first+len(misses)]
 		s.flying = append(s.flying, span{first, len(s.scores)})
 	}
 	s.mu.Unlock()
+	bs.misses, bs.dups = misses, dups
 
 	if len(misses) == 0 {
 		return out, nil
 	}
 
-	missKeys := make([]string, len(misses))
-	missHashes := make([]uint64, len(misses))
-	for j, ki := range misses {
-		missKeys[j] = keys[ki]
-		missHashes[j] = hashes[ki]
+	for _, ki := range misses {
+		bs.missKeys = append(bs.missKeys, keys[ki])
+		bs.missHashes = append(bs.missHashes, hashes[ki])
 	}
-	scores, err := s.svc.fetch(ctx, missKeys, missHashes, func(j int) record.Pair { return materialize(misses[j]) })
+	scores := slices.Grow(bs.scores, len(misses))[:len(misses)]
+	bs.scores = scores
+	err := s.svc.fetch(ctx, scores, bs.missKeys, bs.missHashes, func(j int) record.Pair { return materialize(misses[j]) })
 
 	s.mu.Lock()
 	s.flying = slices.DeleteFunc(s.flying, func(f span) bool { return f.lo == first })

@@ -241,8 +241,8 @@ func (s *Service) ScoreBatchContext(ctx context.Context, pairs []record.Pair) ([
 		s.stats.Hits += dupes
 		s.statmu.Unlock()
 	}
-	scores, err := s.fetch(ctx, keys, hashes, func(i int) record.Pair { return unique[i] })
-	if err != nil {
+	scores := make([]float64, len(keys))
+	if err := s.fetch(ctx, scores, keys, hashes, func(i int) record.Pair { return unique[i] }); err != nil {
 		return nil, err
 	}
 	for i, u := range at {
@@ -270,8 +270,9 @@ type waiter struct {
 	pos  uint32
 }
 
-// fetch resolves unique store keys against the store: stored scores are
-// returned immediately, keys being computed by another goroutine are
+// fetch resolves unique store keys against the store, writing keys[i]'s
+// score to out[i] (len(out) == len(keys)): stored scores are
+// written immediately, keys being computed by another goroutine are
 // waited on, and the remaining misses are claimed, materialized
 // (materialize(i) is the pair of keys[i], called only for claimed keys,
 // on the calling goroutine), scored in one logical batch (sharded
@@ -284,8 +285,7 @@ type waiter struct {
 // of blocking on work it no longer wants. A leader that fails mid-batch
 // (cancellation or model panic) unpublishes its claims, so surviving
 // waiters re-claim the keys and score them under their own contexts.
-func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, materialize func(i int) record.Pair) ([]float64, error) {
-	out := make([]float64, len(keys))
+func (s *Service) fetch(ctx context.Context, out []float64, keys []string, hashes []uint64, materialize func(i int) record.Pair) error {
 	var claimed []int    // indexes this call must score
 	var recs []uint32    // their store records, index-aligned with claimed
 	var waiters []waiter // indexes computed by concurrent callers
@@ -329,7 +329,7 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 
 	if len(claimed) > 0 {
 		if err := s.scoreClaims(ctx, materialize, out, hashes, claimed, recs, mine); err != nil {
-			return nil, err
+			return err
 		}
 	}
 
@@ -340,7 +340,7 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 		select {
 		case <-w.c.done:
 		case <-ctx.Done():
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		if w.c.failed {
 			// The leader was cancelled or crashed after we enlisted; its
@@ -367,15 +367,15 @@ func (s *Service) fetch(ctx context.Context, keys []string, hashes []uint64, mat
 			rkeys[i] = keys[w.slot]
 			rhashes[i] = hashes[w.slot]
 		}
-		scores, err := s.fetch(ctx, rkeys, rhashes, func(i int) record.Pair { return materialize(retry[i].slot) })
-		if err != nil {
-			return nil, err
+		scores := make([]float64, len(retry))
+		if err := s.fetch(ctx, scores, rkeys, rhashes, func(i int) record.Pair { return materialize(retry[i].slot) }); err != nil {
+			return err
 		}
 		for i, w := range retry {
 			out[w.slot] = scores[i]
 		}
 	}
-	return out, nil
+	return nil
 }
 
 // scoreClaims evaluates this call's store misses in one logical batch

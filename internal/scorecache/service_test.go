@@ -625,3 +625,82 @@ func TestReleasedViewStartsEmpty(t *testing.T) {
 		t.Fatal("no view took a released key set")
 	}
 }
+
+// TestConcurrentKeyedBatchesMatchPrivate scores keyed batches from
+// eight goroutines, each through its own view of one shared service, so
+// that concurrent batches take their scratch from, and return it to,
+// one pool while they wait on each other's claims. Every score and each
+// view's Stats must equal those of a private cache fed the same
+// batches, and the shared model must score each distinct pair once.
+func TestConcurrentKeyedBatchesMatchPrivate(t *testing.T) {
+	m := &countingModel{}
+	svc := NewService(m, ServiceOptions{Parallelism: 2, Shards: 4})
+	vals := []string{"a", "bb", "ccc", "dddd", "eeeee", "ffffff", "g", "hh", "iii"}
+	// batches are goroutine g's: overlapping pair sets with in-batch
+	// duplicates, each pair built afresh so only content keys it.
+	batches := func(g int) [][]record.Pair {
+		var out [][]record.Pair
+		for round := 0; round < 6; round++ {
+			var b []record.Pair
+			for i, a := range vals {
+				for j, c := range vals {
+					if (i*j+g+round)%4 != 0 {
+						continue
+					}
+					b = append(b, pairOf(a, c))
+					if (i+j)%5 == 0 {
+						b = append(b, pairOf(a, c))
+					}
+				}
+			}
+			out = append(out, b)
+		}
+		return out
+	}
+
+	const goroutines = 8
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			view := svc.NewScorer(Options{Parallelism: 2})
+			defer view.Release()
+			private := New(&countingModel{}, Options{})
+			for round, b := range batches(g) {
+				keys := make([]string, len(b))
+				for i, p := range b {
+					keys[i] = view.Key(p)
+				}
+				got, err := view.ScoreBatchKeyedContext(context.Background(), keys, func(i int) record.Pair { return b[i] })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				want := private.ScoreBatch(b)
+				for i := range want {
+					if got[i] != want[i] {
+						t.Errorf("goroutine %d round %d: score %d = %v, private cache %v", g, round, i, got[i], want[i])
+						return
+					}
+				}
+			}
+			if got, want := view.Stats(), private.Stats(); got != want {
+				t.Errorf("goroutine %d: view Stats %+v, private cache %+v", g, got, want)
+			}
+		}()
+	}
+	wg.Wait()
+
+	unique := make(map[string]bool)
+	for g := range goroutines {
+		for _, b := range batches(g) {
+			for _, p := range b {
+				unique[Key(p)] = true
+			}
+		}
+	}
+	if m.calls != len(unique) {
+		t.Fatalf("shared model scored %d pairs for %d distinct ones", m.calls, len(unique))
+	}
+}

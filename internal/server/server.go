@@ -351,8 +351,9 @@ func (s *Server) serveOne(ctx context.Context, b *backend, p record.Pair, k knob
 	return body, joined, memoized, tr, err
 }
 
-// compute runs the explanation under an admission slot and marshals the
-// shared response body. Every computation runs under a fresh
+// compute runs the explanation under an admission slot and renders the
+// shared response body (renderResponse: json.Marshal's bytes in one
+// pass). Every computation runs under a fresh
 // telemetry.Trace: its stage totals feed the per-stage latency
 // histograms, and — when wantTree is set (?debug=trace) — the span
 // tree rides the response. Tracing is a wall-clock side channel; the
@@ -399,7 +400,7 @@ func (s *Server) compute(ctx context.Context, b *backend, p record.Pair, k knobs
 	if wantTree {
 		resp.Trace = tr.Tree()
 	}
-	body, err := json.Marshal(resp)
+	body, err := renderResponse(&resp)
 	if err != nil {
 		return nil, nil, fmt.Errorf("marshaling response: %w", err)
 	}
@@ -508,6 +509,15 @@ func (s *Server) nextRequestID() string {
 // joiners and memo replays reused another request's bytes and have no
 // trace of their own.
 func (s *Server) logExplain(reqID, backend, pairKey string, status int, joined, memoized bool, d time.Duration, tr *telemetry.Trace, err error) {
+	level := slog.LevelInfo
+	if err != nil {
+		level = slog.LevelWarn
+	}
+	// The default logger discards every line: build none for it.
+	ctx := context.Background()
+	if !s.logger.Enabled(ctx, level) {
+		return
+	}
 	attrs := []any{
 		"req_id", reqID,
 		"backend", backend,
@@ -528,10 +538,8 @@ func (s *Server) logExplain(reqID, backend, pairKey string, status int, joined, 
 		if errors.As(err, &pe) {
 			attrs = append(attrs, "stack", string(pe.Stack))
 		}
-		s.logger.Warn("explain", attrs...)
-		return
 	}
-	s.logger.Info("explain", attrs...)
+	s.logger.Log(ctx, level, "explain", attrs...)
 }
 
 // stageSummary renders a trace's stage totals as a compact

@@ -48,11 +48,11 @@ echo "== race (context + shared scoring pipeline + retrieval layer + scoring eng
 go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/memo/ ./internal/matchers/ ./internal/record/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
 
 # Variant ids are derived under a per-record lock that several
-# support scans reach at once, and released views' key sets pass
-# between goroutines through a pool; ten passes under the race
-# detector run both.
-echo "== race (variant ids and pooled view key sets, 10 passes) =="
-go test -race -count=10 -timeout 300s -run '^(TestConcurrentSupportKeyers|TestReleasedViewStartsEmpty)$' ./internal/scorecache/
+# support scans reach at once, and released views' key sets and keyed
+# batches' scratch pass between goroutines through pools; ten passes
+# under the race detector run all three.
+echo "== race (variant ids, pooled view key sets and batch scratch, 10 passes) =="
+go test -race -count=10 -timeout 300s -run '^(TestConcurrentSupportKeyers|TestReleasedViewStartsEmpty|TestConcurrentKeyedBatchesMatchPrivate)$' ./internal/scorecache/
 
 # The lattice-pruning paths specifically, under the race detector at
 # Parallelism 8 (TestLatticePruneDeterministic and friends run inside the
@@ -74,12 +74,13 @@ go test -count=500 -timeout 120s -run '^TestEach' ./internal/workpool/
 # DeepMatcher's batch pass against per-pair scoring and against blocks
 # computed with no memo, which exercises the decode of memoized blocks
 # from their counts (its seeds reach the constant-ratio cases, values
-# cut at 64 bytes inside a rune and blocks too wide to memoize).
+# cut at 64 bytes inside a rune and blocks too wide to memoize), and
+# the server's response renderer against json.Marshal.
 # -fuzzminimizetime 100x caps how long
 # the fuzzer spends shrinking each new input: at the default 60 s,
 # minimizing stalled FuzzRestore's bursts at 0 execs/s for seconds at a
 # time. A failing input is still reported and saved.
-echo "== fuzz bursts (FuzzRestore, FuzzStoreKey, FuzzStoreTable, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance, FuzzScoreBatch; 10 s each) =="
+echo "== fuzz bursts (FuzzRestore, FuzzStoreKey, FuzzStoreTable, FuzzExplainRequest, FuzzRing, FuzzLevenshteinDistance, FuzzScoreBatch, FuzzRenderResponse; 10 s each) =="
 fuzz() {
 	go test -timeout 120s -run '^$' -fuzz "^$1\$" -fuzztime 10s -fuzzminimizetime 100x "$2"
 }
@@ -90,6 +91,7 @@ fuzz FuzzExplainRequest ./internal/server/
 fuzz FuzzRing ./internal/cluster/
 fuzz FuzzLevenshteinDistance ./internal/strutil/
 fuzz FuzzScoreBatch ./internal/matchers/
+fuzz FuzzRenderResponse ./internal/server/
 
 echo "== bench smoke =="
 go test -timeout 600s -bench=. -benchtime=1x -run='^$' .
