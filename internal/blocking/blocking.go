@@ -6,9 +6,8 @@
 // blocking; this package provides the equivalent step for users running
 // the full pipeline (block → match → explain) on their own tables.
 //
-// Two blockers are provided: a token-based inverted index with IDF
-// weighting and per-record candidate caps (the standard baseline), and
-// a cheaper first-token (brand/author-style) blocker. Both are
+// The blocker is a token-based inverted index with IDF weighting and
+// per-record candidate caps (the standard baseline). It is
 // deterministic.
 package blocking
 
@@ -148,52 +147,6 @@ func (b *TokenBlocker) Block(left *record.Table) []Candidate {
 		out = append(out, b.CandidatesFor(l)...)
 	}
 	return out
-}
-
-// FirstTokenBlocker groups records by the first token of their first
-// non-missing attribute (brands, first authors, artists) — a cheap,
-// high-recall scheme for sources with leading identifiers.
-type FirstTokenBlocker struct {
-	right map[string][]*record.Record
-}
-
-// NewFirstTokenBlocker indexes the right table.
-func NewFirstTokenBlocker(right *record.Table) (*FirstTokenBlocker, error) {
-	if right == nil || right.Len() == 0 {
-		return nil, fmt.Errorf("blocking: right table is empty")
-	}
-	b := &FirstTokenBlocker{right: make(map[string][]*record.Record)}
-	for _, r := range right.Records {
-		if tok := leadingToken(r); tok != "" {
-			b.right[tok] = append(b.right[tok], r)
-		}
-	}
-	return b, nil
-}
-
-// Block pairs each left record with every right record sharing its
-// leading token.
-func (b *FirstTokenBlocker) Block(left *record.Table) []Candidate {
-	var out []Candidate
-	for _, l := range left.Records {
-		tok := leadingToken(l)
-		if tok == "" {
-			continue
-		}
-		for _, r := range b.right[tok] {
-			out = append(out, Candidate{Pair: record.Pair{Left: l, Right: r}, Score: 1})
-		}
-	}
-	return out
-}
-
-func leadingToken(r *record.Record) string {
-	for _, v := range r.Values {
-		if toks := strutil.Tokenize(v); len(toks) > 0 {
-			return toks[0]
-		}
-	}
-	return ""
 }
 
 // Quality evaluates a candidate set against ground truth: recall (the

@@ -113,25 +113,6 @@ func TestStopTokenPruning(t *testing.T) {
 	}
 }
 
-func TestFirstTokenBlocker(t *testing.T) {
-	left, right := smallTables()
-	b, err := NewFirstTokenBlocker(right)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cands := b.Block(left)
-	// l0 and l3 are both "sony ..." so each pairs with r0 and r3.
-	sonyPairs := 0
-	for _, c := range cands {
-		if c.Pair.Left.ID == "l0" || c.Pair.Left.ID == "l3" {
-			sonyPairs++
-		}
-	}
-	if sonyPairs != 4 {
-		t.Errorf("sony block should yield 4 pairs, got %d", sonyPairs)
-	}
-}
-
 func TestBlockingOnBenchmarkRecall(t *testing.T) {
 	bench := dataset.MustGenerate("AB", dataset.Options{Seed: 3, MaxRecords: 150, MaxMatches: 80})
 	b, err := NewTokenBlocker(bench.Right, Config{MaxPerRecord: 20})

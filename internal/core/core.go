@@ -202,15 +202,6 @@ func (s AttrSet) Key() string {
 	return s.Side.String() + ":{" + strings.Join(attrs, ",") + "}"
 }
 
-// Refs converts the set into side-qualified attribute references.
-func (s AttrSet) Refs() []record.AttrRef {
-	out := make([]record.AttrRef, len(s.Attrs))
-	for i, a := range s.Attrs {
-		out[i] = record.AttrRef{Side: s.Side, Attr: a}
-	}
-	return out
-}
-
 // Diagnostics reports the work CERTA did for one explanation; the Table 7
 // and Table 8 experiments read these, and the batch/cache counters make
 // the batched scoring pipeline's savings measurable.

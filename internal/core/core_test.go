@@ -389,10 +389,6 @@ func TestAttrSetKey(t *testing.T) {
 	if s.Key() != "L:{name,price}" {
 		t.Errorf("Key = %q", s.Key())
 	}
-	refs := s.Refs()
-	if len(refs) != 2 || refs[0].Side != record.Left {
-		t.Errorf("Refs = %v", refs)
-	}
 }
 
 func TestDiagnosticsAccounting(t *testing.T) {

@@ -31,15 +31,6 @@ func TestRegistryComplete(t *testing.T) {
 	}
 }
 
-func TestAllSorted(t *testing.T) {
-	all := All()
-	for i := 1; i < len(all); i++ {
-		if all[i-1].Code >= all[i].Code {
-			t.Fatalf("All() not sorted: %s before %s", all[i-1].Code, all[i].Code)
-		}
-	}
-}
-
 func TestDirtyFlags(t *testing.T) {
 	for _, code := range []string{"DDA", "DDS", "DIA", "DWA"} {
 		if s := MustGet(code); !s.Dirty {

@@ -13,10 +13,7 @@
 // Generation is fully deterministic given (code, Options).
 package dataset
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Domain selects the value synthesizer family for a benchmark.
 type Domain int
@@ -201,11 +198,4 @@ func MustGet(code string) Spec {
 		panic(fmt.Sprintf("dataset: unknown benchmark code %q (known: %v)", code, Codes()))
 	}
 	return s
-}
-
-// All returns every spec, sorted by code for deterministic iteration.
-func All() []Spec {
-	out := append([]Spec(nil), specs...)
-	sort.Slice(out, func(i, j int) bool { return out[i].Code < out[j].Code })
-	return out
 }

@@ -351,21 +351,6 @@ func hashKind(k Kind) uint32 {
 	return h
 }
 
-// Accuracy computes classification accuracy of a model on labeled
-// pairs.
-func Accuracy(m explain.Model, pairs []record.LabeledPair) float64 {
-	if len(pairs) == 0 {
-		return 0
-	}
-	ok := 0
-	for _, p := range pairs {
-		if explain.Predicted(m, p.Pair) == p.Match {
-			ok++
-		}
-	}
-	return float64(ok) / float64(len(pairs))
-}
-
 // F1 computes the F1 score of a model on labeled pairs (the model
 // performance measure used by the Faithfulness metric).
 func F1(m explain.Model, pairs []record.LabeledPair) float64 {

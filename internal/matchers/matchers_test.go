@@ -177,8 +177,8 @@ type scoreFunc func(record.Pair) float64
 func (scoreFunc) Name() string                  { return "func" }
 func (f scoreFunc) Score(p record.Pair) float64 { return f(p) }
 
-// TestScoreFuncAdapter: F1 and Accuracy take any explain.Model and
-// apply the paper's threshold, score > 0.5 meaning Match.
+// TestScoreFuncAdapter: F1 takes any explain.Model and applies the
+// paper's threshold, score > 0.5 meaning Match.
 func TestScoreFuncAdapter(t *testing.T) {
 	b, _ := testBenchmark(t)
 	for _, c := range []struct {
@@ -187,7 +187,7 @@ func TestScoreFuncAdapter(t *testing.T) {
 	}{{0.7, true}, {0.5, false}, {0.3, false}} {
 		m := scoreFunc(func(record.Pair) float64 { return c.score })
 		pair := []record.LabeledPair{{Pair: b.Test[0].Pair, Match: true}}
-		if got, want := Accuracy(m, pair) == 1, c.match; got != want {
+		if got, want := F1(m, pair) == 1, c.match; got != want {
 			t.Errorf("score %v: counted as a match %v, want %v", c.score, got, want)
 		}
 	}
@@ -198,9 +198,6 @@ func TestAccuracyAndF1Edges(t *testing.T) {
 	b, _ := testBenchmark(t)
 	if F1(never, b.Test) != 0 {
 		t.Error("F1 of never-matcher should be 0")
-	}
-	if Accuracy(never, nil) != 0 {
-		t.Error("Accuracy on empty set should be 0")
 	}
 	always := scoreFunc(func(record.Pair) float64 { return 1 })
 	f1 := F1(always, b.Test)

@@ -20,7 +20,12 @@
 //     Diagnostics are exactly what a private cache would have reported —
 //     deterministic at any parallelism and independent of what other
 //     explanations already cached — while the actual scoring is
-//     deduplicated globally.
+//     deduplicated globally. A view scores one batch at a time, as
+//     CERTA asks them (triangle search, each side's lattice level by
+//     level, then counterfactuals): it holds its lock for the whole
+//     batch, so a concurrent caller of the same view waits, and the
+//     batch's materialize callback runs under that lock and must not
+//     call back into the view.
 //
 // Unique misses are pushed through the model's batch entry point
 // (explain.BatchModel) in parallel shards.
@@ -77,8 +82,9 @@
 //     from its string: one allocation per chunk, not one per question.
 //     The view borrows those keys; the store copies the ones it claims.
 //   - Scorer.Release returns a finished view's key set, cleared, to a
-//     pool that the next view takes it from, so a view does not regrow
-//     its set from a few slots for every explanation.
+//     pool that the next view takes it from, with the view's batch
+//     scratch, so a view does not regrow its set from a few slots for
+//     every explanation.
 //
 // Both layers are cancellation-aware (explain.ContextModel): waits on
 // another explanation's in-flight computation return ctx.Err() as soon
@@ -131,18 +137,13 @@ type Stats struct {
 	Batches int
 }
 
-// HitRate returns Hits/Lookups, or 0 before any lookup.
-func (s Stats) HitRate() float64 {
-	if s.Lookups == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Lookups)
-}
-
 // Scorer is a per-explanation memoizing view over a shared Service. It
 // implements explain.Model and explain.BatchModel and is safe for
 // concurrent use, though the intended pattern is one Scorer per
-// explanation so cache statistics stay deterministic.
+// explanation, whose stages ask their batches in sequence, so cache
+// statistics stay deterministic. A view scores one batch at a time:
+// each batch holds the view's lock from start to end, and a concurrent
+// caller waits for it.
 // The view's key set borrows its callers' key strings (cut from one
 // string per chunk) and comes from, and goes back to, a pool of key
 // sets (Release).
@@ -150,27 +151,30 @@ type Scorer struct {
 	svc  *Service
 	opts Options
 
-	mu sync.Mutex
+	mu sync.Mutex // held for a whole batch
 	viewSet
-	flying []span // the slots of batches still scoring
-	stats  Stats
+	stats Stats
 }
 
-// viewSet is a view's key set and score slots, pooled across views.
+// viewSet is a view's key set, score slots and batch scratch, pooled
+// across views.
 type viewSet struct {
-	local  table[int] // the view's key set, under svc's key hashes: key -> index into scores
-	scores []float64  // each batch appends one slot per unique miss
+	local   table[int] // the view's key set, under svc's key hashes: key -> index into scores
+	scores  []float64  // each batch appends one slot per unique miss
+	scratch batchScratch
 }
 
 // viewSets holds the key sets of released views. A set comes back
-// empty but keeps its slots, so the next view fills it without growing.
+// empty but keeps its slots and scratch, so the next view fills them
+// without growing.
 var viewSets = sync.Pool{New: func() any { return new(viewSet) }}
 
-// Release empties the view and returns its key set and score slots to
-// a pool for the next view. The key set's slots are cleared, dropping
-// the borrowed key strings, and the scores truncated. Call it once no
-// batch of the view is in flight and nothing will use the view again:
-// a view used after Release starts over with an empty key set.
+// Release empties the view and returns its key set, score slots and
+// batch scratch to a pool for the next view. The key set's slots are
+// cleared, dropping the borrowed key strings, and the scores truncated.
+// A batch in progress finishes first: Release waits for the view's
+// lock. Call it once nothing will use the view again: a view used after
+// Release starts over with an empty key set.
 func (s *Scorer) Release() {
 	s.mu.Lock()
 	set := s.viewSet
@@ -185,9 +189,6 @@ func (s *Scorer) Release() {
 	viewSets.Put(&set)
 }
 
-// span is one in-flight batch's slots of a view's scores, [lo, hi).
-type span struct{ lo, hi int }
-
 // New wraps a model in a private scoring view: a fresh single-view
 // Service plus the Scorer over it. The model's batch entry point is used
 // when it has one; plain models fall back to per-pair Score calls.
@@ -196,7 +197,8 @@ func New(m explain.Model, opts Options) *Scorer {
 		opts.Parallelism = 1
 	}
 	// A single-view store has no cross-view contention; one stripe
-	// avoids allocating 32 maps per explanation.
+	// keeps its keys in one slab rather than spreading them over 32,
+	// each growing its own arena, records and index.
 	svc := NewService(m, ServiceOptions{Parallelism: opts.Parallelism, Shards: 1})
 	return svc.NewScorer(opts)
 }
@@ -208,9 +210,6 @@ func (s *Scorer) Name() string { return s.svc.Name() }
 // statistics — for instrumentation queries that must not count as
 // algorithm cost.
 func (s *Scorer) Underlying() explain.BatchModel { return s.svc.Underlying() }
-
-// Service returns the shared store this view scores through.
-func (s *Scorer) Service() *Service { return s.svc }
 
 // Stats returns a snapshot of the view's counters.
 func (s *Scorer) Stats() Stats {
@@ -267,31 +266,15 @@ func (s *Scorer) Key(p record.Pair) string { return s.svc.key(p) }
 type dup struct{ mi, slot int }
 
 // batchScratch is one keyed batch's working slices: its key hashes,
-// unique misses, in-batch duplicates, the misses' keys and hashes, and
-// the store's scores for them. It comes from, and goes back to, a pool,
-// so a warm batch allocates only the scores it returns.
+// unique misses, in-batch duplicates and the misses' keys and hashes.
+// A view reuses them from batch to batch and pools them with its key
+// set, so a warm batch allocates only the scores it returns.
 type batchScratch struct {
 	hashes     []uint64
 	misses     []int
 	dups       []dup
 	missKeys   []string
 	missHashes []uint64
-	scores     []float64
-}
-
-var batchScratches = sync.Pool{New: func() any { return new(batchScratch) }}
-
-// release empties the scratch, dropping the borrowed miss keys, and
-// pools it.
-func (b *batchScratch) release() {
-	clear(b.missKeys)
-	b.hashes = b.hashes[:0]
-	b.misses = b.misses[:0]
-	b.dups = b.dups[:0]
-	b.missKeys = b.missKeys[:0]
-	b.missHashes = b.missHashes[:0]
-	b.scores = b.scores[:0]
-	batchScratches.Put(b)
 }
 
 // ScoreBatchKeyedContext is ScoreBatchContext with caller-supplied
@@ -302,17 +285,21 @@ func (b *batchScratch) release() {
 // must equal s.Key(materialize(i)); materialize is called at most once
 // per index, on the calling goroutine. Stats are identical to
 // ScoreBatchContext's on the same input.
+//
+// The batch holds the view's lock from start to end, so a concurrent
+// call on the same view waits until it returns, and materialize, which
+// runs under that lock, must not call back into the view.
 func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, materialize func(i int) record.Pair) ([]float64, error) {
 	if len(keys) == 0 {
 		return []float64{}, ctx.Err()
 	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.opts.Disabled {
 		// Every lookup reaches the model; nothing is deduplicated.
-		s.mu.Lock()
 		s.stats.Lookups += len(keys)
 		s.stats.Misses += len(keys)
 		s.stats.Batches++
-		s.mu.Unlock()
 		pairs := make([]record.Pair, len(keys))
 		for i := range pairs {
 			pairs[i] = materialize(i)
@@ -320,12 +307,10 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 		return s.svc.direct(ctx, pairs, s.opts.Parallelism)
 	}
 
-	bs := batchScratches.Get().(*batchScratch)
-	defer bs.release()
-
 	// Each key is hashed once; the view, the in-batch duplicate check
 	// and the shared store all reuse that hash.
-	hashes := bs.hashes
+	bs := &s.scratch
+	hashes := bs.hashes[:0]
 	for _, k := range keys {
 		hashes = append(hashes, s.svc.hash(k))
 	}
@@ -336,27 +321,14 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 	// in slot first+j of the view's scores, so a key whose slot is at or
 	// past first is a duplicate within this batch.
 	out := make([]float64, len(keys))
-	misses := bs.misses
-	dups := bs.dups
-	var elsewhere table[int] // keys another batch of this view is scoring -> slot
-
-	s.mu.Lock()
+	misses, dups := bs.misses[:0], bs.dups[:0]
 	s.stats.Lookups += len(keys)
 	first := len(s.scores)
 	for i, k := range keys {
-		h := hashes[i]
-		set := &s.local
-		v, ok := set.get(h, k)
-		if ok && v < first && s.inFlight(v) {
-			// Its slot holds no score yet. Like a view that has not
-			// stored the key, forward it to the store, which waits on
-			// the other batch's claim.
-			set = &elsewhere
-			v, ok = set.get(h, k)
-		}
+		v, ok := s.local.get(hashes[i], k)
 		switch {
 		case !ok:
-			set.put(h, k, first+len(misses))
+			s.local.put(hashes[i], k, first+len(misses))
 			misses = append(misses, i)
 		case v >= first:
 			// Duplicate within this batch: scored once, fanned out.
@@ -367,50 +339,38 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 			s.stats.Hits++
 		}
 	}
-	if len(misses) > 0 {
-		s.stats.Misses += len(misses)
-		s.stats.Batches++
-		// The new slots are written before any lookup can read them:
-		// they stay in flight until the batch's scores are copied in.
-		s.scores = slices.Grow(s.scores, len(misses))[:first+len(misses)]
-		s.flying = append(s.flying, span{first, len(s.scores)})
-	}
-	s.mu.Unlock()
 	bs.misses, bs.dups = misses, dups
-
 	if len(misses) == 0 {
 		return out, nil
 	}
+	s.stats.Misses += len(misses)
+	s.stats.Batches++
 
+	missKeys, missHashes := bs.missKeys[:0], bs.missHashes[:0]
 	for _, ki := range misses {
-		bs.missKeys = append(bs.missKeys, keys[ki])
-		bs.missHashes = append(bs.missHashes, hashes[ki])
+		missKeys = append(missKeys, keys[ki])
+		missHashes = append(missHashes, hashes[ki])
 	}
-	scores := slices.Grow(bs.scores, len(misses))[:len(misses)]
-	bs.scores = scores
-	err := s.svc.fetch(ctx, scores, bs.missKeys, bs.missHashes, func(j int) record.Pair { return materialize(misses[j]) })
+	bs.missKeys, bs.missHashes = missKeys, missHashes
+	defer clear(missKeys) // drop the borrowed keys
 
-	s.mu.Lock()
-	s.flying = slices.DeleteFunc(s.flying, func(f span) bool { return f.lo == first })
-	if err != nil {
-		// The batch leaves none of its keys in the view.
-		for j, ki := range misses {
-			if v, ok := s.local.get(hashes[ki], keys[ki]); ok && v == first+j {
+	// The store writes the misses' scores into the view's next slots,
+	// which the view appends only once the batch succeeds. A batch that
+	// fails, by an error or a panic in materialize, leaves none of its
+	// keys in the view.
+	s.scores = slices.Grow(s.scores, len(misses))
+	scores := s.scores[first : first+len(misses)]
+	defer func() {
+		if len(s.scores) == first {
+			for _, ki := range misses {
 				s.local.delete(hashes[ki], keys[ki])
 			}
 		}
-		s.mu.Unlock()
+	}()
+	if err := s.svc.fetch(ctx, scores, missKeys, missHashes, func(j int) record.Pair { return materialize(misses[j]) }); err != nil {
 		return nil, err
 	}
-	copy(s.scores[first:], scores)
-	for _, v := range elsewhere.all {
-		// The batch that held the key may since have failed.
-		ki := misses[v-first]
-		if u, ok := s.local.get(hashes[ki], keys[ki]); !ok || s.inFlight(u) {
-			s.local.put(hashes[ki], keys[ki], v)
-		}
-	}
-	s.mu.Unlock()
+	s.scores = s.scores[:first+len(misses)]
 	for j, ki := range misses {
 		out[ki] = scores[j]
 	}
@@ -418,14 +378,4 @@ func (s *Scorer) ScoreBatchKeyedContext(ctx context.Context, keys []string, mate
 		out[d.slot] = scores[d.mi]
 	}
 	return out, nil
-}
-
-// inFlight reports whether slot v belongs to a batch still scoring.
-func (s *Scorer) inFlight(v int) bool {
-	for _, f := range s.flying {
-		if f.lo <= v && v < f.hi {
-			return true
-		}
-	}
-	return false
 }

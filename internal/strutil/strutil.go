@@ -552,28 +552,3 @@ func NumberOverlap(a, b string) float64 {
 	union := len(sa) + len(sb) - inter
 	return float64(inter) / float64(union)
 }
-
-// PrefixTokens returns the first k tokens of s joined back into a string,
-// used by the data-augmentation scheme of CERTA (§3.3 of the paper).
-func PrefixTokens(s string, k int) string {
-	toks := Tokenize(s)
-	if k < 0 {
-		k = 0
-	}
-	if k > len(toks) {
-		k = len(toks)
-	}
-	return JoinTokens(toks[:k])
-}
-
-// SuffixTokens returns the last k tokens of s joined back into a string.
-func SuffixTokens(s string, k int) string {
-	toks := Tokenize(s)
-	if k < 0 {
-		k = 0
-	}
-	if k > len(toks) {
-		k = len(toks)
-	}
-	return JoinTokens(toks[len(toks)-k:])
-}

@@ -348,12 +348,6 @@ func TestDropTokens(t *testing.T) {
 	if got := DropLastTokens(s, 99); got != NaN {
 		t.Errorf("drop beyond = %q, want NaN", got)
 	}
-	if got := PrefixTokens(s, 2); got != "a b" {
-		t.Errorf("PrefixTokens = %q", got)
-	}
-	if got := SuffixTokens(s, 3); got != "b c d" {
-		t.Errorf("SuffixTokens = %q", got)
-	}
 }
 
 func TestDropTokensProperty(t *testing.T) {

@@ -152,42 +152,6 @@ func (h *Histogram) Count() uint64 { return h.total.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return h.sum.Value() }
 
-// Quantile estimates the q-quantile (0 < q <= 1) from the bucket
-// counts by linear interpolation inside the bucket the rank falls in —
-// the histogram_quantile estimate. Samples beyond the last finite
-// bound clamp to it. Returns 0 on an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.total.Load()
-	if total == 0 || len(h.bounds) == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	var cum uint64
-	for i, b := range h.bounds {
-		n := h.counts[i].Load()
-		if n == 0 {
-			cum += n
-			continue
-		}
-		if float64(cum+n) >= target {
-			lower := 0.0
-			if i > 0 {
-				lower = h.bounds[i-1]
-			}
-			frac := (target - float64(cum)) / float64(n)
-			if frac < 0 {
-				frac = 0
-			}
-			if frac > 1 {
-				frac = 1
-			}
-			return lower + (b-lower)*frac
-		}
-		cum += n
-	}
-	return h.bounds[len(h.bounds)-1]
-}
-
 // Counter registers (or returns the existing) counter series.
 func (r *Registry) Counter(name, help string, labels Labels) *Counter {
 	return r.register(name, help, kindCounter, labels, nil, nil).counter

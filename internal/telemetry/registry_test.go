@@ -202,36 +202,6 @@ func TestLargeCountsPlainDecimal(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantile(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("certa_q_seconds", "q", nil, []float64{0.01, 0.1, 1})
-	for i := 0; i < 90; i++ {
-		h.Observe(0.005) // first bucket
-	}
-	for i := 0; i < 10; i++ {
-		h.Observe(0.5) // third bucket
-	}
-	if p50 := h.Quantile(0.50); p50 <= 0 || p50 > 0.01 {
-		t.Fatalf("p50 = %v, want within first bucket (0, 0.01]", p50)
-	}
-	if p99 := h.Quantile(0.99); p99 <= 0.1 || p99 > 1 {
-		t.Fatalf("p99 = %v, want within third bucket (0.1, 1]", p99)
-	}
-	if h.Quantile(1) > 1 {
-		t.Fatalf("p100 beyond last bound: %v", h.Quantile(1))
-	}
-	var empty Histogram
-	if got := empty.Quantile(0.5); got != 0 {
-		t.Fatalf("empty histogram quantile = %v, want 0", got)
-	}
-	// Overflow beyond the last finite bound clamps to it.
-	h2 := r.Histogram("certa_q2_seconds", "q", nil, []float64{0.01})
-	h2.Observe(5)
-	if got := h2.Quantile(0.5); got != 0.01 {
-		t.Fatalf("overflow quantile = %v, want clamp to 0.01", got)
-	}
-}
-
 func TestRegistryMisusePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("certa_kind_total", "x", nil)

@@ -1,11 +1,11 @@
 // Package vector implements the small amount of dense linear algebra the
-// project needs: vector arithmetic, matrices in row-major layout, a
-// Cholesky-based symmetric positive-definite solver (used by the weighted
-// ridge regressions inside LIME and Kernel SHAP), and numerically stable
-// scalar nonlinearities.
+// project needs: matrices in row-major layout, a Cholesky-based
+// symmetric positive-definite solver and the weighted ridge regression
+// built on it (inside LIME and Kernel SHAP), and the trapezoidal rule
+// (internal/metrics' curve areas).
 //
-// The package is deliberately minimal — no BLAS, no panics on the hot
-// path beyond shape mismatches, everything float64.
+// The package is deliberately minimal — no BLAS, no panics beyond shape
+// mismatches, everything float64.
 package vector
 
 import (
@@ -17,108 +17,6 @@ import (
 // ErrSingular is returned by solvers when the system matrix is singular
 // or not positive definite beyond repair.
 var ErrSingular = errors.New("vector: matrix is singular or not positive definite")
-
-// Dot returns the inner product of a and b. It panics if lengths differ,
-// since that is always a programming error.
-func Dot(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vector: Dot length mismatch %d vs %d", len(a), len(b)))
-	}
-	var s float64
-	for i, v := range a {
-		s += v * b[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean norm of a.
-func Norm(a []float64) float64 {
-	return math.Sqrt(Dot(a, a))
-}
-
-// Axpy computes y += alpha*x in place.
-func Axpy(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("vector: Axpy length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i, v := range x {
-		y[i] += alpha * v
-	}
-}
-
-// Scale multiplies every element of x by alpha in place.
-func Scale(alpha float64, x []float64) {
-	for i := range x {
-		x[i] *= alpha
-	}
-}
-
-// Add returns a+b as a new slice.
-func Add(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vector: Add length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
-// Sub returns a-b as a new slice.
-func Sub(a, b []float64) []float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("vector: Sub length mismatch %d vs %d", len(a), len(b)))
-	}
-	out := make([]float64, len(a))
-	for i := range a {
-		out[i] = a[i] - b[i]
-	}
-	return out
-}
-
-// Mean returns the arithmetic mean of a, or 0 for an empty slice.
-func Mean(a []float64) float64 {
-	if len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for _, v := range a {
-		s += v
-	}
-	return s / float64(len(a))
-}
-
-// CosineSimilarity returns the cosine of the angle between a and b, or 0
-// if either has zero norm.
-func CosineSimilarity(a, b []float64) float64 {
-	na, nb := Norm(a), Norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
-// Sigmoid computes the logistic function with guards against overflow.
-func Sigmoid(x float64) float64 {
-	if x >= 0 {
-		z := math.Exp(-x)
-		return 1 / (1 + z)
-	}
-	z := math.Exp(x)
-	return z / (1 + z)
-}
-
-// Clamp limits v to [lo, hi].
-func Clamp(v, lo, hi float64) float64 {
-	if v < lo {
-		return lo
-	}
-	if v > hi {
-		return hi
-	}
-	return v
-}
 
 // Matrix is a dense row-major matrix.
 type Matrix struct {
@@ -142,52 +40,6 @@ func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns a view (not a copy) of row i.
 func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
-
-// MulVec computes m·x.
-func (m *Matrix) MulVec(x []float64) []float64 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("vector: MulVec shape mismatch: %dx%d times %d", m.Rows, m.Cols, len(x)))
-	}
-	out := make([]float64, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
-	return out
-}
-
-// Transpose returns a new matrix that is the transpose of m.
-func (m *Matrix) Transpose() *Matrix {
-	t := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			t.Data[j*t.Cols+i] = v
-		}
-	}
-	return t
-}
-
-// Mul returns m·n.
-func (m *Matrix) Mul(n *Matrix) *Matrix {
-	if m.Cols != n.Rows {
-		panic(fmt.Sprintf("vector: Mul shape mismatch %dx%d times %dx%d", m.Rows, m.Cols, n.Rows, n.Cols))
-	}
-	out := NewMatrix(m.Rows, n.Cols)
-	for i := 0; i < m.Rows; i++ {
-		mrow := m.Row(i)
-		orow := out.Row(i)
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			nrow := n.Row(k)
-			for j, nv := range nrow {
-				orow[j] += mv * nv
-			}
-		}
-	}
-	return out
-}
 
 // CholeskySolve solves A·x = b for symmetric positive-definite A,
 // destroying neither input. If the factorization hits a non-positive
@@ -293,20 +145,6 @@ func WeightedRidge(x *Matrix, y, w []float64, lambda float64) ([]float64, error)
 		xtx.Data[a*d+a] += lambda
 	}
 	return CholeskySolve(xtx, xty)
-}
-
-// ArgMax returns the index of the maximum element, or -1 for empty input.
-func ArgMax(a []float64) int {
-	if len(a) == 0 {
-		return -1
-	}
-	best := 0
-	for i, v := range a {
-		if v > a[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // Trapezoid computes the area under the curve given by points (xs, ys)

@@ -48,11 +48,13 @@ echo "== race (context + shared scoring pipeline + retrieval layer + scoring eng
 go test -race -timeout 600s ./internal/scorecache/ ./internal/workpool/ ./internal/core/ ./internal/neighborhood/ ./internal/nn/ ./internal/embedding/ ./internal/memo/ ./internal/matchers/ ./internal/record/ ./internal/server/ ./internal/lattice/ ./internal/telemetry/ ./internal/cluster/
 
 # Variant ids are derived under a per-record lock that several
-# support scans reach at once, and released views' key sets and keyed
-# batches' scratch pass between goroutines through pools; ten passes
-# under the race detector run all three.
-echo "== race (variant ids, pooled view key sets and batch scratch, 10 passes) =="
-go test -race -count=10 -timeout 300s -run '^(TestConcurrentSupportKeyers|TestReleasedViewStartsEmpty|TestConcurrentKeyedBatchesMatchPrivate)$' ./internal/scorecache/
+# support scans reach at once; released views' key sets, with the batch
+# scratch that now lives in them, pass between goroutines through a
+# pool; and a view scores one batch at a time, holding its lock while a
+# concurrent caller waits. Ten passes under the race detector run all
+# five.
+echo "== race (variant ids, pooled view key sets with their batch scratch, one batch per view at a time, 10 passes) =="
+go test -race -count=10 -timeout 300s -run '^(TestConcurrentSupportKeyers|TestReleasedViewStartsEmpty|TestConcurrentKeyedBatchesMatchPrivate|TestViewScoresOneBatchAtATime|TestConcurrentUse)$' ./internal/scorecache/
 
 # The lattice-pruning paths specifically, under the race detector at
 # Parallelism 8 (TestLatticePruneDeterministic and friends run inside the
